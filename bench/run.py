@@ -5,7 +5,8 @@
 Run it from the root of a source checkout: the package is imported from
 `src/`, and nothing needs building. Each execution of the workload runs in
 a fresh worker process (bench/worker.py) with the BLAS thread count pinned.
-Executions repeat until `--seconds` is spent; times are medians over them.
+Executions repeat until `--seconds` have passed, so the last one may run
+past it; times are medians over them.
 
 `--trace 0` reports the end-to-end metrics, `--trace 1` the per-layer
 metrics of bench/tracer.py, from traced executions alternating with
@@ -183,8 +184,7 @@ def measure(workload: str, seed: int, seconds: float, trace: bool,
         i += 1
         now = time.perf_counter()
         complete = all(done[m] for m in modes) and i % len(modes) == 0
-        if res is None or now >= deadline or (
-                complete and now + (now - t0) > start + seconds):
+        if res is None or now >= deadline or (complete and now - start >= seconds):
             break
     shutil.rmtree(scratch, ignore_errors=True)
     with contextlib.suppress(OSError):
