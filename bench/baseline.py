@@ -71,14 +71,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--out", type=Path, default=bench.BENCH / "baseline.json")
     args = parser.parse_args()
 
     workloads = {}
     for name in WORKLOADS:
-        plain = bench.measure(name, args.seed, args.seconds, False, args.size)
-        traced = bench.measure(name, args.seed, args.seconds, True, args.size)
+        plain = bench.measure(name, args.seed, args.seconds, False)
+        traced = bench.measure(name, args.seed, args.seconds, True)
         for metric, m in plain["metrics"].items():
             print(f"{name} {metric} {m['value']:.6g} {m['unit']}", flush=True)
         print(f"{name} correct {plain['correct'] and traced['correct']} "
@@ -98,7 +97,6 @@ def main() -> int:
     record = {
         "seed": args.seed,
         "seconds": args.seconds,
-        "size": args.size,
         "environment": environment(),
         "workloads": workloads,
         "presets": preset_table(),

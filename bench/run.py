@@ -5,12 +5,12 @@
 Run it from the root of a source checkout: the package is imported from
 `src/`, and nothing needs building. Each execution of the workload runs in
 a fresh worker process (bench/worker.py) with the BLAS thread count pinned.
-Executions repeat until `--seconds` have passed, so the last one may run
-past it; times are medians over them.
+Each execution times its set-up (import plus context builds) and then its
+run phase. Executions repeat until they have taken `--seconds` in all, so
+the last one may run past it. Times are medians over the executions.
 
 `--trace 0` reports the end-to-end metrics, `--trace 1` the per-layer
-metrics of bench/tracer.py, from traced executions alternating with
-untraced ones. The last line of stdout is one JSON object with the keys
+metrics of bench/tracer.py, from traced executions. The last line of stdout is one JSON object with the keys
 `correct`, `attempted`, `failed` and `metrics`; `attempted` and `failed`
 count checks over all executions of the run.
 
@@ -18,6 +18,8 @@ Checks, per execution: every CSV check row; for curves with a closed-form
 norm, the certified lower against the ceiling 2 sqrt(n-1)/n (1 at n=1)
 and the floor 1/sqrt(n); and the digest of the CSV files against that of
 the run's first execution. A config that exits nonzero fails all its checks.
+A traced execution also checks that the contexts its set-up built have
+the sizes its run counts.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ sys.path.insert(0, str(BENCH))
 from workloads import WORKLOADS, configs, has_closed_form  # noqa: E402
 
 BLAS_THREADS = 1
-SETUP_RUNS = 3  # set-up executions, before the timed run loop
 DEADLINE_S = 170  # a run stops starting executions after this
 ORACLE_RTOL = 1e-12
 
@@ -139,34 +140,28 @@ def geometric_mean(ratios: list[float]) -> float:
 
 def measure(workload: str, seed: int, seconds: float, trace: bool,
             size: str = "full") -> dict:
-    """Run the workload for `seconds` and return its result record."""
+    """Run the workload for `seconds` and return its result record.
+
+    Executions repeat until they have taken `seconds` in all. Traced, the
+    first execution is untraced and sets the digest the traced ones must
+    match.
+    """
     cfgs = configs(workload, size, seed)
-    start = time.perf_counter()
-    deadline = start + DEADLINE_S
+    deadline = time.perf_counter() + DEADLINE_S
     scratch = ROOT / ".bench_out" / f"{workload}-{os.getpid()}"
     shutil.rmtree(scratch, ignore_errors=True)
 
     attempted = failed = 0
-    setup_s: list[float] = []
-    if not trace:
-        for _ in range(SETUP_RUNS):
-            res = execute("setup", cfgs, scratch, deadline - time.perf_counter())
-            if res is None:
-                attempted += 1
-                failed += 1
-            else:
-                setup_s.append(res["setup_s"])
-        start = time.perf_counter()
-
-    modes = ["run", "trace"] if trace else ["run"]
-    done: dict[str, list[dict]] = {mode: [] for mode in modes}
+    done: dict[str, list[dict]] = {"run": [], "trace": []}
     first = None
+    measured = 0.0  # wall time of the executions so far
     i = 0
     while True:
-        mode = modes[i % len(modes)]
+        mode = "trace" if trace and done["run"] else "run"
         out = scratch / f"exec{i}"
         t0 = time.perf_counter()
         res = execute(mode, cfgs, out, deadline - t0)
+        measured += time.perf_counter() - t0
         if res is None:
             attempted += 1
             failed += 1
@@ -179,32 +174,35 @@ def measure(workload: str, seed: int, seconds: float, trace: bool,
                 failed += found["digest"] != first["digest"]
             attempted += found["checks"]
             failed += found["failed"]
+            if mode == "trace":
+                # The contexts timed as set-up must be the ones the run builds.
+                attempted += 1
+                failed += any(res["layers"][name]["value"] != value
+                              for name, value in res["sizes"].items())
             done[mode].append(res)
         shutil.rmtree(out, ignore_errors=True)
         i += 1
-        now = time.perf_counter()
-        complete = all(done[m] for m in modes) and i % len(modes) == 0
-        if res is None or now >= deadline or (complete and now - start >= seconds):
+        enough = measured >= seconds and done["trace" if trace else "run"]
+        if res is None or enough or time.perf_counter() >= deadline:
             break
     shutil.rmtree(scratch, ignore_errors=True)
     with contextlib.suppress(OSError):
         scratch.parent.rmdir()
-    with_results = all(done[m] for m in modes)
+    with_results = bool(done["trace" if trace else "run"])
 
     metrics = {}
     if with_results and trace:
-        for name, m in done["trace"][0]["layers"].items():
+        traces = done["trace"]
+        for name, m in traces[0]["layers"].items():
             pick = statistics.median if m["unit"] == "s" else statistics.median_low
-            value = pick(r["layers"][name]["value"] for r in done["trace"])
+            value = pick(r["layers"][name]["value"] for r in traces)
             metrics[name] = {"value": value, "unit": m["unit"]}
-        overhead = (statistics.median(r["run_s"] for r in done["trace"])
-                    - statistics.median(r["run_s"] for r in done["run"]))
-        metrics["trace.overhead_s"] = {"value": overhead, "unit": "s"}
-    elif with_results and setup_s:
+    elif with_results:
+        runs = done["run"]
         values = {
-            "run_s": statistics.median(r["run_s"] for r in done["run"]),
-            "setup_s": statistics.median(setup_s),
-            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in done["run"]),
+            "run_s": statistics.median(r["run_s"] for r in runs),
+            "setup_s": statistics.median(r["setup_s"] for r in runs),
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
             "checks_total": first["checks"],
             "cert_ratio_gmean": geometric_mean(first["ratios"]),
         }
@@ -217,8 +215,8 @@ def measure(workload: str, seed: int, seconds: float, trace: bool,
         "metrics": metrics,
         "digest": first["digest"] if first else None,
         "run_s_samples": [r["run_s"] for r in done["run"]],
-        "setup_s_samples": setup_s,
-        "executions": {m: len(done[m]) for m in modes},
+        "setup_s_samples": [r["setup_s"] for r in done["run"]],
+        "executions": {m: len(v) for m, v in done.items()},
         "configs": cfgs,
     }
 

@@ -7,12 +7,14 @@ outside it. A function is replaced in every amalgam module that binds it
 target that no longer exists is skipped, and its metrics read 0.
 
 A span's self time is its duration minus the time of the spans it encloses.
-Work the tracer does itself (the witness residual below) is charged to no
-span; it shows only in the traced run time.
+Work the tracer does itself (its bookkeeping and the counter hooks, such as
+the witness test below) is charged to no span. It is added up separately
+and reported as `trace.overhead_s`.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from time import perf_counter
@@ -57,9 +59,17 @@ SPANS = list(dict.fromkeys(
     [span for *_, span in FUNCTIONS] + [span for *_, span in METHODS]
 ))
 
-# A witness v of restricted_sigma_max counts as unconverged when
-# ||X*X v - theta v|| / theta exceeds this, with theta = ||X v||^2 and
-# ||v|| = 1. An exact Gram eigenvector reads about 1e-14.
+# Two tests of each witness v of restricted_sigma_max, with ||v|| = 1 and
+# theta = ||X v||^2:
+# - unconverged: the relative eigen-residual ||X*X v - theta v|| / theta is
+#   above UNCONVERGED_RTOL. An exact Gram eigenvector reads about 1e-14.
+#   Power iteration stops when sigma changes by less than POWER_RTOL = 1e-12
+#   in a step. Where the spectral gap is small, its residual is then still
+#   far above this, although the stopping rule held.
+# - out of steps: one more step of power iteration from v would still move
+#   sigma by more than the solver's own tolerance POWER_RTOL, i.e.
+#   sqrt(||X*X v||) / ||X v|| - 1 > POWER_RTOL (about rho^2 / 4 for a
+#   residual rho): the solve ran out of steps before its stopping rule held.
 UNCONVERGED_RTOL = 1e-8
 
 COUNTERS = {
@@ -68,6 +78,7 @@ COUNTERS = {
     "fock.family_op_nnz": "lower",  # stored entries of family operators
     "words.norm_lower_cols": "higher",  # exact-domain columns solved over
     "linalg.solve_unconverged": "lower",
+    "linalg.solve_out_of_steps": "lower",
     "freegroup.ball_words": "higher",
     "freegroup.conv_nnz": "lower",  # stored entries of convolution matrices
 }
@@ -77,19 +88,22 @@ def _stored(matrix) -> int:
     return int(matrix.nnz) if sparse.issparse(matrix) else int(np.size(matrix))
 
 
-def witness_residual(x, v) -> float:
-    """Relative eigen-residual of v for X*X, at its own Rayleigh quotient."""
+def witness_tests(x, v) -> tuple[float, float]:
+    """Relative eigen-residual of v for X*X, and the change of sigma that one
+    more power step from v makes."""
     v = np.asarray(v, dtype=complex)
     nv = np.linalg.norm(v)
     if nv == 0.0:
-        return 0.0
+        return 0.0, 0.0
     v = v / nv
     xv = x @ v
-    theta = float(np.vdot(xv, xv).real)
-    if theta == 0.0:
-        return 0.0
-    r = x.conj().T @ xv - theta * v
-    return float(np.linalg.norm(r)) / theta
+    sigma = float(np.linalg.norm(xv))
+    if sigma == 0.0:
+        return 0.0, 0.0
+    theta = sigma * sigma
+    gram_v = x.conj().T @ xv
+    residual = float(np.linalg.norm(gram_v - theta * v)) / theta
+    return residual, math.sqrt(float(np.linalg.norm(gram_v))) / sigma - 1.0
 
 
 class Tracer:
@@ -97,26 +111,29 @@ class Tracer:
         self.self_s = dict.fromkeys(SPANS, 0.0)
         self.calls = Counter()
         self.counts = Counter()
+        self.overhead_s = 0.0  # wrapper and hook time outside the wrapped calls
         self._open: list[float] = []  # time of enclosed spans, per open span
 
     def wrap(self, fn, span):
         def traced(*args, **kwargs):
+            t_in = perf_counter()
             self._open.append(0.0)
+            returned = False
             t0 = perf_counter()
             try:
                 result = fn(*args, **kwargs)
+                returned = True
             finally:
                 elapsed = perf_counter() - t0
                 self.self_s[span] += elapsed - self._open.pop()
                 self.calls[span] += 1
+                hook = HOOKS.get(span)
+                if returned and hook is not None:
+                    hook(self.counts, result, args)
+                own = perf_counter() - t_in - elapsed
+                self.overhead_s += own
                 if self._open:
-                    self._open[-1] += elapsed
-            hook = HOOKS.get(span)
-            if hook is not None:
-                t1 = perf_counter()
-                hook(self.counts, result, args)
-                if self._open:
-                    self._open[-1] += perf_counter() - t1
+                    self._open[-1] += elapsed + own
             return result
 
         traced.__wrapped__ = fn
@@ -147,6 +164,7 @@ class Tracer:
             out[f"{span}_calls"] = {"value": self.calls[span], "unit": "count"}
         for name in COUNTERS:
             out[name] = {"value": self.counts[name], "unit": "count"}
+        out["trace.overhead_s"] = {"value": self.overhead_s, "unit": "s"}
         return out
 
 
@@ -166,8 +184,12 @@ def _count_domain(counts, report, args):
 
 def _count_unconverged(counts, result, args):
     _, witness = result[:2]
-    if witness.size and witness_residual(args[0], witness) > UNCONVERGED_RTOL:
-        counts["linalg.solve_unconverged"] += 1
+    if not witness.size:
+        return
+    residual, step_change = witness_tests(args[0], witness)
+    counts["linalg.solve_unconverged"] += residual > UNCONVERGED_RTOL
+    counts["linalg.solve_out_of_steps"] += (
+        step_change > sys.modules["amalgam.linalg"].POWER_RTOL)
 
 
 def _count_ball(counts, basis, args):

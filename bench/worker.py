@@ -2,18 +2,19 @@
 
     python3 bench/worker.py '<json spec>'
 
-The spec names the mode (`setup`, `run` or `trace`), the configs, the
-output directory and the source directory the package must come from.
-In `setup` mode the worker times importing the package plus building every
-context the configs use through the public builders. In `run` and `trace`
-mode it drives the configs through `amalgam.cli.main(["run", ...])` and
-times that, with the tracer installed in `trace` mode. The last line of
-stdout is one JSON object.
+The spec names the mode (`run` or `trace`), the configs, the output
+directory and the source directory the package must come from. The worker
+first times the set-up: importing the package plus building every context
+the configs use through the public builders. It drops those contexts, then
+drives the configs through `amalgam.cli.main(["run", ...])` and times that,
+with the tracer installed in `trace` mode. The run builds its own contexts,
+as a user's run would. The last line of stdout is one JSON object.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import resource
@@ -22,29 +23,24 @@ import time
 from pathlib import Path
 
 
-def factor_context(am, name: str, max_level: int, max_dim: int):
-    """The CLI's named factor configurations, built with `build_fock`."""
-    if name == "m2-diag":
-        m2 = am.diagonal_in_matn(2)
-        return am.build_fock(am.diagonal_base(2), {0: m2, 1: m2}, max_level,
-                             max_dim=max_dim)
-    count = int(name.removeprefix("two-point-"))
-    two_point = am.function_algebra_with_state(2)
-    return am.build_fock(am.scalar_base(), {i: two_point for i in range(count)},
-                         max_level, max_dim=max_dim)
-
-
 def build_contexts(am, cfg: dict) -> list:
-    """Every context the run of `cfg` builds, built ahead of it."""
+    """Every context the run of `cfg` builds, built ahead of it.
+
+    The Fock contexts come from the CLI's own helpers, so they are the ones
+    the run builds. The Cayley balls repeat the radius choice of
+    `freegroup.haagerup_check`; the traced run checks their sizes.
+    """
     p = cfg["parameters"]
     max_dim = cfg.get("max_dim", 20000)
+    cli = am.cli
     if cfg["kind"] in ("haagerup-sweep", "lemma-check"):
-        return [factor_context(am, p["config"], p["M"], max_dim)]
+        return [cli._factor_context(p["config"], int(p["M"]), max_dim)]
     if cfg["kind"] == "ergodic-decay":
-        window = range(p["p"] - 1 + p["n_max"])
+        exp = am.shift.ShiftExperiment(cli._unit_prototype(int(p["p"])),
+                                       n_max=int(p["n_max"]), max_level=int(p["M"]))
         return [am.shift.build_shift_context(
-            am.function_algebra_with_state(2), am.scalar_base(), window, p["M"],
-            max_dim=max_dim)]
+            am.function_algebra_with_state(2), am.scalar_base(), exp.window,
+            exp.max_level, max_dim=max_dim)]
     if cfg["kind"] == "group-shift":
         fg = am.freegroup
         word = fg.parse_word(p["word"])
@@ -55,6 +51,15 @@ def build_contexts(am, cfg: dict) -> list:
             balls.append(fg.build_ball(window, radius))
         return balls
     raise ValueError(f"no set-up for kind {cfg['kind']!r}")
+
+
+def sizes(contexts: list) -> dict:
+    """Total Fock dimension and Cayley-ball words, as the tracer counts them."""
+    return {
+        "fock.total_dim": sum(getattr(c, "total_dim", 0) for c in contexts),
+        "freegroup.ball_words": sum(len(c) for c in contexts
+                                    if not hasattr(c, "total_dim")),
+    }
 
 
 def run(am, spec: dict) -> dict:
@@ -90,17 +95,18 @@ def main() -> int:
     import amalgam
     import amalgam.cli
     import amalgam.freegroup
+    import amalgam.shift
 
     src = Path(spec["src"]).resolve()
     if Path(amalgam.__file__).resolve().parent.parent != src:
         print(f"error: amalgam imported from {amalgam.__file__}, not {src}",
               file=sys.stderr)
         return 3
-    if spec["mode"] == "setup":
-        contexts = [build_contexts(amalgam, cfg) for cfg in spec["configs"]]
-        result = {"setup_s": time.perf_counter() - t0, "contexts": len(contexts)}
-    else:
-        result = run(amalgam, spec)
+    contexts = [c for cfg in spec["configs"] for c in build_contexts(amalgam, cfg)]
+    result = {"setup_s": time.perf_counter() - t0, "sizes": sizes(contexts)}
+    del contexts
+    gc.collect()
+    result.update(run(amalgam, spec))
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(result))
     return 0

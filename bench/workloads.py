@@ -4,19 +4,22 @@ Every workload is a list of `amalgam run` configs. The benchmark seed is
 written into each config's `seed` field, so it drives every random choice
 the CLI makes (word letters, family shapes, solver start vectors).
 
-Sizes. `full` is what the benchmark measures: one execution takes 2 to 8 s
+Sizes. `full` is what the benchmark measures: one execution takes 3 to 7 s
 on a 2-core x86 box at one BLAS thread, so several fit in one timed run.
 `tiny` finishes in about a second and only serves the smoke test.
 
 The full counts are smaller than the CLI presets use, to fit the run length:
-- sweep: word length `n_max` 1. The CLI draws each family's word length
-  from the seed, and families of length 2 cost about three times as much as
-  those of length 1 or 3, so with mixed lengths the amount of work changed
-  from seed to seed. With length 1 only it does not, and the costly parts
-  remain: the 23,437-dimensional context, cold structure assembly for all
-  six factors, and the certified solver on 4,687 and 3,750 columns (power
-  iteration) and on 750-column blocks (Gram `eigh`). Six families use all
-  six factors for almost every seed.
+- sweep: 6 families of one word of length 1 (`n_max` 1, `k_max` 1). The
+  CLI draws each family's word length and word count from the seed, and a
+  length-2 family costs about three times as much as one of length 1 or 3,
+  so with mixed draws the amount of work changed from seed to seed. With
+  one-letter families the six factors are interchangeable; what the seed
+  still changes is how many distinct factors the letters fall on (a
+  factor's structure operators are built once, then reused), which moves
+  the cost by a few percent. The costly parts remain: the
+  23,437-dimensional context, cold structure assembly, and the certified
+  solver on 4,687 and 3,750 columns (power iteration) and on 750-column
+  blocks (Gram `eigh`). An execution takes about 5 s.
 - decay: `n_max` 20 and 16; the cost grows steeply with the window length.
 - ladder: 24 words on two-point-3.
 """
@@ -28,7 +31,7 @@ WORKLOADS = {
         "full": [
             {"kind": "haagerup-sweep",
              "parameters": {"config": "two-point-6", "M": 6, "families": 6,
-                            "n_max": 1, "k_max": 6},
+                            "n_max": 1, "k_max": 1},
              "output": "sweep", "max_dim": 30000},
         ],
         "tiny": [
