@@ -1,13 +1,15 @@
 """Benchmark entry point.
 
-    python3 bench/run.py --workload sweep --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload sweep-group --seed 1 --seconds 57 --trace 0
 
 Run it from the root of a source checkout: the package is imported from
 `src/`, and nothing needs building. Each execution of the workload runs in
 a fresh worker process (bench/worker.py) with the BLAS thread count pinned.
 Each execution times its set-up (import plus context builds) and then its
-run phase. Executions repeat until they have taken `--seconds` in all, so
-the last one may run past it. Times are medians over the executions.
+run phase. Executions repeat while the next one, if it takes as long as the
+last, would end less than half its length past `--seconds`, so the run
+takes `--seconds` give or take half an execution. Times are medians over
+the executions.
 
 `--trace 0` reports the end-to-end metrics, `--trace 1` the per-layer
 metrics of bench/tracer.py, from traced executions. The last line of stdout is one JSON object with the keys
@@ -142,7 +144,8 @@ def measure(workload: str, seed: int, seconds: float, trace: bool,
             size: str = "full") -> dict:
     """Run the workload for `seconds` and return its result record.
 
-    Executions repeat until they have taken `seconds` in all. Traced, the
+    Executions repeat while the next one, if it takes as long as the last,
+    would end less than half its length past `seconds`. Traced, the
     first execution is untraced and sets the digest the traced ones must
     match.
     """
@@ -161,7 +164,8 @@ def measure(workload: str, seed: int, seconds: float, trace: bool,
         out = scratch / f"exec{i}"
         t0 = time.perf_counter()
         res = execute(mode, cfgs, out, deadline - t0)
-        measured += time.perf_counter() - t0
+        last = time.perf_counter() - t0
+        measured += last
         if res is None:
             attempted += 1
             failed += 1
@@ -182,7 +186,7 @@ def measure(workload: str, seed: int, seconds: float, trace: bool,
             done[mode].append(res)
         shutil.rmtree(out, ignore_errors=True)
         i += 1
-        enough = measured >= seconds and done["trace" if trace else "run"]
+        enough = measured + last / 2 > seconds and done["trace" if trace else "run"]
         if res is None or enough or time.perf_counter() >= deadline:
             break
     shutil.rmtree(scratch, ignore_errors=True)

@@ -1,12 +1,23 @@
 """The benchmark workloads: CLI configs per workload and size.
 
-Every workload is a list of `amalgam run` configs. The benchmark seed is
-written into each config's `seed` field, so it drives every random choice
-the CLI makes (word letters, family shapes, solver start vectors).
+Every workload is a list of `amalgam run` configs, made of two parts that
+run one after the other in the same execution:
+- `sweep-group`: the sweep (large sparse Fock context, structure assembly,
+  certified solver) and then the group shift (Cayley balls, convolution,
+  solver on ball matrices). The solver dominates here.
+- `decay-ladder`: the decay curves (dense letter products on long shift
+  windows, tiny solver domains) and then the ladder checks (the
+  exact-identity path). Dense products dominate; the solver barely runs.
+Two workloads, not one per part, so that each run can be long enough for
+its median to settle on a shared host.
 
-Sizes. `full` is what the benchmark measures: one execution takes 3 to 7 s
-on a 2-core x86 box at one BLAS thread, so several fit in one timed run.
-`tiny` finishes in about a second and only serves the smoke test.
+The benchmark seed is written into each config's `seed` field, so it
+drives every random choice the CLI makes (word letters, family shapes,
+solver start vectors).
+
+Sizes. `full` is what the benchmark measures: one execution takes 5 to
+10 s on a 2-core x86 box at one BLAS thread, so several fit in one timed
+run. `tiny` finishes in about a second and only serves the smoke test.
 
 The full counts are smaller than the CLI presets use, to fit the run length:
 - sweep: 6 families of one word of length 1 (`n_max` 1, `k_max` 1). The
@@ -19,14 +30,14 @@ The full counts are smaller than the CLI presets use, to fit the run length:
   the cost by a few percent. The costly parts remain: the
   23,437-dimensional context, cold structure assembly, and the certified
   solver on 4,687 and 3,750 columns (power iteration) and on 750-column
-  blocks (Gram `eigh`). An execution takes about 5 s.
+  blocks (Gram `eigh`). This part takes about 5 s.
 - decay: `n_max` 20 and 16; the cost grows steeply with the window length.
 - ladder: 24 words on two-point-3.
 """
 
 from __future__ import annotations
 
-WORKLOADS = {
+PARTS = {
     "sweep": {
         "full": [
             {"kind": "haagerup-sweep",
@@ -87,10 +98,17 @@ WORKLOADS = {
     },
 }
 
+# Each workload runs its parts one after the other in the same execution.
+WORKLOADS = {
+    "sweep-group": ("sweep", "group"),
+    "decay-ladder": ("decay", "ladder"),
+}
+
 
 def configs(workload: str, size: str, seed: int) -> list[dict]:
     """The workload's configs with the benchmark seed filled in."""
-    return [dict(cfg, seed=seed) for cfg in WORKLOADS[workload][size]]
+    return [dict(cfg, seed=seed)
+            for part in WORKLOADS[workload] for cfg in PARTS[part][size]]
 
 
 def has_closed_form(cfg: dict) -> bool:
