@@ -550,9 +550,17 @@ def validate_config(config: dict) -> None:
     for key in required:
         if key not in params:
             raise ConfigError(f"missing parameter {key!r}", f"/parameters/{key}")
-    caps = config.get("max_dim", 20000)
-    if caps <= 0:
+    if "M" in params:
+        _as_int(params["M"], "/parameters/M")
+    if _as_int(config.get("max_dim", 20000), "/max_dim") <= 0:
         raise ConfigError("max_dim must be positive", "/max_dim")
+
+
+def _as_int(value, pointer: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected an integer, got {value!r}", pointer) from None
 
 
 def run_config(config: dict, *, out_dir: Path, jobs: int = 1,

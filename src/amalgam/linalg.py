@@ -5,28 +5,32 @@ Conventions used across the package:
 * rank decisions use a scale-invariant cutoff: a singular value (or
   eigenvalue of a PSD matrix) below ``RANK_RTOL`` times the largest one
   counts as zero;
-* dense matrices up to ``DENSE_LIMIT`` columns get exact singular values,
-  larger problems fall back to power iteration on ``X* X``.
+* every certified top singular value comes from ``restricted_sigma_max``.
+  It returns ``||X v||`` for an explicit unit vector ``v``, found by Lanczos
+  (ARPACK) on ``X* X`` applied as an operator, or by the exact Gram
+  eigenproblem for blocks of at most ``GRAM_LIMIT`` columns;
+* ``operator_norm`` takes the exact SVD of dense matrices up to
+  ``DENSE_LIMIT`` columns and ``restricted_sigma_max`` otherwise.
+  ``DENSE_LIMIT`` is also the dimension up to which Fock operators are
+  stored dense.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 from scipy import sparse
 
 RANK_RTOL = 1e-10
 DENSE_LIMIT = 2000
-POWER_ITERATIONS = 300
-POWER_RTOL = 1e-12
+GRAM_LIMIT = 64
+POWER_RTOL = 1e-12  # relative eigen-residual tolerance of the Lanczos solve
 DEFAULT_SEED = 0xC0FFEE
 
 
 def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
-
-
-def is_sparse(x) -> bool:
-    return sparse.issparse(x)
 
 
 def adjoint(x):
@@ -65,87 +69,63 @@ def orthonormal_columns(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
 
 
 def operator_norm(x) -> float:
-    """Largest singular value. Exact for small problems, iterative above the limit."""
-    if sparse.issparse(x):
+    """Largest singular value: exact SVD for dense matrices up to the limit."""
+    if not sparse.issparse(x):
+        x = as_complex(x)
         if min(x.shape) <= DENSE_LIMIT:
-            return _sigma_max_gram(x)[0]
-        return power_iteration_sigma(x)[0]
-    x = as_complex(x)
-    if x.size == 0:
-        return 0.0
-    if min(x.shape) <= DENSE_LIMIT:
-        return float(np.linalg.svd(x, compute_uv=False)[0]) if x.size else 0.0
-    return power_iteration_sigma(x)[0]
+            return float(np.linalg.svd(x, compute_uv=False)[0]) if x.size else 0.0
+    return restricted_sigma_max(x)[0]
 
 
-def _sigma_max_gram(x) -> tuple[float, np.ndarray]:
-    """Exact largest singular value of ``x`` through the Gram matrix ``x* x``.
+def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray]:
+    """Largest singular value of ``x`` as ``(||x v||, v)`` for a unit witness ``v``.
 
-    Works for sparse ``x`` with a small number of columns without ever
-    densifying ``x`` itself. Returns ``(sigma, right_singular_vector)``.
-    """
-    xh = adjoint(x)
-    g = xh @ x
-    g = to_dense(g)
-    g = hermitian_part(g)
-    if g.shape[0] == 0:
-        return 0.0, np.zeros(0, dtype=complex)
-    evals, evecs = np.linalg.eigh(g)
-    idx = int(np.argmax(evals))
-    sigma = float(np.sqrt(max(evals[idx], 0.0)))
-    return sigma, evecs[:, idx]
-
-
-def power_iteration_sigma(
-    x,
-    iterations: int = POWER_ITERATIONS,
-    rtol: float = POWER_RTOL,
-    seed: int = DEFAULT_SEED,
-) -> tuple[float, np.ndarray]:
-    """Largest singular value of ``x`` by power iteration on ``x* x``.
-
-    The returned value is a Rayleigh quotient on an explicit unit vector and
-    therefore a rigorous lower bound for the true largest singular value even
-    when the iteration has not converged.
+    The value is a certified lower bound for ``||x||`` whether or not the
+    solve converged. Blocks of at most ``GRAM_LIMIT`` columns take the top
+    eigenvector of the dense Gram ``x* x``; wider ones run Lanczos on
+    ``x* x`` without forming it, from a start vector drawn from ``seed``.
     """
     n = x.shape[1]
     if n == 0:
         return 0.0, np.zeros(0, dtype=complex)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
     xh = adjoint(x)
-    prev = 0.0
-    for _ in range(iterations):
-        w = xh @ (x @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, v
-        v = w / nw
-        sig = float(np.sqrt(nw))
-        if prev > 0.0 and abs(sig - prev) <= rtol * prev:
-            prev = sig
-            break
-        prev = sig
-    xv = x @ v
-    return float(np.linalg.norm(xv)), v
+    if n <= GRAM_LIMIT:
+        evals, evecs = np.linalg.eigh(hermitian_part(to_dense(xh @ x)))
+        v = evecs[:, int(np.argmax(evals))]
+    else:
+        v = _lanczos_witness(x, xh, seed)
+    return float(np.linalg.norm(x @ v)), v
 
 
-def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray]:
-    """Largest singular value of a (possibly tall) restriction matrix.
+def _lanczos_witness(x, xh, seed: int) -> np.ndarray:
+    """Unit top Ritz vector of ``x* x`` by implicitly restarted Lanczos.
 
-    Dispatches between the exact Gram eigenproblem (few columns) and power
-    iteration (many columns), per the package-wide size policy.
+    ARPACK solves a complex Hermitian problem through ``eigs`` (``eigsh``
+    forwards it there without its random generator), so ``eigs`` is called
+    directly: the seeded generator then also draws every restart vector, and
+    the result does not depend on the process or the thread.
     """
-    if x.shape[1] <= DENSE_LIMIT:
-        return _sigma_max_gram(x)
-    return power_iteration_sigma(x, seed=seed)
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-
-def residual_norm(a, b) -> float:
-    """Operator-norm distance between two matrices of matching storage."""
-    if sparse.issparse(a) or sparse.issparse(b):
-        a = a if sparse.issparse(a) else sparse.csr_matrix(a)
-        b = b if sparse.issparse(b) else sparse.csr_matrix(b)
-        return operator_norm((a - b).tocsr())
-    return operator_norm(np.asarray(a) - np.asarray(b))
+    n = x.shape[1]
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v0 /= np.linalg.norm(v0)
+    nonzero = x.count_nonzero() if sparse.issparse(x) else np.count_nonzero(x)
+    if not nonzero:  # ARPACK cannot start on the zero operator
+        return v0
+    gram = LinearOperator((n, n), matvec=lambda v: xh @ (x @ v), dtype=complex)
+    try:
+        _, vecs = eigs(gram, k=1, which="LR", v0=v0, tol=POWER_RTOL, rng=rng)
+    except ArpackNoConvergence as exc:
+        warnings.warn(
+            f"Lanczos on a {x.shape[0]}x{n} operator did not converge ({exc}); "
+            "the bound is ||X v|| for the best Ritz vector",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        vecs = np.column_stack([exc.eigenvectors, v0])
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        return vecs[:, int(np.argmax(np.linalg.norm(x @ vecs, axis=0)))]
+    v = vecs[:, 0]
+    return v / np.linalg.norm(v)

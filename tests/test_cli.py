@@ -37,6 +37,26 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "/parameters/" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, pointer",
+    [
+        ({"kind": "lemma-check", "parameters": {"config": "two-point-2", "M": "six"}},
+         "/parameters/M"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1]},
+          "max_dim": "big"},
+         "/max_dim"),
+    ],
+)
+def test_bad_integer_types_exit_2_with_pointer(tmp_path, capsys, config, pointer):
+    with pytest.raises(ConfigError) as err:
+        validate_config(config)
+    assert err.value.pointer == pointer
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert pointer in capsys.readouterr().err
+
+
 def test_run_writes_csv_and_summary(tmp_path):
     config = {
         "kind": "lemma-check",
@@ -77,6 +97,21 @@ def test_jobs_flag_keeps_order(tmp_path):
     run_config(config, out_dir=tmp_path / "b", jobs=4)
     assert (tmp_path / "a/ordered.csv").read_bytes() == (
         tmp_path / "b/ordered.csv"
+    ).read_bytes()
+
+
+def test_jobs_flag_keeps_sparse_sweep_bytes(tmp_path):
+    # two-point-6 at M=5 is stored sparse; n=1 families solve on 937 columns
+    config = {
+        "kind": "haagerup-sweep",
+        "parameters": {"config": "two-point-6", "M": 5, "families": 2,
+                       "n_max": 1},
+        "output": "sweep",
+    }
+    run_config(config, out_dir=tmp_path / "a", jobs=1)
+    run_config(config, out_dir=tmp_path / "b", jobs=4)
+    assert (tmp_path / "a/sweep.csv").read_bytes() == (
+        tmp_path / "b/sweep.csv"
     ).read_bytes()
 
 
