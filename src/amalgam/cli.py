@@ -29,22 +29,24 @@ from .words import (
     WordFamily,
     block_lower,
     family_operator,
-    family_report,
     haagerup_upper,
     ladder_identity_residual,
     letter_norms,
+    norm_lower,
 )
 
 LEMMA_TOL = 1e-8
 UNIT_TOL = 1e-9
 EXACT_TOL = 1e-12
+# parameters every kind reads with int(); validate_config checks them
+INT_PARAMS = ("M", "words", "n_max", "families", "k_max", "p", "R", "max_ball")
 
 
 def _fmt(x) -> str:
     if x is None or x == "":
         return ""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # plain digits for numpy floats too
     return str(x)
 
 
@@ -263,28 +265,29 @@ def _kind_haagerup_sweep(params, seed, max_dim, jobs):
         tasks.append((j, fam))
 
     def check(task):
-        j, fam = task
-        rep = family_report(ctx, fam, seed=seed)
-        return Row(f"fam{j}.n{fam.length}.k{len(fam.words)}",
-                   rep.lower <= rep.upper * (1 + 1e-12),
-                   lower=rep.lower, upper=rep.upper)
-
-    rows = _run_tasks(tasks, check, jobs)
-
-    def block_check(task):
+        """The norm row and the block row of one family, on one operator."""
         j, fam = task
         n = fam.length
-        gamma = haagerup_upper(fam, ctx) / (2 * n + 1)
+        t0 = time.perf_counter()
+        upper = haagerup_upper(fam, ctx)
         op = family_operator(ctx, fam)
+        lower = norm_lower(ctx, op, n, seed=seed).lower
+        norm_row = Row(f"fam{j}.n{n}.k{len(fam.words)}",
+                       lower <= upper * (1 + 1e-12), lower=lower, upper=upper,
+                       seconds=time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        gamma = upper / (2 * n + 1)
         worst = 0.0
         for m in range(0, ctx.max_level - n + 1):
             for r in range(abs(m - n), min(m + n, ctx.max_level) + 1):
                 worst = max(worst, block_lower(ctx, op, n, m, r, seed=seed))
-        return Row(f"fam{j}.blocks", worst <= gamma * (1 + 1e-12),
-                   lower=worst, upper=gamma)
+        block_row = Row(f"fam{j}.blocks", worst <= gamma * (1 + 1e-12),
+                        lower=worst, upper=gamma,
+                        seconds=time.perf_counter() - t0)
+        return norm_row, block_row
 
-    rows += _run_tasks(tasks, block_check, jobs)
-    return rows
+    pairs = _run_tasks(tasks, check, jobs, timed=False)
+    return [norm for norm, _ in pairs] + [block for _, block in pairs]
 
 
 def _curve_csv(points) -> str:
@@ -550,17 +553,29 @@ def validate_config(config: dict) -> None:
     for key in required:
         if key not in params:
             raise ConfigError(f"missing parameter {key!r}", f"/parameters/{key}")
-    if "M" in params:
-        _as_int(params["M"], "/parameters/M")
-    if _as_int(config.get("max_dim", 20000), "/max_dim") <= 0:
+    for key in INT_PARAMS:
+        if key in params:
+            _as_number(params[key], f"/parameters/{key}")
+    if "ns" in params:
+        if not isinstance(params["ns"], list):
+            raise ConfigError(f"expected a list of integers, got {params['ns']!r}",
+                              "/parameters/ns")
+        for i, n in enumerate(params["ns"]):
+            _as_number(n, f"/parameters/ns/{i}")
+    if "s" in params:
+        _as_number(params["s"], "/parameters/s", float)
+    if "seed" in config:
+        _as_number(config["seed"], "/seed")
+    if _as_number(config.get("max_dim", 20000), "/max_dim") <= 0:
         raise ConfigError("max_dim must be positive", "/max_dim")
 
 
-def _as_int(value, pointer: str) -> int:
+def _as_number(value, pointer: str, kind=int):
     try:
-        return int(value)
+        return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"expected an integer, got {value!r}", pointer) from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"expected {what}, got {value!r}", pointer) from None
 
 
 def run_config(config: dict, *, out_dir: Path, jobs: int = 1,

@@ -7,7 +7,7 @@ turned into an honest Hilbert space by tensoring with the identity
 representation of B on its own ambient matrix space. Tensor-level Gram
 degeneracies are quotiented with the package-wide rank cutoff.
 
-Operators are realized as explicit matrices: level projections, first-slot
+Operators are realized as sparse CSR matrices: level projections, first-slot
 projections, creation operators (prepend a vector of E_k deg), first-slot
 diagonal actions, and the letter representation of each factor algebra.
 Any term that would raise above the truncation level maps to zero; identities
@@ -27,7 +27,6 @@ from .algebra import AlgebraWithExpectation, MatrixStarAlgebra
 from .errors import CapacityError, ConfigError, StructureError
 from .gns import GnsModule, ModuleVector, build_gns
 from .linalg import (
-    DENSE_LIMIT,
     as_complex,
     adjoint,
     hermitian_part,
@@ -59,10 +58,13 @@ class FockBasisLabel:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """A matrix on a FockContext, tagged by how it was built."""
+    """A matrix on a FockContext, tagged by how it was built.
+
+    ``matrix`` is always a ``scipy.sparse.csr_matrix``.
+    """
 
     context: "FockContext"
-    matrix: object
+    matrix: sparse.csr_matrix
     tag: str = "op"
 
     @property
@@ -209,13 +211,12 @@ class FockContext:
     """Immutable realization of the truncated Fock module. Build via build_fock."""
 
     def __init__(self, base: _BaseData, factors: dict[int, _FactorData],
-                 max_level: int, max_dim: int, dense_threshold: int):
+                 max_level: int, max_dim: int):
         self.base = base
         self.factors = factors
         self.order = tuple(sorted(factors))
         self.max_level = max_level
         self.max_dim = max_dim
-        self.dense_threshold = dense_threshold
         self._summands: list[_Summand] = []
         self._by_seq: dict[tuple[int, ...], _Summand] = {}
         self._level_end: list[int] = []
@@ -289,7 +290,6 @@ class FockContext:
             level_end.append(offset)
         self.total_dim = offset
         self._level_end = level_end
-        self._storage = "sparse" if self.total_dim > self.dense_threshold else "dense"
 
     # -- layout --------------------------------------------------------------
 
@@ -351,14 +351,8 @@ class FockContext:
 
     # -- operator assembly ---------------------------------------------------
 
-    def _matrix_from_blocks(self, blocks) -> object:
+    def _matrix_from_blocks(self, blocks) -> sparse.csr_matrix:
         n = self.total_dim
-        if self._storage == "dense":
-            out = np.zeros((n, n), dtype=complex)
-            for (tgt, src), blk in blocks:
-                out[tgt.offset:tgt.offset + tgt.rank,
-                    src.offset:src.offset + src.rank] += blk
-            return out
         rows, cols, vals = [], [], []
         for (tgt, src), blk in blocks:
             r, c = np.nonzero(np.abs(blk) > 0.0)
@@ -374,11 +368,10 @@ class FockContext:
         )
 
     def _diag_operator(self, mask: np.ndarray, tag: str) -> FockOperator:
-        if self._storage == "dense":
-            return FockOperator(self, np.diag(mask.astype(complex)), tag)
-        return FockOperator(
+        """Diagonal operator with the given diagonal, built once per tag."""
+        return self._structure(("diag", tag), lambda: FockOperator(
             self, sparse.diags(mask.astype(complex), format="csr"), tag
-        )
+        ))
 
     def _structure(self, key, builder):
         cached = self._struct_cache.get(key)
@@ -454,15 +447,10 @@ class FockContext:
         return self._structure(("leftb", j), build)
 
     def _combine(self, parts, tag) -> FockOperator:
-        n = self.total_dim
-        if self._storage == "dense":
-            out = np.zeros((n, n), dtype=complex)
-        else:
-            out = sparse.csr_matrix((n, n), dtype=complex)
-        for coeff, mat in parts:
-            if coeff != 0.0:
-                out = out + coeff * mat
-        return FockOperator(self, out, tag)
+        terms = [coeff * mat for coeff, mat in parts if coeff != 0.0]
+        if not terms:
+            return FockOperator(self, self.zero().matrix, tag)
+        return FockOperator(self, sum(terms[1:], terms[0]), tag)
 
     # -- public operators ----------------------------------------------------
 
@@ -578,7 +566,6 @@ def build_fock(
     max_level: int,
     *,
     max_dim: int = DEFAULT_MAX_DIM,
-    dense_threshold: int = DENSE_LIMIT,
 ) -> FockContext:
     """Assemble the truncated Fock context for the given factor family.
 
@@ -601,20 +588,13 @@ def build_fock(
         spec = factors[idx]
         _check_same_subalgebra(bd, spec, idx)
         fd[idx] = _factor_data(spec, bd)
-    return FockContext(bd, fd, max_level, max_dim, dense_threshold)
+    return FockContext(bd, fd, max_level, max_dim)
 
 
 def operator_coo_rows(x: FockOperator) -> list[tuple[int, int, float, float]]:
     """Coordinate-list export (row, col, re, im) of an operator matrix."""
-    m = x.matrix
-    if sparse.issparse(m):
-        coo = m.tocoo()
-        return [
-            (int(r), int(c), float(v.real), float(v.imag))
-            for r, c, v in zip(coo.row, coo.col, coo.data)
-        ]
-    rows, cols = np.nonzero(np.abs(m) > 0.0)
+    coo = x.matrix.tocoo()
     return [
-        (int(r), int(c), float(m[r, c].real), float(m[r, c].imag))
-        for r, c in zip(rows, cols)
+        (int(r), int(c), float(v.real), float(v.imag))
+        for r, c, v in zip(coo.row, coo.col, coo.data)
     ]

@@ -10,9 +10,8 @@ Conventions used across the package:
   (ARPACK) on ``X* X`` applied as an operator, or by the exact Gram
   eigenproblem for blocks of at most ``GRAM_LIMIT`` columns;
 * ``operator_norm`` takes the exact SVD of dense matrices up to
-  ``DENSE_LIMIT`` columns and ``restricted_sigma_max`` otherwise.
-  ``DENSE_LIMIT`` is also the dimension up to which Fock operators are
-  stored dense.
+  ``DENSE_LIMIT`` columns and of sparse ones whose two dimensions are both
+  at most ``DENSE_LIMIT``; anything larger goes to ``restricted_sigma_max``.
 """
 
 from __future__ import annotations
@@ -69,7 +68,13 @@ def orthonormal_columns(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
 
 
 def operator_norm(x) -> float:
-    """Largest singular value: exact SVD for dense matrices up to the limit."""
+    """Largest singular value: exact SVD up to the limit.
+
+    A sparse matrix is densified only when both of its dimensions are within
+    ``DENSE_LIMIT``, so no large dense copy is ever made.
+    """
+    if sparse.issparse(x) and max(x.shape) <= DENSE_LIMIT:
+        x = x.toarray()
     if not sparse.issparse(x):
         x = as_complex(x)
         if min(x.shape) <= DENSE_LIMIT:

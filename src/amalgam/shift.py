@@ -91,18 +91,6 @@ class DecayCurve:
     experiment: ShiftExperiment
     points: tuple[DecayPoint, ...]
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "n": p.n,
-                "lower": p.lower,
-                "ell2_vacuum": p.ell2_vacuum,
-                "decay_bound": p.decay_bound,
-                "ratio": p.ratio,
-            }
-            for p in self.points
-        ]
-
 
 def build_shift_context(
     factor: AlgebraWithExpectation,
@@ -251,9 +239,7 @@ def shift_relabel_check(
                        src.offset:src.offset + src.rank]
             blk_b = ops[t2.offset:t2.offset + t2.rank,
                         s2.offset:s2.offset + s2.rank]
-            diff = blk_a - blk_b
-            if hasattr(diff, "toarray"):
-                diff = diff.toarray()
+            diff = (blk_a - blk_b).toarray()
             if diff.size:
                 resid = max(resid, float(np.linalg.norm(diff, 2)))
     return resid

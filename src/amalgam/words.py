@@ -296,23 +296,6 @@ def block_lower(
     return float(sigma)
 
 
-def report_csv_rows(reports) -> list[dict]:
-    return [
-        {
-            "family": rep.family_id,
-            "n": rep.length,
-            "size": rep.size,
-            "M": rep.max_level,
-            "lower": rep.lower,
-            "upper": rep.upper,
-            "ratio": rep.ratio,
-            "residual": "",
-            "witness": rep.witness_label,
-        }
-        for rep in reports
-    ]
-
-
 def family_to_json(fam: WordFamily) -> dict:
     """Word-family spec: letters by algebra-basis coordinates."""
     return {

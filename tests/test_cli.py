@@ -1,7 +1,10 @@
+import csv
 import json
 
 import pytest
 
+import amalgam.cli
+import amalgam.words
 from amalgam.cli import PRESETS, load_config, main, run_config, validate_config
 from amalgam.errors import ConfigError
 
@@ -45,6 +48,36 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1]},
           "max_dim": "big"},
          "/max_dim"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": ["four"]}},
+         "/parameters/ns/0"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1, None]}},
+         "/parameters/ns/1"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": 4}},
+         "/parameters/ns"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": "two", "ns": [1]}},
+         "/parameters/s"),
+        ({"kind": "lemma-check",
+          "parameters": {"config": "two-point-2", "M": 4, "words": "many"}},
+         "/parameters/words"),
+        ({"kind": "lemma-check",
+          "parameters": {"config": "two-point-2", "M": 4, "n_max": [3]}},
+         "/parameters/n_max"),
+        ({"kind": "haagerup-sweep",
+          "parameters": {"config": "two-point-2", "M": 4, "families": "few"}},
+         "/parameters/families"),
+        ({"kind": "haagerup-sweep",
+          "parameters": {"config": "two-point-2", "M": 4, "k_max": "2.5"}},
+         "/parameters/k_max"),
+        ({"kind": "ergodic-decay", "parameters": {"p": "one", "M": 2}},
+         "/parameters/p"),
+        ({"kind": "group-shift", "parameters": {"word": "g0", "ns": [1], "R": "eight"}},
+         "/parameters/R"),
+        ({"kind": "group-haagerup",
+          "parameters": {"word": "g0", "R": 4, "max_ball": "huge"}},
+         "/parameters/max_ball"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1]},
+          "seed": "lucky"},
+         "/seed"),
     ],
 )
 def test_bad_integer_types_exit_2_with_pointer(tmp_path, capsys, config, pointer):
@@ -113,6 +146,36 @@ def test_jobs_flag_keeps_sparse_sweep_bytes(tmp_path):
     assert (tmp_path / "a/sweep.csv").read_bytes() == (
         tmp_path / "b/sweep.csv"
     ).read_bytes()
+
+
+def test_sweep_builds_each_family_operator_once(tmp_path, monkeypatch):
+    calls = []
+    real = amalgam.words.family_operator
+
+    def counting(ctx, fam):
+        calls.append(fam.family_id)
+        return real(ctx, fam)
+
+    for module in (amalgam.cli, amalgam.words):
+        monkeypatch.setattr(module, "family_operator", counting)
+    config = {
+        "kind": "haagerup-sweep",
+        "parameters": {"config": "two-point-3", "M": 3, "families": 3,
+                       "n_max": 2, "k_max": 2},
+        "output": "sweep",
+    }
+    assert run_config(config, out_dir=tmp_path) == 0
+    assert sorted(calls) == ["fam0", "fam1", "fam2"]
+
+
+def test_csv_numbers_parse_as_floats(tmp_path):
+    assert main(["run", "fshift-p1", "--out", str(tmp_path)]) == 0
+    with (tmp_path / "fshift_p1.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    fields = [row[key] for row in rows for key in ("lower", "upper", "residual")]
+    assert sum(bool(f) for f in fields) == 3 * 16  # lower, upper per n; residual
+    for field in filter(None, fields):
+        float(field)
 
 
 def test_run_from_config_file(tmp_path):

@@ -91,6 +91,10 @@ def test_operator_norm_matches_svd(storage):
         x = storage(x)
         ref = _svd_top(x)
         assert abs(operator_norm(x) - ref) <= RTOL * ref
+    # small matrices take the exact SVD, sparse ones included
+    for width in (12, GRAM_LIMIT + 1, 3 * GRAM_LIMIT):
+        small = storage(_tall(rng, width))
+        assert operator_norm(small) == _svd_top(small)
 
 
 @settings(max_examples=30, deadline=None)
