@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,26 +23,26 @@ import numpy as np
 from . import algebra as alg
 from . import freegroup as fg
 from .errors import AmalgamError, ConfigError
-from .fock import build_fock
-from .gns import ModuleVector, inner_product
+from .fock import DEFAULT_MAX_DIM, build_fock
+from .gns import ModuleVector, inner_product, module_norm
 from .linalg import DEFAULT_SEED
 from .shift import ShiftExperiment, decay_curve
 from .words import (
     Word,
-    WordFamily,
     block_lower,
+    family_from_json,
     family_operator,
     haagerup_upper,
     ladder_identity_residual,
     letter_norms,
     norm_lower,
+    random_separated_family,
+    random_word,
 )
 
 LEMMA_TOL = 1e-8
 UNIT_TOL = 1e-9
 EXACT_TOL = 1e-12
-# parameters every kind reads with int(); validate_config checks them
-INT_PARAMS = ("M", "words", "n_max", "families", "k_max", "p", "R", "max_ball")
 
 
 def _fmt(x) -> str:
@@ -50,116 +53,115 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@dataclass
 class Row:
-    def __init__(self, name, passed, lower=None, upper=None, residual=None,
-                 seconds=0.0):
-        self.name = name
-        self.passed = bool(passed)
-        self.lower = lower
-        self.upper = upper
-        self.residual = residual
-        self.seconds = seconds
-
-    def csv(self) -> str:
-        status = "pass" if self.passed else "fail"
-        return ",".join(
-            [self.name, status, _fmt(self.lower), _fmt(self.upper),
-             _fmt(self.residual)]
-        )
+    name: str
+    passed: bool
+    lower: float | None = None
+    upper: float | None = None
+    residual: float | None = None
+    seconds: float = 0.0
 
     def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "lower": self.lower,
-            "upper": self.upper,
-            "residual": self.residual,
-            "seconds": self.seconds,
-        }
+        return {"name": self.name, "status": "pass" if self.passed else "fail",
+                "lower": self.lower, "upper": self.upper,
+                "residual": self.residual, "seconds": self.seconds}
 
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    row = fn()
-    row.seconds = time.perf_counter() - t0
-    return row
+    def csv(self) -> str:
+        row = self.summary()
+        return ",".join([row["name"], row["status"]] + [
+            _fmt(row[key]) for key in ("lower", "upper", "residual")])
 
 
 # ---------------------------------------------------------------------------
 # shared experiment material
 # ---------------------------------------------------------------------------
 
+_TWO_POINT = partial(alg.function_algebra_with_state, 2)
+# name -> (base algebra, factor algebra, number of factors)
+FACTOR_CONFIGS = {
+    "two-point-2": (alg.scalar_base, _TWO_POINT, 2),
+    "two-point-3": (alg.scalar_base, _TWO_POINT, 3),
+    "two-point-6": (alg.scalar_base, _TWO_POINT, 6),
+    "m2-diag": (partial(alg.diagonal_base, 2), partial(alg.diagonal_in_matn, 2), 2),
+}
+
 
 def _factor_context(name: str, max_level: int, max_dim: int):
-    two_pt = alg.function_algebra_with_state(2)
-    if name == "two-point-2":
-        return build_fock(alg.scalar_base(), {0: two_pt, 1: two_pt},
-                          max_level, max_dim=max_dim)
-    if name == "two-point-3":
-        return build_fock(alg.scalar_base(), {i: two_pt for i in range(3)},
-                          max_level, max_dim=max_dim)
-    if name == "two-point-6":
-        return build_fock(alg.scalar_base(), {i: two_pt for i in range(6)},
-                          max_level, max_dim=max_dim)
-    if name == "m2-diag":
-        m2 = alg.diagonal_in_matn(2)
-        return build_fock(alg.diagonal_base(2), {0: m2, 1: m2},
-                          max_level, max_dim=max_dim)
-    raise ConfigError(f"unknown factor config {name!r}", "/parameters/config")
-
-
-def _random_letter(ctx, i, rng) -> alg.CenteredElement:
-    spec = ctx.factors[i].spec
-    while True:
-        coords = rng.standard_normal(spec.algebra.dim) + 1j * rng.standard_normal(
-            spec.algebra.dim
-        )
-        letter = alg.center(spec, coords, owner=i)
-        if spec.algebra.norm(letter.coords) > 1e-6:
-            return letter
-
-
-def _random_word(ctx, n, rng) -> Word:
-    order = list(ctx.order)
-    idx = [order[rng.integers(len(order))]]
-    while len(idx) < n:
-        nxt = order[rng.integers(len(order))]
-        if nxt != idx[-1]:
-            idx.append(nxt)
-    return Word(tuple(_random_letter(ctx, i, rng) for i in idx))
-
-
-def _random_separated_family(ctx, n, k, rng, family_id) -> WordFamily:
-    """k words of length n with distinct first and distinct last indices."""
-    order = [int(i) for i in ctx.order]
-    firsts = [order[j] for j in rng.permutation(len(order))[:k]]
-    if n == 1:
-        words = [Word((_random_letter(ctx, f, rng),)) for f in firsts]
-        return WordFamily(tuple(words), family_id)
-    # words of length 2 additionally need first != last inside each word
-    while True:
-        lasts = [order[j] for j in rng.permutation(len(order))[:k]]
-        if n > 2 or all(f != l for f, l in zip(firsts, lasts)):
-            break
-    words = []
-    for f, l in zip(firsts, lasts):
-        idx = [f]
-        while len(idx) < n - 1:
-            nxt = order[int(rng.integers(len(order)))]
-            if nxt != idx[-1] and (n - len(idx) > 2 or nxt != l):
-                idx.append(nxt)
-        idx.append(l)
-        words.append(Word(tuple(_random_letter(ctx, i, rng) for i in idx)))
-    return WordFamily(tuple(words), family_id)
+    base, factor, count = FACTOR_CONFIGS[name]
+    return build_fock(base(), dict.fromkeys(range(count), factor()),
+                      max_level, max_dim=max_dim)
 
 
 def _unit_prototype(p: int) -> Word:
-    two_pt = alg.function_algebra_with_state(2)
-    sym = two_pt.algebra.expand(np.diag([1.0, -1.0]))
-    letters = tuple(
-        alg.CenteredElement(i, np.asarray(sym, dtype=complex)) for i in range(p)
-    )
-    return Word(letters)
+    sym = alg.function_algebra_with_state(2).algebra.expand(np.diag([1.0, -1.0]))
+    return Word(tuple(alg.CenteredElement(i, np.asarray(sym, dtype=complex))
+                      for i in range(p)))
+
+
+# ---------------------------------------------------------------------------
+# config fields
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # the default of a field that must be given
+
+
+def _accept(ok, what, cast=None):
+    """A parser: it takes a JSON value and its pointer, and returns the value
+    (cast if asked) when ok holds for it, else raises ConfigError there."""
+    def parse(value, pointer):
+        if not ok(value):
+            raise ConfigError(f"expected {what}, got {value!r}", pointer)
+        return value if cast is None else cast(value)
+    return parse
+
+
+# type(), not isinstance(): JSON true is an int to isinstance; 4.0 is no integer
+_integer = _accept(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_seed = _accept(lambda v: type(v) is int and v >= 0, "an integer >= 0")
+_number = _accept(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+                  "a finite number", float)  # s = 2 still names its rows s2.0
+_text = _accept(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_object = _accept(lambda v: isinstance(v, dict), "a JSON object")
+_nonempty = _accept(lambda v: isinstance(v, list) and v != [], "a non-empty list")
+
+
+def _one_of(names):
+    return _accept(lambda v: isinstance(v, str) and v in names,
+                   "one of " + ", ".join(names))
+
+
+def _list_of(item):
+    return lambda value, pointer: [item(v, f"{pointer}/{i}") for i, v
+                                   in enumerate(_nonempty(value, pointer))]
+
+
+def _loaded(loader, check=_object):
+    """Run a nested JSON loader; what it raises points below the field."""
+    def parse(value, pointer):
+        value = check(value, pointer)
+        try:
+            return loader(value)
+        except ConfigError as exc:
+            raise ConfigError(exc.message, pointer + (exc.pointer or "")) from exc
+        except KeyError as exc:
+            raise ConfigError(f"missing field {exc}", f"{pointer}/{exc.args[0]}") from exc
+        except (AmalgamError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+            raise ConfigError(str(exc), pointer) from exc
+    return parse
+
+
+def _fields(obj, table, root):
+    """obj checked against a field table, with every default filled in."""
+    for key in obj:
+        if key not in table:
+            escaped = key.replace("~", "~0").replace("/", "~1")
+            raise ConfigError(f"unknown field {key!r}", f"{root}/{escaped}")
+    for key, (_, default) in table.items():
+        if key not in obj and default is REQUIRED:
+            raise ConfigError(f"missing field {key!r}", f"{root}/{key}")
+    return {key: parse(obj[key], f"{root}/{key}") if key in obj else default
+            for key, (parse, default) in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +170,16 @@ def _unit_prototype(p: int) -> Word:
 
 
 def _kind_validate_algebra(params, seed, max_dim, jobs):
-    specs = params["algebras"]
     rows = []
-    for j, spec_json in enumerate(specs):
-        spec = alg.algebra_from_json(spec_json)
-        report = alg.validate_expectation(spec, seed=seed)
-        for check in report.checks:
-            rows.append(
-                Row(f"alg{j}.{check.name}", check.passed, residual=check.residual)
-            )
+    for j, spec in enumerate(params["algebras"]):
+        for check in alg.validate_expectation(spec, seed=seed).checks:
+            rows.append(Row(f"alg{j}.{check.name}", check.passed,
+                            residual=check.residual))
     return rows
 
 
 def _kind_fock_report(params, seed, max_dim, jobs):
-    ctx = _factor_context(params["config"], int(params["M"]), max_dim)
+    ctx = _factor_context(params["config"], params["M"], max_dim)
     rng = np.random.default_rng(seed)
     rows = []
     for level in ctx.summary()["levels"]:
@@ -198,70 +196,53 @@ def _kind_fock_report(params, seed, max_dim, jobs):
     ident = ctx.identity()
     below_top = ctx.level_projection_up_to(ctx.max_level - 1)
 
-    resid = ((psi.H @ psi - ctx.left_b_action(inner_product(fk.mod, y, y))
-              @ (ident - q_k)) @ below_top).norm()
-    rows.append(Row("psi_star_psi", resid <= UNIT_TOL, residual=resid))
-
-    from .gns import module_norm
-
-    resid = abs(psi.norm() - module_norm(fk.mod, y))
-    rows.append(Row("psi_norm", resid <= UNIT_TOL, residual=resid))
-
-    resid = (psi.H @ ctx.level_projection(0)).norm()
-    rows.append(Row("psi_star_kills_vacuum", resid <= UNIT_TOL, residual=resid))
-
-    resid = (ctx.diagonal_action(k, fk.spec.algebra.unit_coords) - q_k).norm()
-    rows.append(Row("rho_unit", resid <= UNIT_TOL, residual=resid))
-
-    resid = (ctx.represent(k, fk.spec.algebra.unit_coords) - ident).norm()
-    rows.append(Row("lambda_unit", resid <= UNIT_TOL, residual=resid))
-
-    resid = max(
-        (q_k @ ctx.level_projection(m) - ctx.level_projection(m) @ q_k).norm()
-        for m in range(ctx.max_level + 1)
-    )
-    rows.append(Row("projections_commute", resid <= UNIT_TOL, residual=resid))
+    residuals = {
+        "psi_star_psi": ((psi.H @ psi - ctx.left_b_action(inner_product(fk.mod, y, y))
+                          @ (ident - q_k)) @ below_top).norm(),
+        "psi_norm": abs(psi.norm() - module_norm(fk.mod, y)),
+        "psi_star_kills_vacuum": (psi.H @ ctx.level_projection(0)).norm(),
+        "rho_unit": (ctx.diagonal_action(k, fk.spec.algebra.unit_coords) - q_k).norm(),
+        "lambda_unit": (ctx.represent(k, fk.spec.algebra.unit_coords) - ident).norm(),
+        "projections_commute": max(
+            (q_k @ ctx.level_projection(m) - ctx.level_projection(m) @ q_k).norm()
+            for m in range(ctx.max_level + 1)),
+    }
+    rows += [Row(name, resid <= UNIT_TOL, residual=resid)
+             for name, resid in residuals.items()]
     context_json = json.dumps(ctx.summary(), indent=2) + "\n"
     return rows, {"context.json": context_json}
 
 
 def _kind_lemma_check(params, seed, max_dim, jobs):
-    max_level = int(params["M"])
+    max_level = params["M"]
     ctx = _factor_context(params["config"], max_level, max_dim)
     rng = np.random.default_rng(seed)
-    count = int(params.get("words", 20))
-    n_max = int(params.get("n_max", 4))
     tasks = []
-    for j in range(count):
-        n = int(rng.integers(1, n_max + 1))
-        w = _random_word(ctx, n, rng)
-        scale = 1.0
-        for nrm in letter_norms(ctx, w):
-            scale *= nrm
+    for j in range(params["words"]):
+        n = int(rng.integers(1, params["n_max"] + 1))
+        w = random_word(ctx, n, rng)
+        scale = math.prod(letter_norms(ctx, w))
         for m in range(0, max_level - n + 1):
             tasks.append((f"w{j}.n{n}.m{m}", w, m, scale))
 
     def check(task):
         name, w, m, scale = task
+        t0 = time.perf_counter()
         resid = ladder_identity_residual(ctx, w, m)
         return Row(name, resid <= LEMMA_TOL * scale, residual=resid,
-                   upper=LEMMA_TOL * scale)
+                   upper=LEMMA_TOL * scale, seconds=time.perf_counter() - t0)
 
     return _run_tasks(tasks, check, jobs)
 
 
 def _kind_haagerup_sweep(params, seed, max_dim, jobs):
-    max_level = int(params["M"])
-    ctx = _factor_context(params["config"], max_level, max_dim)
+    ctx = _factor_context(params["config"], params["M"], max_dim)
     rng = np.random.default_rng(seed)
-    count = int(params.get("families", 20))
-    n_max = int(params.get("n_max", 3))
-    k_max = int(params.get("k_max", 6))
     tasks = []
-    for j in range(count):
-        n = int(rng.integers(1, n_max + 1))
-        k = int(rng.integers(1, k_max + 1))
-        fam = _random_separated_family(ctx, n, k, rng, f"fam{j}")
+    for j in range(params["families"]):
+        n = int(rng.integers(1, params["n_max"] + 1))
+        k = int(rng.integers(1, params["k_max"] + 1))
+        fam = random_separated_family(ctx, n, k, rng, f"fam{j}")
         tasks.append((j, fam))
 
     def check(task):
@@ -286,7 +267,7 @@ def _kind_haagerup_sweep(params, seed, max_dim, jobs):
                         seconds=time.perf_counter() - t0)
         return norm_row, block_row
 
-    pairs = _run_tasks(tasks, check, jobs, timed=False)
+    pairs = _run_tasks(tasks, check, jobs)
     return [norm for norm, _ in pairs] + [block for _, block in pairs]
 
 
@@ -300,44 +281,28 @@ def _curve_csv(points) -> str:
 
 
 def _kind_ergodic_decay(params, seed, max_dim, jobs):
-    if "prototype" in params:
-        from .words import family_from_json
-
-        proto = family_from_json({"words": [params["prototype"]]}).words[0]
-        p = proto.length
-    else:
-        p = int(params["p"])
-        proto = _unit_prototype(p)
-    n_max = int(params.get("n_max", 16))
-    max_level = int(params.get("M", max(2, p)))
-    exp = ShiftExperiment(proto, n_max=n_max, max_level=max_level)
+    p, proto = params["p"], params["prototype"]
+    exp = ShiftExperiment(_unit_prototype(p) if proto is None else proto,
+                          n_max=params["n_max"], max_level=params["M"])
     curve = decay_curve(
         exp, alg.function_algebra_with_state(2), alg.scalar_base(),
         max_dim=max_dim, seed=seed,
     )
     rows = []
     for pt in curve.points:
-        rows.append(
-            Row(f"decay.p{p}.n{pt.n}", pt.lower <= pt.decay_bound * (1 + 1e-12),
-                lower=pt.lower, upper=pt.decay_bound)
-        )
-        if p == 1 and "prototype" not in params:
+        rows.append(Row(f"decay.p{p}.n{pt.n}", pt.lower <= pt.decay_bound * (1 + 1e-12),
+                        lower=pt.lower, upper=pt.decay_bound))
+        if p == 1 and proto is None:  # the vacuum witness is exactly 1/sqrt(n)
             resid = abs(pt.ell2_vacuum - 1.0 / np.sqrt(pt.n))
-            rows.append(
-                Row(f"vacuum.p1.n{pt.n}", resid <= EXACT_TOL, residual=resid)
-            )
-    curve_csv = _curve_csv(
-        [(pt.n, pt.lower, pt.ell2_vacuum, pt.decay_bound) for pt in curve.points]
-    )
-    return rows, {"curve.csv": curve_csv}
+            rows.append(Row(f"vacuum.p1.n{pt.n}", resid <= EXACT_TOL, residual=resid))
+    return rows, {"curve.csv": _curve_csv(
+        [(pt.n, pt.lower, pt.ell2_vacuum, pt.decay_bound) for pt in curve.points])}
 
 
 def _kind_group_haagerup(params, seed, max_dim, jobs):
-    word = fg.parse_word(params["word"])
-    radius = int(params["R"])
-    max_ball = int(params.get("max_ball", fg.DEFAULT_MAX_BALL))
+    word = params["word"]
     rep = fg.haagerup_check(
-        fg.GroupFunction.delta(word), radius, max_ball=max_ball,
+        fg.GroupFunction.delta(word), params["R"], max_ball=params["max_ball"],
         label=str(word), seed=seed,
     )
     ok = rep.ell2 * (1 - 1e-12) <= rep.lower <= rep.upper * (1 + 1e-12)
@@ -346,18 +311,9 @@ def _kind_group_haagerup(params, seed, max_dim, jobs):
 
 
 def _kind_group_shift(params, seed, max_dim, jobs):
-    word = fg.parse_word(params["word"])
-    radius = int(params["R"])
-    ns = [int(n) for n in params["ns"]]
-    max_ball = int(params.get("max_ball", fg.DEFAULT_MAX_BALL))
-    reports = _run_tasks(
-        ns,
-        lambda n: fg.shift_average_group(
-            word, n, radius, max_ball=max_ball, seed=seed
-        ),
-        jobs,
-        timed=False,
-    )
+    ns = params["ns"]
+    reports = _run_tasks(ns, lambda n: fg.shift_average_group(
+        params["word"], n, params["R"], max_ball=params["max_ball"], seed=seed), jobs)
     rows = []
     points = []
     for n, rep in zip(ns, reports):
@@ -369,12 +325,10 @@ def _kind_group_shift(params, seed, max_dim, jobs):
 
 
 def _kind_rd_report(params, seed, max_dim, jobs):
-    word = fg.parse_word(params["word"])
-    s = float(params["s"])
-    ns = [int(n) for n in params["ns"]]
+    word, s = params["word"], params["s"]
     p = fg.word_length(word)
     rows = []
-    for n in ns:
+    for n in params["ns"]:
         avg = fg.shift_average(word, n)
         got = fg.rd_norm(avg, s)
         expect = (1.0 + p) ** s / np.sqrt(n)
@@ -386,23 +340,52 @@ def _kind_rd_report(params, seed, max_dim, jobs):
     return rows
 
 
-def _run_tasks(tasks, fn, jobs, timed=True):
-    call = (lambda t: _timed(lambda: fn(t))) if timed else fn
+def _run_tasks(tasks, fn, jobs):
     if jobs <= 1:
-        return [call(t) for t in tasks]
+        return [fn(t) for t in tasks]
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(call, tasks))
+        return list(pool.map(fn, tasks))
 
 
+# parameters that several kinds share
+_CONFIG = (_one_of(FACTOR_CONFIGS), REQUIRED)
+_M = _R = (_integer, REQUIRED)
+_WORD = (_loaded(fg.parse_word, _text), REQUIRED)
+_NS = (_list_of(_integer), REQUIRED)
+_MAX_BALL = (_integer, fg.DEFAULT_MAX_BALL)
+
+# kind -> (function, parameter table, the parameter whose level spread may
+# not exceed the truncation level M); a table maps a parameter's name to
+# (parser, default or REQUIRED)
 KINDS = {
-    "validate-algebra": (_kind_validate_algebra, ["algebras"]),
-    "fock-report": (_kind_fock_report, ["config", "M"]),
-    "lemma-check": (_kind_lemma_check, ["config", "M"]),
-    "haagerup-sweep": (_kind_haagerup_sweep, ["config", "M"]),
-    "ergodic-decay": (_kind_ergodic_decay, ["p", "M"]),
-    "group-haagerup": (_kind_group_haagerup, ["word", "R"]),
-    "group-shift": (_kind_group_shift, ["word", "ns", "R"]),
-    "rd-report": (_kind_rd_report, ["word", "s", "ns"]),
+    "validate-algebra": (_kind_validate_algebra, {
+        "algebras": (_list_of(_loaded(alg.algebra_from_json)), REQUIRED)}, None),
+    "fock-report": (_kind_fock_report, {"config": _CONFIG, "M": _M}, None),
+    "lemma-check": (_kind_lemma_check, {
+        "config": _CONFIG, "M": _M, "words": (_integer, 20), "n_max": (_integer, 4),
+    }, "n_max"),
+    "haagerup-sweep": (_kind_haagerup_sweep, {
+        "config": _CONFIG, "M": _M, "families": (_integer, 20),
+        "n_max": (_integer, 3), "k_max": (_integer, 6)}, "n_max"),
+    "ergodic-decay": (_kind_ergodic_decay, {
+        "p": (_integer, REQUIRED), "M": _M, "n_max": (_integer, 16),
+        "prototype": (_loaded(lambda obj: family_from_json({"words": [obj]}).words[0]),
+                      None)}, "p"),
+    "group-haagerup": (_kind_group_haagerup,
+                       {"word": _WORD, "R": _R, "max_ball": _MAX_BALL}, None),
+    "group-shift": (_kind_group_shift,
+                    {"word": _WORD, "ns": _NS, "R": _R, "max_ball": _MAX_BALL}, None),
+    "rd-report": (_kind_rd_report,
+                  {"word": _WORD, "s": (_number, REQUIRED), "ns": _NS}, None),
+}
+
+# the top-level fields of a config; `output` defaults to the kind's name
+TOP = {
+    "kind": (_one_of(KINDS), REQUIRED),
+    "parameters": (_object, REQUIRED),
+    "output": (_text, None),
+    "seed": (_seed, DEFAULT_SEED),
+    "max_dim": (_integer, DEFAULT_MAX_DIM),
 }
 
 
@@ -536,64 +519,41 @@ def load_config(source: str) -> dict:
         raise ConfigError(f"config {source!r} is neither a preset nor a file")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def validate_config(config: dict) -> None:
-    kind = config.get("kind")
-    if kind is None:
-        raise ConfigError("missing experiment kind", "/kind")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown kind {kind!r}", "/kind")
-    params = config.get("parameters")
-    if params is None:
-        raise ConfigError("missing parameters", "/parameters")
-    _, required = KINDS[kind]
-    for key in required:
-        if key not in params:
-            raise ConfigError(f"missing parameter {key!r}", f"/parameters/{key}")
-    for key in INT_PARAMS:
-        if key in params:
-            _as_number(params[key], f"/parameters/{key}")
-    if "ns" in params:
-        if not isinstance(params["ns"], list):
-            raise ConfigError(f"expected a list of integers, got {params['ns']!r}",
-                              "/parameters/ns")
-        for i, n in enumerate(params["ns"]):
-            _as_number(n, f"/parameters/ns/{i}")
-    if "s" in params:
-        _as_number(params["s"], "/parameters/s", float)
-    if "seed" in config:
-        _as_number(config["seed"], "/seed")
-    if _as_number(config.get("max_dim", 20000), "/max_dim") <= 0:
-        raise ConfigError("max_dim must be positive", "/max_dim")
-
-
-def _as_number(value, pointer: str, kind=int):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"expected {what}, got {value!r}", pointer) from None
+def validate_config(config) -> dict:
+    """The config typed and with every default filled in, or ConfigError."""
+    config = _fields(_object(config, ""), TOP, "")
+    kind = config["kind"]
+    _, table, spread = KINDS[kind]
+    params = config["parameters"] = _fields(config["parameters"], table, "/parameters")
+    config["output"] = config["output"] or kind.replace("-", "_")
+    if spread is not None and params[spread] > params["M"]:
+        raise ConfigError(f"{spread} = {params[spread]} exceeds the truncation "
+                          f"level M = {params['M']}", f"/parameters/{spread}")
+    if kind == "ergodic-decay" and params["prototype"] is not None \
+            and params["prototype"].length != params["p"]:
+        raise ConfigError(f"the prototype has {params['prototype'].length} "
+                          f"letters, not p = {params['p']}", "/parameters/prototype")
+    return config
 
 
 def run_config(config: dict, *, out_dir: Path, jobs: int = 1,
                seed: int | None = None, max_dim: int | None = None) -> int:
-    validate_config(config)
-    kind = config["kind"]
-    eff_seed = seed if seed is not None else int(config.get("seed", DEFAULT_SEED))
-    eff_max_dim = max_dim if max_dim is not None else int(
-        config.get("max_dim", 20000)
-    )
-    fn, _ = KINDS[kind]
+    config = validate_config(config)
+    for key, value in (("seed", seed), ("max_dim", max_dim)):
+        if value is not None:  # an override passes its field's own check
+            config[key] = TOP[key][0](value, f"/{key}")
+    kind, stem = config["kind"], config["output"]
+    fn, _, _ = KINDS[kind]
     t0 = time.perf_counter()
-    result = fn(config["parameters"], eff_seed, eff_max_dim, jobs)
+    result = fn(config["parameters"], config["seed"], config["max_dim"], jobs)
     elapsed = time.perf_counter() - t0
     rows, extras = result if isinstance(result, tuple) else (result, {})
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = config.get("output", kind.replace("-", "_"))
     csv_path = out_dir / f"{stem}.csv"
     lines = ["name,status,lower,upper,residual"]
     lines += [row.csv() for row in rows]
@@ -605,7 +565,7 @@ def run_config(config: dict, *, out_dir: Path, jobs: int = 1,
     summary = {
         "schema": 1,
         "kind": kind,
-        "seed": eff_seed,
+        "seed": config["seed"],
         "status": "pass" if status else "fail",
         "seconds": elapsed,
         "csv": csv_path.name,

@@ -9,7 +9,9 @@ class ConfigError(AmalgamError):
     """Malformed or inconsistent configuration (dimensions, JSON, parameters)."""
 
     def __init__(self, message: str, pointer: str | None = None):
-        super().__init__(message if pointer is None else f"{message} (at {pointer})")
+        where = "" if pointer is None else f" (at {pointer or 'the root'})"
+        super().__init__(message + where)
+        self.message = message
         self.pointer = pointer
 
 

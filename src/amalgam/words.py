@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CenteredElement
+from .algebra import CenteredElement, center
 from .errors import HypothesisError, StructureError, TruncationError
 from .fock import FockContext, FockOperator
 from .linalg import DEFAULT_SEED, restricted_sigma_max
@@ -108,6 +108,10 @@ def _check_letters(ctx: FockContext, w: Word):
 def word_operator(ctx: FockContext, w: Word) -> FockOperator:
     """Matrix product of the letter representations, leftmost letter first."""
     _check_letters(ctx, w)
+    return _word_operator(ctx, w)
+
+
+def _word_operator(ctx: FockContext, w: Word) -> FockOperator:
     op = ctx.represent(w.letters[0].owner, w.letters[0].coords)
     for a in w.letters[1:]:
         op = op @ ctx.represent(a.owner, a.coords)
@@ -160,6 +164,11 @@ def block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperat
     if not (0 <= m <= ctx.max_level and 0 <= r <= ctx.max_level):
         raise TruncationError("block levels outside the context")
     _check_letters(ctx, w)
+    return _block_decomposition(ctx, w, m, r)
+
+
+def _block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperator:
+    n = w.length
     if r > m + n or r < abs(m - n):
         return ctx.zero()
     p_m = ctx.level_projection(m)
@@ -191,14 +200,13 @@ def block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperat
 def ladder_identity_residual(ctx: FockContext, w: Word, m: int) -> float:
     """Operator-norm residual of w P_m against the sum of all its blocks."""
     n = w.length
-    if m + n > ctx.max_level:
-        raise TruncationError(
-            f"m + n = {m + n} exceeds the truncation level {ctx.max_level}"
-        )
+    if not 0 <= m <= ctx.max_level - n:
+        raise TruncationError(f"level m = {m} outside 0..M-n = 0..{ctx.max_level - n}")
+    _check_letters(ctx, w)  # once here, not once per block
     total = ctx.zero()
     for r in range(0, ctx.max_level + 1):
-        total = total + block_decomposition(ctx, w, m, r)
-    direct = word_operator(ctx, w) @ ctx.level_projection(m)
+        total = total + _block_decomposition(ctx, w, m, r)
+    direct = _word_operator(ctx, w) @ ctx.level_projection(m)
     return (direct - total).norm()
 
 
@@ -294,6 +302,56 @@ def block_lower(
     restricted = x.matrix[rs:re, start:end]
     sigma, _ = restricted_sigma_max(restricted, seed=seed)
     return float(sigma)
+
+
+def _random_letter(ctx: FockContext, i: int, rng) -> CenteredElement:
+    spec = ctx.factors[i].spec
+    dim = spec.algebra.dim
+    while True:
+        coords = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        letter = center(spec, coords, owner=i)
+        if spec.algebra.norm(letter.coords) > 1e-6:
+            return letter
+
+
+def random_word(ctx: FockContext, n: int, rng) -> Word:
+    """A word of n random centered letters on the context's factors."""
+    order = list(ctx.order)
+    idx = [order[rng.integers(len(order))]]
+    while len(idx) < n:
+        nxt = order[rng.integers(len(order))]
+        if nxt != idx[-1]:
+            idx.append(nxt)
+    return Word(tuple(_random_letter(ctx, i, rng) for i in idx))
+
+
+def random_separated_family(ctx: FockContext, n: int, k: int, rng,
+                            family_id: str) -> WordFamily:
+    """k words of length n with distinct first and distinct last indices."""
+    order = [int(i) for i in ctx.order]
+    firsts = [order[j] for j in rng.permutation(len(order))[:k]]
+    if n == 1:
+        words = [Word((_random_letter(ctx, f, rng),)) for f in firsts]
+        return WordFamily(tuple(words), family_id)
+    # redraw the lasts until each pair (first, last) admits an alternating
+    # word of length n: on two factors it ends where it starts exactly when
+    # n is odd, on more only length 2 forbids first == last
+    two = len(order) == 2
+    while True:
+        lasts = [order[j] for j in rng.permutation(len(order))[:k]]
+        if all((f == l) == (n % 2 == 1) if two else n > 2 or f != l
+               for f, l in zip(firsts, lasts)):
+            break
+    words = []
+    for f, l in zip(firsts, lasts):
+        idx = [f]
+        while len(idx) < n - 1:
+            nxt = order[int(rng.integers(len(order)))]
+            if nxt != idx[-1] and (n - len(idx) > 2 or nxt != l):
+                idx.append(nxt)
+        idx.append(l)
+        words.append(Word(tuple(_random_letter(ctx, i, rng) for i in idx)))
+    return WordFamily(tuple(words), family_id)
 
 
 def family_to_json(fam: WordFamily) -> dict:

@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 import amalgam as am
-from amalgam.cli import (
-    _factor_context,
-    _random_separated_family,
-    _random_word,
-    run_config,
-)
+from amalgam.cli import _factor_context, run_config
 from amalgam.freegroup import parse_word, shift_average_group
 from amalgam.gns import ModuleVector, inner_product, module_norm
 from amalgam.shift import (
@@ -32,6 +27,8 @@ from amalgam.words import (
     haagerup_upper,
     ladder_identity_residual,
     letter_norms,
+    random_separated_family,
+    random_word,
 )
 from conftest import sign_letter
 
@@ -54,7 +51,7 @@ def test_criterion_1_ladder_identity():
         ctx = _factor_context(config, 6, max_dim=20000)
         for _ in range(count):
             n = int(rng.integers(1, 5))
-            w = _random_word(ctx, n, rng)
+            w = random_word(ctx, n, rng)
             scale = float(np.prod(letter_norms(ctx, w)))
             for m in range(0, 6 - n + 1):
                 resid = ladder_identity_residual(ctx, w, m)
@@ -79,7 +76,7 @@ def family_sweep():
     for j in range(50):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, 7))
-        families.append(_random_separated_family(ctx, n, k, rng, f"fam{j}"))
+        families.append(random_separated_family(ctx, n, k, rng, f"fam{j}"))
     reports = [family_report(ctx, fam, seed=SEED) for fam in families]
     elapsed = time.perf_counter() - t0
     return ctx, families, reports, elapsed

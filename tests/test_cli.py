@@ -1,12 +1,17 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amalgam.cli
 import amalgam.words
-from amalgam.cli import PRESETS, load_config, main, run_config, validate_config
+from amalgam.cli import KINDS, PRESETS, load_config, main, run_config, validate_config
 from amalgam.errors import ConfigError
+from amalgam.linalg import DEFAULT_SEED
 
 
 def test_list_presets(capsys):
@@ -19,6 +24,30 @@ def test_list_presets(capsys):
 def test_validate_good_preset():
     for name in PRESETS:
         validate_config(load_config(name))
+
+
+def test_every_benchmark_config_validates():
+    # a config the schema refused would turn benchmark runs into failures
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sizes = {size for part in workloads.PARTS.values() for size in part}
+    assert sizes == {"full", "tiny"}
+    for name in workloads.WORKLOADS:
+        for size in sizes:
+            for config in workloads.configs(name, size, 4242):
+                validate_config(config)
+
+
+def test_validate_fills_every_default():
+    config = validate_config({"kind": "haagerup-sweep",
+                              "parameters": {"config": "two-point-2", "M": 4}})
+    assert config["parameters"] == {"config": "two-point-2", "M": 4,
+                                    "families": 20, "n_max": 3, "k_max": 6}
+    assert config["output"] == "haagerup_sweep"
+    assert config["seed"] == DEFAULT_SEED
+    assert config["max_dim"] == 20000
 
 
 def test_validate_missing_parameter_pointer():
@@ -78,6 +107,82 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1]},
           "seed": "lucky"},
          "/seed"),
+        # integers are JSON integers >= 1: no truncation, no bools, no zeros
+        ({"kind": "lemma-check", "parameters": {"config": "two-point-2", "M": 4.7}},
+         "/parameters/M"),
+        ({"kind": "lemma-check", "parameters": {"config": "two-point-2", "M": True}},
+         "/parameters/M"),
+        ({"kind": "lemma-check", "parameters": {"config": "two-point-2", "M": 4.0}},
+         "/parameters/M"),
+        ({"kind": "lemma-check", "parameters": {"config": "two-point-2", "M": 0}},
+         "/parameters/M"),
+        ({"kind": "lemma-check",
+          "parameters": {"config": "two-point-2", "M": 4, "words": 0}},
+         "/parameters/words"),
+        ({"kind": "haagerup-sweep",
+          "parameters": {"config": "two-point-2", "M": 4, "families": 0}},
+         "/parameters/families"),
+        ({"kind": "lemma-check",
+          "parameters": {"config": "two-point-2", "M": 4, "n_max": 0}},
+         "/parameters/n_max"),
+        ({"kind": "haagerup-sweep",
+          "parameters": {"config": "two-point-2", "M": 4, "k_max": 0}},
+         "/parameters/k_max"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1]},
+          "seed": -1},
+         "/seed"),
+        # lists are non-empty
+        ({"kind": "group-shift", "parameters": {"word": "g0", "ns": [], "R": 4}},
+         "/parameters/ns"),
+        ({"kind": "validate-algebra", "parameters": {"algebras": []}},
+         "/parameters/algebras"),
+        ({"kind": "validate-algebra", "parameters": {"algebras": "x"}},
+         "/parameters/algebras"),
+        # unknown fields are refused, not ignored
+        ({"kind": "lemma-check",
+          "parameters": {"config": "two-point-2", "M": 4, "wrods": 2}},
+         "/parameters/wrods"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1]},
+          "sed": 3},
+         "/sed"),
+        # strings and numbers
+        ({"kind": "group-haagerup", "parameters": {"word": 5, "R": 4}},
+         "/parameters/word"),
+        ({"kind": "group-haagerup", "parameters": {"word": "g0 x", "R": 4}},
+         "/parameters/word"),
+        ({"kind": "lemma-check", "parameters": {"config": "two-point-9", "M": 4}},
+         "/parameters/config"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": "NaN", "ns": [1]}},
+         "/parameters/s"),
+        ({"kind": "rd-report",
+          "parameters": {"word": "g0", "s": float("inf"), "ns": [1]}},
+         "/parameters/s"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1]},
+          "output": ""},
+         "/output"),
+        ([1], ""),
+        # a level spread may not exceed the truncation level
+        ({"kind": "haagerup-sweep",
+          "parameters": {"config": "two-point-2", "M": 2, "n_max": 3}},
+         "/parameters/n_max"),
+        ({"kind": "lemma-check",
+          "parameters": {"config": "two-point-2", "M": 3, "n_max": 4}},
+         "/parameters/n_max"),
+        ({"kind": "ergodic-decay", "parameters": {"p": 3, "M": 2}},
+         "/parameters/p"),
+        # nested loaders point below their field
+        ({"kind": "ergodic-decay", "parameters": {"p": 1, "M": 2, "prototype": {}}},
+         "/parameters/prototype/indices"),
+        ({"kind": "ergodic-decay",
+          "parameters": {"p": 2, "M": 2,
+                         "prototype": {"indices": [0], "letters": [[[1, 0], [-1, 0]]]}}},
+         "/parameters/prototype"),
+        ({"kind": "validate-algebra", "parameters": {"algebras": [{"ambient_dim": 2}]}},
+         "/parameters/algebras/0/algebra_basis"),
+        ({"kind": "validate-algebra",
+          "parameters": {"algebras": [{"preset": "diagonal_in_matn", "n": 2},
+                                      {"preset": "nope"}]}},
+         "/parameters/algebras/1/preset"),
     ],
 )
 def test_bad_integer_types_exit_2_with_pointer(tmp_path, capsys, config, pointer):
@@ -88,6 +193,65 @@ def test_bad_integer_types_exit_2_with_pointer(tmp_path, capsys, config, pointer
     bad.write_text(json.dumps(config))
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
     assert pointer in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, pointer",
+                         [("--seed", "-1", "/seed"), ("--max-dim", "0", "/max_dim")])
+def test_overrides_pass_the_field_checks(tmp_path, capsys, flag, value, pointer):
+    assert main(["run", "rd-report-basic", "--out", str(tmp_path), flag, value]) == 2
+    assert pointer in capsys.readouterr().err
+
+
+# one valid parameter set per kind, every level spread at its least, so that
+# a value in one slot can only break that slot
+BASES = {
+    "validate-algebra": {"algebras": [{"preset": "diagonal_in_matn", "n": 2}]},
+    "fock-report": {"config": "two-point-2", "M": 2},
+    "lemma-check": {"config": "two-point-2", "M": 2, "n_max": 1},
+    "haagerup-sweep": {"config": "two-point-2", "M": 2, "n_max": 1},
+    "ergodic-decay": {"p": 1, "M": 2},
+    "group-haagerup": {"word": "g0", "R": 2},
+    "group-shift": {"word": "g0", "ns": [1], "R": 2},
+    "rd-report": {"word": "g0", "s": 1.0, "ns": [1]},
+}
+SLOTS = [(kind, f"/parameters/{name}") for kind, (_, table, _) in KINDS.items()
+         for name in table]
+SLOTS += [("rd-report", f"/{name}") for name in ("output", "seed", "max_dim")]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def test_bases_validate():
+    assert set(BASES) == set(KINDS)
+    for kind, params in BASES.items():
+        validate_config({"kind": kind, "parameters": params})
+
+
+@pytest.mark.parametrize("kind, pointer", SLOTS)
+@settings(max_examples=40, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_value_in_a_slot_validates_or_points_into_it(kind, pointer, value):
+    config = {"kind": kind, "parameters": dict(BASES[kind])}
+    *parent, name = pointer.split("/")[1:]
+    (config["parameters"] if parent else config)[name] = value
+    try:
+        validate_config(config)
+    except ConfigError as exc:
+        assert exc.pointer == pointer or exc.pointer.startswith(pointer + "/")
+
+
+@pytest.mark.parametrize("config, seed", [
+    ({"config": "two-point-2", "M": 3, "n_max": 3, "k_max": 2}, 3),
+    ({"config": "m2-diag", "M": 3, "n_max": 3, "k_max": 1}, 5),
+])
+def test_sweep_on_two_factors_finishes(tmp_path, config, seed):
+    # odd-length words on two factors must end where they start
+    config = {"kind": "haagerup-sweep", "parameters": config, "seed": seed}
+    assert run_config(config, out_dir=tmp_path) == 0
 
 
 def test_run_writes_csv_and_summary(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import amalgam as am
+import amalgam.words
 from amalgam.errors import HypothesisError, StructureError, TruncationError
 from amalgam.fock import build_fock
 from amalgam.words import (
@@ -15,6 +16,7 @@ from amalgam.words import (
     ladder_identity_residual,
     letter_norms,
     norm_lower,
+    random_separated_family,
     word_operator,
 )
 from conftest import random_centered, sign_letter
@@ -54,6 +56,29 @@ def test_word_requires_centered_letters(ctx_two2):
     not_centered = am.CenteredElement(1, np.asarray(spec.algebra.unit_coords))
     with pytest.raises(StructureError):
         word_operator(ctx_two2, Word((not_centered,)))
+
+
+def test_every_entry_point_checks_letters(ctx_two2):
+    spec = ctx_two2.factors[1].spec
+    w = Word((am.CenteredElement(1, np.asarray(spec.algebra.unit_coords)),))
+    with pytest.raises(StructureError):
+        block_decomposition(ctx_two2, w, 0, 1)
+    with pytest.raises(StructureError):
+        ladder_identity_residual(ctx_two2, w, 0)
+
+
+def test_ladder_identity_checks_letters_once(ctx_two3, rng, monkeypatch):
+    calls = []
+    real = amalgam.words._check_letters
+
+    def counting(ctx, w):
+        calls.append(w)
+        return real(ctx, w)
+
+    monkeypatch.setattr(amalgam.words, "_check_letters", counting)
+    w = random_word(ctx_two3, 2, rng)
+    assert ladder_identity_residual(ctx_two3, w, 1) < 1e-8
+    assert calls == [w]
 
 
 def test_single_letter_word_is_lambda(ctx_two2, rng):
@@ -372,3 +397,21 @@ def test_norm_report_metadata(ctx_two2, rng):
     assert rep.max_level == ctx_two2.max_level
     assert rep.witness_label != ""
     assert rep.seconds >= 0.0
+
+
+@pytest.mark.parametrize("factors", [2, 3])
+def test_sampled_families_alternate_and_separate(two_point, factors):
+    # on two factors the parity of n fixes whether a word ends where it
+    # starts; a sampler that ignores this never finishes
+    ctx = build_fock(am.scalar_base(), dict.fromkeys(range(factors), two_point), 1)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 6):
+            for k in range(1, factors + 1):
+                fam = random_separated_family(ctx, n, k, rng, "fam")
+                assert len(fam.words) == k
+                for w in fam.words:
+                    assert w.length == n
+                    assert all(a != b for a, b in zip(w.indices, w.indices[1:]))
+                assert len({w.indices[0] for w in fam.words}) == k
+                assert len({w.indices[-1] for w in fam.words}) == k
