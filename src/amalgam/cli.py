@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -122,6 +123,8 @@ _seed = _accept(lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _number = _accept(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
                   "a finite number", float)  # s = 2 still names its rows s2.0
 _text = _accept(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_file_name = _accept(lambda v: isinstance(v, str) and v != "" and "/" not in v
+                     and os.sep not in v, "a file name without path separators")
 _object = _accept(lambda v: isinstance(v, dict), "a JSON object")
 _nonempty = _accept(lambda v: isinstance(v, list) and v != [], "a non-empty list")
 
@@ -285,7 +288,7 @@ def _kind_ergodic_decay(params, seed, max_dim, jobs):
     exp = ShiftExperiment(_unit_prototype(p) if proto is None else proto,
                           n_max=params["n_max"], max_level=params["M"])
     curve = decay_curve(
-        exp, alg.function_algebra_with_state(2), alg.scalar_base(),
+        exp, _TWO_POINT(), alg.scalar_base(),
         max_dim=max_dim, seed=seed,
     )
     rows = []
@@ -383,7 +386,7 @@ KINDS = {
 TOP = {
     "kind": (_one_of(KINDS), REQUIRED),
     "parameters": (_object, REQUIRED),
-    "output": (_text, None),
+    "output": (_file_name, None),
     "seed": (_seed, DEFAULT_SEED),
     "max_dim": (_integer, DEFAULT_MAX_DIM),
 }
@@ -533,10 +536,16 @@ def validate_config(config) -> dict:
     if spread is not None and params[spread] > params["M"]:
         raise ConfigError(f"{spread} = {params[spread]} exceeds the truncation "
                           f"level M = {params['M']}", f"/parameters/{spread}")
-    if kind == "ergodic-decay" and params["prototype"] is not None \
-            and params["prototype"].length != params["p"]:
-        raise ConfigError(f"the prototype has {params['prototype'].length} "
-                          f"letters, not p = {params['p']}", "/parameters/prototype")
+    proto = params["prototype"] if kind == "ergodic-decay" else None
+    if proto is not None:
+        if proto.length != params["p"]:
+            raise ConfigError(f"the prototype has {proto.length} letters, "
+                              f"not p = {params['p']}", "/parameters/prototype")
+        dim = _TWO_POINT().algebra.dim  # the factor of every decay run
+        for i, letter in enumerate(proto.letters):
+            if len(letter.coords) != dim:
+                raise ConfigError(f"letter {i} has {len(letter.coords)} coordinates, "
+                                  f"not {dim}", f"/parameters/prototype/letters/{i}")
     return config
 
 

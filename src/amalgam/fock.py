@@ -7,18 +7,23 @@ turned into an honest Hilbert space by tensoring with the identity
 representation of B on its own ambient matrix space. Tensor-level Gram
 degeneracies are quotiented with the package-wide rank cutoff.
 
-Operators are realized as sparse CSR matrices: level projections, first-slot
-projections, creation operators (prepend a vector of E_k deg), first-slot
-diagonal actions, and the letter representation of each factor algebra.
-Any term that would raise above the truncation level maps to zero; identities
-involving creation at the top level therefore hold only below it.
+The layout is kept per level: the level's sequences as an integer array in
+lexicographic order, one Gram quotient per distinct sequence of factor specs
+(one per level when all factors share a spec), and the offset of each summand.
+Operators are sparse CSR matrices: level projections, first-slot projections,
+creation operators (prepend a vector of E_k deg), first-slot diagonal actions,
+and the letter representation of each factor algebra. A structure operator
+computes its block once per level and pair of quotients, and array arithmetic
+places it at every pair of summands. Any term that would raise above the
+truncation level maps to zero; identities involving creation at the top level
+therefore hold only below it.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -196,15 +201,25 @@ def _check_same_subalgebra(base: _BaseData, spec: AlgebraWithExpectation, idx):
                 )
 
 
-@dataclass
-class _Summand:
-    sid: int
+class Summand(NamedTuple):
+    """One summand of the module: its index sequence, the global offset and
+    rank of its quotient, its product dimension, orthonormal representatives
+    w (prod_dim, rank) and the coordinate map cmap (rank, prod_dim)."""
+
     seq: tuple[int, ...]
-    prod_dim: int
-    rank: int
     offset: int
-    w: np.ndarray  # (prod_dim, rank), orthonormal representatives
-    cmap: np.ndarray  # (rank, prod_dim), coordinates of a product vector
+    rank: int
+    prod_dim: int
+    w: np.ndarray
+    cmap: np.ndarray
+
+
+@dataclass
+class _Level:
+    pos: np.ndarray  # (n, m) positions in ctx.order, one sequence a row, lexicographic
+    quot: np.ndarray  # (n,) the quotient of each sequence
+    offset: np.ndarray  # (n + 1,) sequence j spans offset[j]:offset[j + 1] globally
+    quotients: list[Summand]  # per spec sequence, for its first sequence, offset 0
 
 
 class FockContext:
@@ -217,22 +232,13 @@ class FockContext:
         self.order = tuple(sorted(factors))
         self.max_level = max_level
         self.max_dim = max_dim
-        self._summands: list[_Summand] = []
-        self._by_seq: dict[tuple[int, ...], _Summand] = {}
-        self._level_end: list[int] = []
+        self._pos = {i: p for p, i in enumerate(self.order)}
         self._struct_cache: dict = {}
         self._struct_lock = threading.Lock()
-        self._build_summands()
+        self._levels = self._build_levels()
+        self.total_dim = int(self._levels[-1].offset[-1])
 
     # -- construction -------------------------------------------------------
-
-    def _sequences(self, m: int):
-        if m == 0:
-            yield ()
-            return
-        for seq in itertools.product(self.order, repeat=m):
-            if all(seq[j] != seq[j + 1] for j in range(m - 1)):
-                yield seq
 
     def _seq_gram(self, seq) -> np.ndarray:
         base = self.base
@@ -249,47 +255,62 @@ class FockContext:
         p = r.shape[0] * base.nb
         return hermitian_part(g.reshape(p, p))
 
-    def _build_summands(self):
-        estimate = 0
-        seqs = []
+    def _quotient(self, seq) -> Summand:
+        g = self._seq_gram(seq)
+        evals, evecs = np.linalg.eigh(g)
+        ordering = np.argsort(evals)[::-1]
+        evals, evecs = evals[ordering], evecs[:, ordering]
+        evals = np.clip(evals, 0.0, None)
+        rank = rank_from_spectrum(evals)
+        w = evecs[:, :rank] / np.sqrt(evals[:rank]) if rank else evecs[:, :0]
+        return Summand(seq, 0, rank, len(g), w, w.conj().T @ g)
+
+    def _build_levels(self) -> list[_Level]:
+        nb, data = self.base.nb, [self.factors[i] for i in self.order]
+        e = np.array([f.e_dim for f in data], dtype=object)
+        # spec[p]: the first position with the factor data of p; summands whose
+        # sequences agree in spec slot by slot share one Gram
+        spec = np.array([[d is f for d in data].index(True) for f in data])
+        # led[p]: product dims summed over the level's sequences led by p,
+        # so that a level is refused before its sequences are listed
+        estimate, led = self.base.db * nb, e
+        pos, levels = np.zeros((1, 0), dtype=np.int64), []
         for m in range(self.max_level + 1):
-            for seq in self._sequences(m):
-                p = self.base.nb
-                for i in seq:
-                    p *= self.factors[i].e_dim
-                if not seq:
-                    p = self.base.db * self.base.nb
-                estimate += p
-                seqs.append((seq, p))
+            if m:
+                estimate += nb * led.sum()
+                led = e * (led.sum() - led)
             if estimate > self.max_dim:
                 raise CapacityError(
                     f"Fock dimension estimate {estimate} exceeds the cap "
                     f"{self.max_dim} at level {m}",
                     required=estimate,
                 )
-        offset = 0
-        level_end = []
-        current_level = 0
-        for sid, (seq, p) in enumerate(seqs):
-            while len(seq) > current_level:
-                level_end.append(offset)
-                current_level += 1
-            g = self._seq_gram(seq)
-            evals, evecs = np.linalg.eigh(g)
-            ordering = np.argsort(evals)[::-1]
-            evals, evecs = evals[ordering], evecs[:, ordering]
-            evals = np.clip(evals, 0.0, None)
-            rank = rank_from_spectrum(evals)
-            w = evecs[:, :rank] / np.sqrt(evals[:rank]) if rank else evecs[:, :0]
-            cmap = w.conj().T @ g
-            s = _Summand(sid, seq, p, rank, offset, w, cmap)
-            self._summands.append(s)
-            self._by_seq[seq] = s
-            offset += rank
-        while len(level_end) <= self.max_level:
-            level_end.append(offset)
-        self.total_dim = offset
-        self._level_end = level_end
+            if m:  # prepend each index to the sequences it does not lead
+                pos = np.concatenate([
+                    np.column_stack([np.full(len(rest), p), rest])
+                    for p in range(len(self.order))
+                    for rest in [pos[~self._led_by(pos, p)]]
+                ])
+            _, first, quot = np.unique(spec[pos], axis=0, return_index=True,
+                                       return_inverse=True)
+            quot = quot.reshape(-1)
+            quotients = [self._quotient(tuple(self.order[p] for p in pos[j]))
+                         for j in first]
+            start = levels[-1].offset[-1] if levels else 0
+            ranks = np.array([q.rank for q in quotients])[quot]
+            offset = start + np.concatenate([[0], np.cumsum(ranks)])
+            levels.append(_Level(pos, quot, offset, quotients))
+        return levels
+
+    @staticmethod
+    def _led_by(pos: np.ndarray, p: int) -> np.ndarray:
+        """Mask of the sequences (rows of pos) whose first index has position p."""
+        return pos[:, 0] == p if pos.shape[1] else np.zeros(len(pos), dtype=bool)
+
+    def _summand(self, m: int, j: int) -> Summand:
+        lev = self._levels[m]
+        return lev.quotients[lev.quot[j]]._replace(
+            seq=tuple(self.order[p] for p in lev.pos[j]), offset=int(lev.offset[j]))
 
     # -- layout --------------------------------------------------------------
 
@@ -297,48 +318,49 @@ class FockContext:
         """Global coordinate range [start, end) of level m."""
         if m < 0 or m > self.max_level:
             raise ConfigError(f"level {m} outside 0..{self.max_level}")
-        start = 0 if m == 0 else self._level_end[m - 1]
-        return start, self._level_end[m]
+        return int(self._levels[m].offset[0]), int(self._levels[m].offset[-1])
 
     def prefix_dim(self, m: int) -> int:
         """Number of coordinates in levels 0..m."""
         if m < 0:
             return 0
-        return self._level_end[min(m, self.max_level)]
+        return int(self._levels[min(m, self.max_level)].offset[-1])
 
-    def summands(self):
-        return tuple(self._summands)
+    def summand(self, seq) -> Summand:
+        """The summand of an alternating index sequence of length <= max_level."""
+        seq = tuple(seq)
+        if (len(seq) > self.max_level or any(i not in self._pos for i in seq)
+                or any(a == b for a, b in zip(seq, seq[1:]))):
+            raise ConfigError(f"{seq} is not a summand of this context")
+        # its row in the level: its digits in the mixed radix (k, k-1, ..., k-1),
+        # where a later digit counts the positions other than the one before it
+        pos = [self._pos[i] for i in seq]
+        row = pos[0] if pos else 0
+        for prev, p in zip(pos, pos[1:]):
+            row = row * (len(self.order) - 1) + p - (p > prev)
+        return self._summand(len(seq), row)
 
-    def labels(self, seq) -> list[FockBasisLabel]:
-        s = self._by_seq[tuple(seq)]
-        nb = self.base.nb
-        if not s.seq:
-            comps = [(j,) for j in range(self.base.db)]
-        else:
-            comps = list(
-                itertools.product(*(range(self.factors[i].e_dim) for i in s.seq))
-            )
-        return [
-            FockBasisLabel(len(s.seq), s.seq, c, t)
-            for c in comps
-            for t in range(nb)
-        ]
+    def summands(self) -> tuple[Summand, ...]:
+        return tuple(self._summand(m, j) for m, lev in enumerate(self._levels)
+                     for j in range(len(lev.pos)))
 
     def label_of_coordinate(self, idx: int) -> FockBasisLabel:
         """Dominant product label for a global quotient coordinate."""
-        for s in self._summands:
-            if s.offset <= idx < s.offset + s.rank:
-                rep = s.w[:, idx - s.offset]
-                return self.labels(s.seq)[int(np.argmax(np.abs(rep)))]
-        raise ConfigError(f"coordinate {idx} out of range")
+        if not 0 <= idx < self.total_dim:
+            raise ConfigError(f"coordinate {idx} out of range")
+        m = next(m for m, lev in enumerate(self._levels) if idx < lev.offset[-1])
+        s = self._summand(m, int(np.searchsorted(self._levels[m].offset, idx, "right")) - 1)
+        dims = [self.factors[i].e_dim for i in s.seq] if s.seq else [self.base.db]
+        rep = np.abs(s.w[:, idx - s.offset])
+        *comps, b_slot = np.unravel_index(int(np.argmax(rep)), dims + [self.base.nb])
+        return FockBasisLabel(m, s.seq, tuple(map(int, comps)), int(b_slot))
 
     def summary(self) -> dict:
         levels = []
-        for m in range(self.max_level + 1):
+        for m, lev in enumerate(self._levels):
             entries = [
                 {"sequence": list(s.seq), "product_dim": s.prod_dim, "rank": s.rank}
-                for s in self._summands
-                if len(s.seq) == m
+                for s in (self._summand(m, j) for j in range(len(lev.pos)))
             ]
             levels.append({"level": m, "dim": sum(e["rank"] for e in entries),
                            "summands": entries})
@@ -351,21 +373,24 @@ class FockContext:
 
     # -- operator assembly ---------------------------------------------------
 
-    def _matrix_from_blocks(self, blocks) -> sparse.csr_matrix:
+    def _assemble(self, parts) -> sparse.csr_matrix:
+        """CSR matrix of parts (target level, target rows, source level, source
+        rows, block). The source quotient fixes the target one, so block(tq, sq)
+        is computed once per source quotient and placed at every summand pair
+        (tgt_rows[j], src_rows[j]) that uses it; exact zeros are not stored."""
+        coo = [(np.zeros(0, dtype=complex), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.int64))]
+        for tgt, tgt_rows, src, src_rows, block in parts:
+            for q in np.unique(src.quot[src_rows]):
+                sel = src.quot[src_rows] == q
+                blk = block(tgt.quotients[tgt.quot[tgt_rows[sel][0]]], src.quotients[q])
+                r, c = np.nonzero(np.abs(blk) > 0.0)
+                coo.append((np.tile(blk[r, c], np.count_nonzero(sel)),
+                            (tgt.offset[tgt_rows[sel]][:, None] + r).reshape(-1),
+                            (src.offset[src_rows[sel]][:, None] + c).reshape(-1)))
+        vals, rows, cols = map(np.concatenate, zip(*coo))
         n = self.total_dim
-        rows, cols, vals = [], [], []
-        for (tgt, src), blk in blocks:
-            r, c = np.nonzero(np.abs(blk) > 0.0)
-            rows.append(r + tgt.offset)
-            cols.append(c + src.offset)
-            vals.append(blk[r, c])
-        if rows:
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            vals = np.concatenate(vals)
-        return sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(n, n), dtype=complex
-        )
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
 
     def _diag_operator(self, mask: np.ndarray, tag: str) -> FockOperator:
         """Diagonal operator with the given diagonal, built once per tag."""
@@ -387,64 +412,56 @@ class FockContext:
 
         def build():
             fk = self.factors[k]
-            nb = self.base.nb
-            blocks = []
+            nb, pk = self.base.nb, self._pos[k]
             e_col = np.zeros((fk.e_dim, 1), dtype=complex)
             e_col[s, 0] = 1.0
             ymat = np.stack(
                 [fk.right_b[j] @ e_col[:, 0] for j in range(self.base.db)], axis=1
             )
-            for src in self._summands:
-                if not src.seq:
-                    if self.max_level < 1:
-                        continue
-                    tgt = self._by_seq[(k,)]
-                    t = np.kron(ymat, np.eye(nb))
-                elif src.seq[0] != k and len(src.seq) < self.max_level:
-                    tgt = self._by_seq[(k,) + src.seq]
-                    t = np.kron(e_col, np.eye(src.prod_dim))
-                else:
-                    continue
-                blocks.append(((tgt, src), tgt.cmap @ t @ src.w))
-            return self._matrix_from_blocks(blocks)
+
+            def block(tq, sq):
+                if not sq.seq:
+                    return tq.cmap @ np.kron(ymat, np.eye(nb)) @ sq.w
+                return tq.cmap @ np.kron(e_col, np.eye(sq.prod_dim)) @ sq.w
+
+            # a level lists the index at position p prepended to each sequence
+            # of the level below not led by p, in order, for p = 0, 1, ...
+            parts = [(tgt, np.flatnonzero(self._led_by(tgt.pos, pk)),
+                      src, np.flatnonzero(~self._led_by(src.pos, pk)), block)
+                     for src, tgt in zip(self._levels, self._levels[1:])]
+            return self._assemble(parts)
 
         return self._structure(("psi", k, s), build)
+
+    def _first_slot_structure(self, led, slot) -> sparse.csr_matrix:
+        """Block-diagonal matrix acting by slot(q) on the first tensor slot of
+        the summands whose sequences (rows of a level's pos) led(pos) selects;
+        at level zero the first slot is B itself."""
+
+        def block(q, _):
+            a = slot(q)
+            return q.cmap @ np.kron(a, np.eye(q.prod_dim // a.shape[1])) @ q.w
+
+        return self._assemble([(lev, rows, lev, rows, block) for lev in self._levels
+                               for rows in [np.flatnonzero(led(lev.pos))]])
 
     def _rho_structure(self, k: int, s: int, t: int):
         """First-slot matrix unit e_s e_t* on summands led by factor k."""
 
         def build():
-            fk = self.factors[k]
-            unit = np.zeros((fk.e_dim, fk.e_dim), dtype=complex)
+            unit = np.zeros((self.factors[k].e_dim,) * 2, dtype=complex)
             unit[s, t] = 1.0
-            blocks = []
-            for src in self._summands:
-                if src.seq and src.seq[0] == k:
-                    rest = src.prod_dim // fk.e_dim
-                    tt = np.kron(unit, np.eye(rest))
-                    blocks.append(((src, src), src.cmap @ tt @ src.w))
-            return self._matrix_from_blocks(blocks)
+            return self._first_slot_structure(
+                lambda pos: self._led_by(pos, self._pos[k]), lambda q: unit)
 
         return self._structure(("rho", k, s, t), build)
 
     def _leftb_structure(self, j: int):
         """Left action of the j-th basis element of B on every summand."""
-
-        def build():
-            nb, db = self.base.nb, self.base.db
-            lmat = self.base.mult[j].T  # lmat[k', k] = coords of b_j b_k
-            blocks = []
-            for src in self._summands:
-                if not src.seq:
-                    t = np.kron(lmat, np.eye(nb))
-                else:
-                    f1 = self.factors[src.seq[0]]
-                    rest = src.prod_dim // f1.e_dim
-                    t = np.kron(f1.left_b[j], np.eye(rest))
-                blocks.append(((src, src), src.cmap @ t @ src.w))
-            return self._matrix_from_blocks(blocks)
-
-        return self._structure(("leftb", j), build)
+        lmat = self.base.mult[j].T  # lmat[k', k] = coords of b_j b_k
+        return self._structure(("leftb", j), lambda: self._first_slot_structure(
+            lambda pos: np.ones(len(pos), dtype=bool),
+            lambda q: self.factors[q.seq[0]].left_b[j] if q.seq else lmat))
 
     def _combine(self, parts, tag) -> FockOperator:
         terms = [coeff * mat for coeff, mat in parts if coeff != 0.0]
@@ -468,11 +485,11 @@ class FockContext:
     def first_slot_projection(self, k: int) -> FockOperator:
         if k not in self.factors:
             raise ConfigError(f"index {k} is not a factor of this context")
-        mask = np.zeros(self.total_dim)
-        for s in self._summands:
-            if s.seq and s.seq[0] == k:
-                mask[s.offset:s.offset + s.rank] = 1.0
-        return self._diag_operator(mask, f"Q{k}")
+        mask = np.concatenate([
+            np.repeat(self._led_by(lev.pos, self._pos[k]), np.diff(lev.offset))
+            for lev in self._levels
+        ])
+        return self._diag_operator(mask.astype(float), f"Q{k}")
 
     def identity(self) -> FockOperator:
         return self._diag_operator(np.ones(self.total_dim), "1")
@@ -547,7 +564,7 @@ class FockContext:
     def vacuum_isometry(self) -> np.ndarray:
         """Columns embed the sigma-space through the unit of B at level zero."""
         nb = self.base.nb
-        s0 = self._by_seq[()]
+        s0 = self.summand(())
         c = np.kron(self.base.alg.unit_coords.reshape(-1, 1), np.eye(nb))
         v = np.zeros((self.total_dim, nb), dtype=complex)
         v[s0.offset:s0.offset + s0.rank, :] = s0.cmap @ c
@@ -583,11 +600,12 @@ def build_fock(
     if max_level < 0:
         raise ConfigError("the truncation level must be nonnegative")
     bd = _base_data(base_alg)
-    fd: dict[int, _FactorData] = {}
+    by_spec: dict[int, _FactorData] = {}  # built once per spec object
     for idx in sorted(factors):
-        spec = factors[idx]
-        _check_same_subalgebra(bd, spec, idx)
-        fd[idx] = _factor_data(spec, bd)
+        if id(factors[idx]) not in by_spec:
+            _check_same_subalgebra(bd, factors[idx], idx)
+            by_spec[id(factors[idx])] = _factor_data(factors[idx], bd)
+    fd = {idx: by_spec[id(spec)] for idx, spec in factors.items()}
     return FockContext(bd, fd, max_level, max_dim)
 
 

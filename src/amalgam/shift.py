@@ -224,22 +224,19 @@ def shift_relabel_check(
         raise StructureError("shifted word leaves the context window")
     op = word_operator(ctx, w).matrix
     ops = word_operator(ctx, ws).matrix
+    pairs = [(s, ctx.summand(tuple(i + 1 for i in s.seq))) for s in ctx.summands()
+             if all(i + 1 in ctx.factors for i in s.seq)]
+    if any(s.rank != t.rank for s, t in pairs):
+        raise StructureError("the shift changes the rank of a summand")
+    coords = [np.concatenate([np.arange(s.offset, s.offset + s.rank) for s in side])
+              for side in zip(*pairs)]
+    start = np.concatenate([[0], np.cumsum([s.rank for s, _ in pairs])])
+    diff = (op[coords[0]][:, coords[0]] - ops[coords[1]][:, coords[1]]).tocsr()
+    # only summand pairs holding a stored entry of the difference can add to it
+    nz = diff.tocoo()
+    owner = np.repeat(np.arange(len(pairs)), np.diff(start))
     resid = 0.0
-    for src in ctx.summands():
-        shifted_src = tuple(i + 1 for i in src.seq)
-        if src.seq and shifted_src not in ctx._by_seq:
-            continue
-        s2 = ctx._by_seq[shifted_src] if src.seq else src
-        for tgt in ctx.summands():
-            shifted_tgt = tuple(i + 1 for i in tgt.seq)
-            if tgt.seq and shifted_tgt not in ctx._by_seq:
-                continue
-            t2 = ctx._by_seq[shifted_tgt] if tgt.seq else tgt
-            blk_a = op[tgt.offset:tgt.offset + tgt.rank,
-                       src.offset:src.offset + src.rank]
-            blk_b = ops[t2.offset:t2.offset + t2.rank,
-                        s2.offset:s2.offset + s2.rank]
-            diff = (blk_a - blk_b).toarray()
-            if diff.size:
-                resid = max(resid, float(np.linalg.norm(diff, 2)))
+    for a, b in set(zip(owner[nz.row].tolist(), owner[nz.col].tolist())):
+        blk = diff[start[a]:start[a + 1], start[b]:start[b + 1]].toarray()
+        resid = max(resid, float(np.linalg.norm(blk, 2)))
     return resid

@@ -183,6 +183,15 @@ def test_main_reports_config_errors(tmp_path, capsys):
           "parameters": {"algebras": [{"preset": "diagonal_in_matn", "n": 2},
                                       {"preset": "nope"}]}},
          "/parameters/algebras/1/preset"),
+        # decay letters live in the two-point factor; outputs are file names
+        ({"kind": "ergodic-decay",
+          "parameters": {"p": 1, "M": 2, "n_max": 2,
+                         "prototype": {"indices": [0],
+                                       "letters": [[[1, 0], [0, 0], [5, 0]]]}}},
+         "/parameters/prototype/letters/0"),
+        ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1]},
+          "output": "no/such/dir/x"},
+         "/output"),
     ],
 )
 def test_bad_integer_types_exit_2_with_pointer(tmp_path, capsys, config, pointer):

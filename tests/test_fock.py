@@ -1,12 +1,18 @@
+import importlib.util
 import itertools
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import amalgam as am
+from amalgam.cli import _factor_context
 from amalgam.errors import CapacityError, ConfigError, StructureError
-from amalgam.fock import build_fock, operator_coo_rows
+from amalgam.fock import DEFAULT_MAX_DIM, FockContext, build_fock, operator_coo_rows
 from amalgam.gns import ModuleVector, inner_product, module_norm
+from amalgam.shift import shift_relabel_check
+from amalgam.words import Word
 from conftest import random_centered
 
 
@@ -38,13 +44,13 @@ def lambda_direct(ctx, i, a_coords):
                 e_mat[:, j], _ = fi.hat_split(centered)
             blocks.append(((src, src), np.kron(phi_mat, np.eye(nb))))
             if ctx.max_level >= 1:
-                tgt = ctx._by_seq[(i,)]
+                tgt = ctx.summand((i,))
                 blocks.append(((tgt, src), np.kron(e_mat, np.eye(nb))))
         elif seq[0] != i:
             centered = a_coords - spec.sub_to_full(spec.apply(a_coords))
             h, _ = fi.hat_split(centered)
             if len(seq) < ctx.max_level:
-                tgt = ctx._by_seq[(i,) + seq]
+                tgt = ctx.summand((i,) + seq)
                 blocks.append(
                     ((tgt, src), np.kron(h.reshape(-1, 1), np.eye(src.prod_dim)))
                 )
@@ -66,11 +72,11 @@ def lambda_direct(ctx, i, a_coords):
                     fi.mod.bip_full,
                 )
             if len(seq) == 1:
-                tgt = ctx._by_seq[()]
+                tgt = ctx.summand(())
                 blocks.append(((tgt, src), np.kron(ann, np.eye(nb))))
             else:
                 f2 = ctx.factors[seq[1]]
-                tgt = ctx._by_seq[seq[1:]]
+                tgt = ctx.summand(seq[1:])
                 rest2 = src.prod_dim // (fi.e_dim * f2.e_dim)
                 c = np.zeros((f2.e_dim, fi.e_dim * f2.e_dim), dtype=complex)
                 for j1 in range(fi.e_dim):
@@ -85,12 +91,13 @@ def lambda_direct(ctx, i, a_coords):
     return out
 
 
+def alternating(indices, m):
+    return [seq for seq in itertools.product(indices, repeat=m)
+            if all(seq[j] != seq[j + 1] for j in range(m - 1))]
+
+
 def alternating_count(indices, m):
-    total = 0
-    for seq in itertools.product(indices, repeat=m):
-        if all(seq[j] != seq[j + 1] for j in range(m - 1)):
-            total += 1
-    return total
+    return len(alternating(indices, m))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +132,76 @@ def test_degenerate_grams_are_quotiented(ctx_m2diag):
             assert entry["dim"] == 4
             for s in entry["summands"]:
                 assert s["product_dim"] == 2 ** (m + 1)
+
+
+def _count_gram_eighs(monkeypatch, ctx, max_level):
+    """Number of eigh calls made by building the quotients of a context with
+    the factor data of ctx truncated at max_level."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: calls.append(g.shape) or eigh(g))
+    big = FockContext(ctx.base, ctx.factors, max_level, DEFAULT_MAX_DIM)
+    monkeypatch.undo()
+    return big, len(calls)
+
+
+@pytest.mark.parametrize("config", ["two-point-3", "m2-diag"])
+def test_one_gram_per_level(config, monkeypatch):
+    # every factor of a uniform context shares one spec, so one Gram quotient
+    # serves every summand of a level; m2-diag's Grams drop rank
+    factors = _factor_context(config, 0, DEFAULT_MAX_DIM)
+    ctx, eighs = _count_gram_eighs(monkeypatch, factors, 4)
+    assert eighs == 5
+    listed = [[tuple(s["sequence"]) for s in level["summands"]]
+              for level in ctx.summary()["levels"]]
+    assert listed == [alternating(ctx.order, m) for m in range(5)]
+    assert [s.seq for s in ctx.summands()] == [seq for level in listed for seq in level]
+
+
+@pytest.mark.parametrize("name", ["different", "equal"])
+def test_mixed_specs(name, rng, monkeypatch):
+    # two different factors; three factors, two of them equal but distinct objects
+    uniform = am.function_algebra_with_state(2)
+    if name == "different":
+        factors = {0: uniform, 1: am.function_algebra_with_state(2, weights=[0.9, 0.1])}
+    else:
+        factors = {0: uniform, 1: am.function_algebra_with_state(2), 2: uniform}
+    max_level = 4
+    ctx = build_fock(am.scalar_base(), factors, max_level)
+    # one quotient per distinct sequence of spec objects in each level
+    spec_seqs = {tuple(id(factors[i]) for i in seq)
+                 for m in range(max_level + 1) for seq in alternating(ctx.order, m)}
+    assert _count_gram_eighs(monkeypatch, ctx, max_level)[1] == len(spec_seqs)
+    for entry in ctx.summary()["levels"]:
+        assert entry["dim"] == alternating_count(ctx.order, entry["level"])
+    for i in ctx.order:
+        a = random_centered(factors[i], i, rng)
+        got = ctx.represent(i, a.coords).matrix.toarray()
+        assert np.linalg.norm(got - lambda_direct(ctx, i, a.coords), 2) < 1e-10
+    if name == "equal":  # the shift maps each factor to an equal one
+        w = Word((random_centered(uniform, 0, rng), random_centered(uniform, 1, rng)))
+        assert shift_relabel_check(ctx, w) < 1e-12
+
+
+def test_summand_lookup_refuses_non_summands(ctx_two2):
+    for seq in [(1, 1), (3,), (1, 2, 1, 2, 1)]:
+        with pytest.raises(ConfigError):
+            ctx_two2.summand(seq)
+    assert ctx_two2.summand([2, 1]).seq == (2, 1)
+
+
+def test_tracer_counts_every_summand(ctx_two3):
+    # the benchmark's per-layer counter reads len(ctx.summands())
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    counts = Counter()
+    tracer._count_context(counts, ctx_two3, ())
+    levels = range(ctx_two3.max_level + 1)
+    assert counts["fock.summands"] == sum(alternating_count(ctx_two3.order, m)
+                                          for m in levels)
+    assert counts["fock.total_dim"] == ctx_two3.total_dim
 
 
 def test_capacity_cap():
@@ -448,7 +525,7 @@ def test_embedded_vector_norm_matches_module_norm(ctx_m2diag, rng):
     # of x at level one, i.e. the largest singular value of its isometry block
     fk = ctx_m2diag.factors[1]
     y = _module_vector(ctx_m2diag, 1, rng)
-    s1 = ctx_m2diag._by_seq[(1,)]
+    s1 = ctx_m2diag.summand((1,))
     e_coords = fk.e_basis.conj().T @ y.coords
     embed = s1.cmap @ np.kron(e_coords.reshape(-1, 1), np.eye(ctx_m2diag.base.nb))
     sigma = np.linalg.svd(embed, compute_uv=False)[0]
