@@ -536,6 +536,10 @@ def validate_config(config) -> dict:
     if spread is not None and params[spread] > params["M"]:
         raise ConfigError(f"{spread} = {params[spread]} exceeds the truncation "
                           f"level M = {params['M']}", f"/parameters/{spread}")
+    if kind in ("group-shift", "rd-report") and not params["word"].letters:
+        raise ConfigError("the identity has no distinct shifts", "/parameters/word")
+    if "R" in params and params["R"] < fg.word_length(params["word"]):
+        raise ConfigError(f"R = {params['R']} is below the word length", "/parameters/R")
     proto = params["prototype"] if kind == "ergodic-decay" else None
     if proto is not None:
         if proto.length != params["p"]:

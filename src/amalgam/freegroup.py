@@ -5,6 +5,16 @@ experiment is instantiated. The left regular representation is truncated to a
 ball of reduced words: convolution from the sub-ball of radius R - p into the
 full ball is exact, so its largest singular value is a certified lower bound
 for the true operator norm.
+
+Words enter as `ReducedWord` tuples of (generator, exponent) letters. A ball
+stores them as int arrays, one per length: letter (g, e) of the window has
+code a = 2 pos(g) + (e == -1), so its inverse is a ^ 1, and the words of a
+length are listed breadth-first, generator ascending, +1 before -1, which is
+lexicographic in the codes. A word's rank among those of its length is then
+its mixed-radix code in radix (2d, 2d - 1, ..., 2d - 1), where each later
+digit skips the inverse of the letter before it, and its ball index is that
+rank plus the number of shorter words. Convolution applies each term's
+letters to all domain words at once and looks their products up by index.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ from scipy import sparse
 from .errors import CapacityError, ConfigError, StructureError
 from .linalg import DEFAULT_SEED, restricted_sigma_max
 
-SPARSE_BALL = 10000
 DEFAULT_MAX_BALL = 200000
 
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
@@ -99,9 +108,6 @@ class GroupFunction:
             out[w] = out.get(w, 0.0) + c
         return GroupFunction(out)
 
-    def __rmul__(self, scalar: complex) -> "GroupFunction":
-        return GroupFunction({w: scalar * c for w, c in self.terms.items()})
-
     def star(self) -> "GroupFunction":
         """f*(g) = conj(f(g^-1))."""
         return GroupFunction(
@@ -148,28 +154,31 @@ def orbit_classify(h: ReducedWord) -> str:
 
 def ball_size(num_generators: int, radius: int) -> int:
     """Number of reduced words of length at most radius over d generators."""
-    d = num_generators
-    if d == 0:
-        return 1
-    total = 1
-    count = 1
-    for ell in range(1, radius + 1):
-        count = count * (2 * d - 1) if ell > 1 else 2 * d
-        total += count
-    return total
+    a = 2 * num_generators
+    return 1 + sum(a * (a - 1) ** (ell - 1) for ell in range(1, radius + 1))
 
 
 @dataclass(frozen=True)
 class BallBasis:
-    """Deterministic enumeration of the reduced words of length <= radius."""
+    """The reduced words of length <= radius: levels[L] holds those of length L."""
 
     radius: int
     window: tuple[int, ...]
-    words: tuple[ReducedWord, ...]
-    index: dict
+    levels: tuple[np.ndarray, ...]
+    offset: np.ndarray  # (radius + 2,) levels[L] spans offset[L]:offset[L + 1]
 
     def __len__(self) -> int:
-        return len(self.words)
+        return int(self.offset[-1])
+
+
+def _ball_index(basis: BallBasis, words: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Ball indices of right-aligned words: row i holds words[i, start[i]:]."""
+    cols = np.arange(basis.radius)
+    prev = np.roll(words, 1, axis=1) ^ 1  # the inverse of the letter before
+    digit = np.where(cols == start[:, None], words, words - (words > prev))
+    weight = (2 * len(basis.window) - 1) ** (basis.radius - 1 - cols)
+    code = np.where(cols >= start[:, None], digit, 0) @ weight
+    return basis.offset[basis.radius - start] + code
 
 
 def build_ball(window, radius: int, max_size: int = DEFAULT_MAX_BALL) -> BallBasis:
@@ -182,28 +191,20 @@ def build_ball(window, radius: int, max_size: int = DEFAULT_MAX_BALL) -> BallBas
             f"{expected} words, above the cap {max_size}",
             required=expected,
         )
-    alphabet: list[Letter] = [(g, e) for g in window for e in (1, -1)]
-    words: list[ReducedWord] = [IDENTITY]
-    frontier: list[ReducedWord] = [IDENTITY]
+    alphabet = np.arange(2 * len(window))
+    levels = [np.zeros((1, 0), dtype=int)]
     for _ in range(radius):
-        nxt: list[ReducedWord] = []
-        for w in frontier:
-            for g, e in alphabet:
-                if w.letters and w.letters[-1] == (g, -e):
-                    continue
-                nxt.append(ReducedWord(w.letters + ((g, e),)))
-        words.extend(nxt)
-        frontier = nxt
-    if len(words) != expected:
+        rows = np.repeat(levels[-1], len(alphabet), axis=0)
+        last = np.tile(alphabet, len(levels[-1]))
+        # a letter may not follow its inverse; the empty word has no last letter
+        keep = (rows[:, -1:] ^ 1 != last[:, None]).all(axis=1)
+        levels.append(np.column_stack([rows, last])[keep])
+    offset = np.cumsum([0] + [len(words) for words in levels])
+    if offset[-1] != expected:
         raise StructureError(
-            f"ball enumeration produced {len(words)} words, expected {expected}"
+            f"ball enumeration produced {offset[-1]} words, expected {expected}"
         )
-    return BallBasis(
-        radius=radius,
-        window=window,
-        words=tuple(words),
-        index={w: i for i, w in enumerate(words)},
-    )
+    return BallBasis(radius=radius, window=window, levels=tuple(levels), offset=offset)
 
 
 def largest_feasible_radius(window, radius: int, max_size: int) -> int:
@@ -216,14 +217,13 @@ def largest_feasible_radius(window, radius: int, max_size: int) -> int:
 
 
 def convolution_operator(f: GroupFunction, basis: BallBasis):
-    """Matrix of left convolution by f from the sub-ball of radius R - p.
+    """CSR matrix of left convolution by f from the sub-ball of radius R - p.
 
     Left translation cannot push the sub-ball outside the full ball, so the
     matrix action is exact on its domain and every singular value is attained
     by the true operator. Returns (matrix, domain_radius, domain_size).
     """
-    lengths = f.support_lengths()
-    p = max(lengths) if lengths else 0
+    p = max(f.support_lengths(), default=0)
     if p > basis.radius:
         raise StructureError(
             f"support length {p} exceeds the ball radius {basis.radius}"
@@ -231,24 +231,30 @@ def convolution_operator(f: GroupFunction, basis: BallBasis):
     for g in f.touched_generators():
         if g not in basis.window:
             raise StructureError(f"generator g{g} outside the ball window")
-    dom_radius = basis.radius - p
-    dom = [i for i, w in enumerate(basis.words) if word_length(w) <= dom_radius]
-    rows, cols, vals = [], [], []
-    for col, i in enumerate(dom):
-        g = basis.words[i]
-        for h, c in f.terms.items():
-            target = h * g
-            rows.append(basis.index[target])
-            cols.append(col)
-            vals.append(c)
-    shape = (len(basis.words), len(dom))
-    if len(basis.words) > SPARSE_BALL:
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=shape, dtype=complex)
-    else:
-        mat = np.zeros(shape, dtype=complex)
-        for r, c, v in zip(rows, cols, vals):
-            mat[r, c] += v
-    return mat, dom_radius, len(dom)
+    dom_radius, width = basis.radius - p, basis.radius
+    levels = basis.levels[:dom_radius + 1]
+    size = int(basis.offset[dom_radius + 1])
+    # the domain words right-aligned in rows as wide as the ball radius:
+    # row i holds its word in dom[i, start[i]:]
+    dom = np.concatenate([np.pad(w, ((0, 0), (width - w.shape[1], 0))) for w in levels])
+    start = np.concatenate([np.full(len(w), width - w.shape[1]) for w in levels])
+    pos = {g: i for i, g in enumerate(basis.window)}
+    every, rows = np.arange(size), []
+    for h in f.terms:  # h * w for every domain word w, one letter of h at a time
+        words, first = dom.copy(), start.copy()
+        for g, e in reversed(h.letters):
+            a = 2 * pos[g] + (e == -1)
+            lead = words[every, np.minimum(first, width - 1)]
+            cancel = (first < width) & (lead == a ^ 1)
+            first = np.where(cancel, first + 1, first - 1)
+            words[~cancel, first[~cancel]] = a
+        rows.append(_ball_index(basis, words, first))
+    vals = np.repeat(np.array(list(f.terms.values()), dtype=complex), size)
+    mat = sparse.csr_matrix(
+        (vals, (np.concatenate(rows or [every[:0]]), np.tile(every, len(rows)))),
+        shape=(len(basis), size),
+    )
+    return mat, dom_radius, size
 
 
 @dataclass(frozen=True)
@@ -260,10 +266,6 @@ class GroupNormReport:
     lower: float
     ell2: float
     upper: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lower / self.upper if self.upper > 0 else float("nan")
 
 
 def haagerup_check(
@@ -296,15 +298,8 @@ def haagerup_check(
     basis = build_ball(window, eff, max_ball)
     mat, _, _ = convolution_operator(f, basis)
     sigma, _ = restricted_sigma_max(mat, seed=seed)
-    return GroupNormReport(
-        label=label,
-        length=p,
-        radius=radius,
-        effective_radius=eff,
-        lower=float(sigma),
-        ell2=f.ell2(),
-        upper=(p + 1) * f.ell2(),
-    )
+    return GroupNormReport(label=label, length=p, radius=radius, effective_radius=eff,
+                           lower=float(sigma), ell2=f.ell2(), upper=(p + 1) * f.ell2())
 
 
 def shift_average(h: ReducedWord, n: int) -> GroupFunction:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,3 +63,12 @@ def sign_letter(owner):
     spec = am.function_algebra_with_state(2)
     coords = spec.algebra.expand(np.diag([1.0, -1.0]))
     return am.CenteredElement(owner, np.asarray(coords, dtype=complex))
+
+
+def load_bench_tracer():
+    """The benchmark's tracer module, loaded from bench/tracer.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer

@@ -62,6 +62,13 @@ def test_validate_unknown_kind():
     assert err.value.pointer == "/kind"
 
 
+def test_group_haagerup_accepts_the_identity(tmp_path):
+    # delta_e has norm 1 = (0 + 1) ||delta_e||_2, a check like any other
+    config = {"kind": "group-haagerup", "parameters": {"word": "g0 g0^-1", "R": 2}}
+    validate_config(config)
+    assert run_config(config, out_dir=tmp_path) == 0
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "lemma-check", "parameters": {}}))
@@ -192,6 +199,18 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1]},
           "output": "no/such/dir/x"},
          "/output"),
+        # shift averages need a word other than the identity, and a ball
+        # radius of at least the word length
+        ({"kind": "rd-report",
+          "parameters": {"word": "g0 g0^-1", "s": 1.0, "ns": [1, 2]}},
+         "/parameters/word"),
+        ({"kind": "group-shift",
+          "parameters": {"word": "g0 g0^-1", "ns": [1, 2], "R": 4}},
+         "/parameters/word"),
+        ({"kind": "group-haagerup", "parameters": {"word": "g0 g1 g2 g3", "R": 3}},
+         "/parameters/R"),
+        ({"kind": "group-shift", "parameters": {"word": "g1^2", "ns": [2], "R": 1}},
+         "/parameters/R"),
     ],
 )
 def test_bad_integer_types_exit_2_with_pointer(tmp_path, capsys, config, pointer):

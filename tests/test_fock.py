@@ -1,7 +1,5 @@
-import importlib.util
 import itertools
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from amalgam.fock import DEFAULT_MAX_DIM, FockContext, build_fock, operator_coo_
 from amalgam.gns import ModuleVector, inner_product, module_norm
 from amalgam.shift import shift_relabel_check
 from amalgam.words import Word
-from conftest import random_centered
+from conftest import load_bench_tracer, random_centered
 
 
 def lambda_direct(ctx, i, a_coords):
@@ -192,10 +190,7 @@ def test_summand_lookup_refuses_non_summands(ctx_two2):
 
 def test_tracer_counts_every_summand(ctx_two3):
     # the benchmark's per-layer counter reads len(ctx.summands())
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench_tracer()
     counts = Counter()
     tracer._count_context(counts, ctx_two3, ())
     levels = range(ctx_two3.max_level + 1)

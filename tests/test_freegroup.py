@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from amalgam.errors import CapacityError, ConfigError, StructureError
 from amalgam.freegroup import (
     IDENTITY,
     GroupFunction,
+    ReducedWord,
     ball_size,
     build_ball,
     convolution_operator,
@@ -23,6 +26,7 @@ from amalgam.freegroup import (
     word_length,
 )
 from amalgam.linalg import restricted_sigma_max
+from conftest import load_bench_tracer
 
 letters_strategy = st.lists(
     st.tuples(st.integers(-3, 3), st.sampled_from([1, -1])), max_size=12
@@ -83,17 +87,74 @@ def test_parse_word_syntax():
 # ---------------------------------------------------------------------------
 
 
+def reference_ball(window, radius):
+    """The ball as reduced words, breadth-first: generator ascending, +1
+    before -1. Written independently of build_ball's letter arrays."""
+    alphabet = [ReducedWord(((g, e),)) for g in sorted(set(window)) for e in (1, -1)]
+    words, frontier = [IDENTITY], [IDENTITY]
+    for _ in range(radius):
+        frontier = [w * a for w in frontier for a in alphabet
+                    if word_length(w * a) > word_length(w)]
+        words += frontier
+    return words
+
+
+def decoded(basis):
+    """The ball's letter codes 2 * pos(g) + (e == -1), read back as words."""
+    return [ReducedWord(tuple((basis.window[a // 2], 1 - 2 * (a % 2)) for a in row))
+            for level in basis.levels for row in level.tolist()]
+
+
+def naive_convolution(f, basis):
+    """Dense matrix of left convolution by f, coefficient by coefficient,
+    over the reference ball."""
+    words = reference_ball(basis.window, basis.radius)
+    index = {w: i for i, w in enumerate(words)}
+    p = max(f.support_lengths(), default=0)
+    dom = sum(word_length(w) <= basis.radius - p for w in words)
+    oracle = np.zeros((len(words), dom), dtype=complex)
+    for col in range(dom):
+        g = words[col]
+        for h, c in f.terms.items():
+            oracle[index[h * g], col] += c
+    return oracle
+
+
 def test_ball_counts_match_growth_formula():
     b = build_ball([0, 1], 3)
     assert len(b) == 1 + 4 + 4 * 3 + 4 * 9 == ball_size(2, 3)
-    lengths = [word_length(w) for w in b.words]
+    lengths = [word_length(w) for w in decoded(b)]
     assert lengths == sorted(lengths)
 
 
 def test_ball_enumeration_deterministic():
     b1 = build_ball([0, 1, 5], 2)
     b2 = build_ball([5, 1, 0], 2)
-    assert b1.words == b2.words
+    assert decoded(b1) == decoded(b2)
+
+
+@st.composite
+def windows_and_functions(draw):
+    """A window with gaps or negative indices, a radius 0..4 and a function
+    of mixed lengths over the window, its letters of either sign."""
+    window = draw(st.lists(st.integers(-4, 5), max_size=3, unique=True))
+    radius = draw(st.integers(0, 4 if len(window) < 3 else 3))
+    letter = st.tuples(st.sampled_from(window or [0]), st.sampled_from([1, -1]))
+    words = st.lists(letter, max_size=radius if window else 0)
+    coeff = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(words.map(reduce_word), coeff, min_size=1, max_size=4))
+    return window, radius, GroupFunction(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=windows_and_functions())
+def test_array_ball_matches_reference(case):
+    window, radius, f = case
+    basis = build_ball(window, radius)
+    assert decoded(basis) == reference_ball(window, radius)
+    mat, _, _ = convolution_operator(f, basis)
+    assert mat.format == "csr" and mat.has_sorted_indices
+    np.testing.assert_array_equal(mat.toarray(), naive_convolution(f, basis))
 
 
 def test_ball_capacity():
@@ -125,7 +186,7 @@ def test_generator_translation_is_isometric():
     sigma, _ = restricted_sigma_max(mat)
     assert abs(sigma - 1.0) < 1e-12
     np.testing.assert_allclose(
-        (mat.conj().T @ mat).real, np.eye(dom), atol=1e-12
+        (mat.conj().T @ mat).real.toarray(), np.eye(dom), atol=1e-12
     )
 
 
@@ -144,21 +205,31 @@ def test_sum_of_generators_lower_bound():
 
 def test_convolution_matches_naive_oracle():
     # independent oracle: assemble the dense matrix by looping over the whole
-    # ball and convolving coefficient by coefficient
+    # reference ball and convolving coefficient by coefficient
     basis = build_ball([0, 1], 3)
     f = GroupFunction(
         {parse_word("g0 g1"): 1.0, parse_word("g1 g0^-1"): -0.5j}
     )
     mat, dom_radius, dom = convolution_operator(f, basis)
-    oracle = np.zeros((len(basis), dom), dtype=complex)
-    for col in range(dom):
-        g = basis.words[col]
-        for h, c in f.terms.items():
-            oracle[basis.index[h * g], col] += c
-    np.testing.assert_allclose(np.asarray(mat), oracle)
+    oracle = naive_convolution(f, basis)
+    assert oracle.shape == (len(basis), dom)
+    np.testing.assert_allclose(mat.toarray(), oracle)
     s1, _ = restricted_sigma_max(mat)
     s2 = np.linalg.svd(oracle, compute_uv=False)[0]
     assert abs(s1 - s2) < 1e-12
+
+
+def test_tracer_counts_ball_words_and_convolution_entries():
+    # the benchmark's per-layer counters read len(ball) and the stored entries
+    tracer = load_bench_tracer()
+    counts = Counter()
+    f = shift_average(parse_word("g0"), 4)
+    basis = build_ball(f.touched_generators(), 5)
+    tracer._count_ball(counts, basis, ())
+    assert counts["freegroup.ball_words"] == ball_size(4, 5)
+    result = convolution_operator(f, basis)
+    tracer._count_convolution(counts, result, (f, basis))
+    assert counts["freegroup.conv_nnz"] == result[2] * len(f.terms)
 
 
 def test_support_outside_window_rejected():
