@@ -23,15 +23,14 @@ import numpy as np
 
 from . import algebra as alg
 from . import freegroup as fg
-from .errors import AmalgamError, ConfigError
+from .errors import AmalgamError, ConfigError, pointer_token
 from .fock import DEFAULT_MAX_DIM, build_fock
 from .gns import ModuleVector, inner_product, module_norm
-from .linalg import DEFAULT_SEED
+from .linalg import DEFAULT_SEED, restricted_sigma_max
 from .shift import ShiftExperiment, decay_curve
 from .words import (
     Word,
     block_lower,
-    family_from_json,
     family_operator,
     haagerup_upper,
     ladder_identity_residual,
@@ -39,6 +38,7 @@ from .words import (
     norm_lower,
     random_separated_family,
     random_word,
+    word_from_json,
 )
 
 LEMMA_TOL = 1e-8
@@ -158,8 +158,7 @@ def _fields(obj, table, root):
     """obj checked against a field table, with every default filled in."""
     for key in obj:
         if key not in table:
-            escaped = key.replace("~", "~0").replace("/", "~1")
-            raise ConfigError(f"unknown field {key!r}", f"{root}/{escaped}")
+            raise ConfigError(f"unknown field {key!r}", f"{root}/{pointer_token(key)}")
     for key, (_, default) in table.items():
         if key not in obj and default is REQUIRED:
             raise ConfigError(f"missing field {key!r}", f"{root}/{key}")
@@ -197,17 +196,19 @@ def _kind_fock_report(params, seed, max_dim, jobs):
     psi = ctx.creation(k, y)
     q_k = ctx.first_slot_projection(k)
     ident = ctx.identity()
+    unit = fk.spec.algebra.unit_coords
     below_top = ctx.level_projection_up_to(ctx.max_level - 1)
 
+    # residuals are Frobenius uppers; psi_norm is a certified lower's distance
     residuals = {
         "psi_star_psi": ((psi.H @ psi - ctx.left_b_action(inner_product(fk.mod, y, y))
-                          @ (ident - q_k)) @ below_top).norm(),
-        "psi_norm": abs(psi.norm() - module_norm(fk.mod, y)),
-        "psi_star_kills_vacuum": (psi.H @ ctx.level_projection(0)).norm(),
-        "rho_unit": (ctx.diagonal_action(k, fk.spec.algebra.unit_coords) - q_k).norm(),
-        "lambda_unit": (ctx.represent(k, fk.spec.algebra.unit_coords) - ident).norm(),
+                          @ (ident - q_k)) @ below_top).frobenius(),
+        "psi_norm": abs(restricted_sigma_max(psi.matrix, seed)[0] - module_norm(fk.mod, y)),
+        "psi_star_kills_vacuum": (psi.H @ ctx.level_projection(0)).frobenius(),
+        "rho_unit": (ctx.diagonal_action(k, unit) - q_k).frobenius(),
+        "lambda_unit": (ctx.represent(k, unit) - ident).frobenius(),
         "projections_commute": max(
-            (q_k @ ctx.level_projection(m) - ctx.level_projection(m) @ q_k).norm()
+            (q_k @ ctx.level_projection(m) - ctx.level_projection(m) @ q_k).frobenius()
             for m in range(ctx.max_level + 1)),
     }
     rows += [Row(name, resid <= UNIT_TOL, residual=resid)
@@ -372,8 +373,7 @@ KINDS = {
         "n_max": (_integer, 3), "k_max": (_integer, 6)}, "n_max"),
     "ergodic-decay": (_kind_ergodic_decay, {
         "p": (_integer, REQUIRED), "M": _M, "n_max": (_integer, 16),
-        "prototype": (_loaded(lambda obj: family_from_json({"words": [obj]}).words[0]),
-                      None)}, "p"),
+        "prototype": (_loaded(word_from_json), None)}, "p"),
     "group-haagerup": (_kind_group_haagerup,
                        {"word": _WORD, "R": _R, "max_ball": _MAX_BALL}, None),
     "group-shift": (_kind_group_shift,

@@ -15,6 +15,11 @@ class ConfigError(AmalgamError):
         self.pointer = pointer
 
 
+def pointer_token(key: str) -> str:
+    """A JSON object key escaped as one JSON-pointer reference token."""
+    return key.replace("~", "~0").replace("/", "~1")
+
+
 class StructureError(AmalgamError):
     """Algebraic structure violated: element outside span, B not inside A, etc."""
 

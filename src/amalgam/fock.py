@@ -34,8 +34,8 @@ from .gns import GnsModule, ModuleVector, build_gns
 from .linalg import (
     as_complex,
     adjoint,
+    frobenius,
     hermitian_part,
-    operator_norm,
     rank_from_spectrum,
 )
 
@@ -94,8 +94,9 @@ class FockOperator:
     def __neg__(self) -> "FockOperator":
         return (-1.0) * self
 
-    def norm(self) -> float:
-        return operator_norm(self.matrix)
+    def frobenius(self) -> float:
+        """Frobenius norm: an upper bound for the operator norm, not the norm."""
+        return frobenius(self.matrix)
 
     def _same(self, other: "FockOperator"):
         if other.context is not self.context:

@@ -9,9 +9,8 @@ Conventions used across the package:
   It returns ``||X v||`` for an explicit unit vector ``v``, found by Lanczos
   (ARPACK) on ``X* X`` applied as an operator, or by the exact Gram
   eigenproblem for blocks of at most ``GRAM_LIMIT`` columns;
-* ``operator_norm`` takes the exact SVD of dense matrices up to
-  ``DENSE_LIMIT`` columns and of sparse ones whose two dimensions are both
-  at most ``DENSE_LIMIT``; anything larger goes to ``restricted_sigma_max``.
+* every upper bound on an operator norm, and so every residual checked
+  against a tolerance, is the Frobenius norm from ``frobenius``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 from scipy import sparse
 
 RANK_RTOL = 1e-10
-DENSE_LIMIT = 2000
 GRAM_LIMIT = 64
 POWER_RTOL = 1e-12  # relative eigen-residual tolerance of the Lanczos solve
 DEFAULT_SEED = 0xC0FFEE
@@ -37,10 +35,6 @@ def adjoint(x):
     if sparse.issparse(x):
         return x.conj().T.tocsr()
     return np.conj(x.T)
-
-
-def to_dense(x) -> np.ndarray:
-    return x.toarray() if sparse.issparse(x) else np.asarray(x)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -67,19 +61,17 @@ def orthonormal_columns(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return u[:, : rank_from_spectrum(s, rtol)]
 
 
-def operator_norm(x) -> float:
-    """Largest singular value: exact SVD up to the limit.
-
-    A sparse matrix is densified only when both of its dimensions are within
-    ``DENSE_LIMIT``, so no large dense copy is ever made.
-    """
-    if sparse.issparse(x) and max(x.shape) <= DENSE_LIMIT:
-        x = x.toarray()
+def frobenius(x) -> float:
+    """Frobenius norm, an upper bound for the operator norm, in one pass over
+    the stored entries. Sparse input is read as canonical CSR: a duplicated
+    entry split in two stored parts would count for less than their sum."""
     if not sparse.issparse(x):
-        x = as_complex(x)
-        if min(x.shape) <= DENSE_LIMIT:
-            return float(np.linalg.svd(x, compute_uv=False)[0]) if x.size else 0.0
-    return restricted_sigma_max(x)[0]
+        return float(np.linalg.norm(np.ravel(x)))
+    x = x.tocsr()
+    if not x.has_canonical_format:
+        x = x.copy()
+        x.sum_duplicates()
+    return float(np.linalg.norm(x.data))
 
 
 def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray]:
@@ -95,7 +87,9 @@ def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray
         return 0.0, np.zeros(0, dtype=complex)
     xh = adjoint(x)
     if n <= GRAM_LIMIT:
-        evals, evecs = np.linalg.eigh(hermitian_part(to_dense(xh @ x)))
+        gram = xh @ x
+        gram = gram.toarray() if sparse.issparse(gram) else gram
+        evals, evecs = np.linalg.eigh(hermitian_part(gram))
         v = evecs[:, int(np.argmax(evals))]
     else:
         v = _lanczos_witness(x, xh, seed)

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import AlgebraWithExpectation, CenteredElement, MatrixStarAlgebra
 from .errors import CapacityError, StructureError
 from .fock import DEFAULT_MAX_DIM, FockContext, build_fock
-from .linalg import DEFAULT_SEED, restricted_sigma_max
+from .linalg import DEFAULT_SEED, frobenius
 from .words import (
     Word,
     WordFamily,
@@ -81,10 +81,6 @@ class DecayPoint:
     ell2_vacuum: float
     decay_bound: float
 
-    @property
-    def ratio(self) -> float:
-        return self.lower / self.decay_bound if self.decay_bound > 0 else float("nan")
-
 
 @dataclass(frozen=True)
 class DecayCurve:
@@ -103,13 +99,6 @@ def build_shift_context(
     """One Fock context whose factors are copies of the same algebra pair."""
     factors = {i: factor for i in window}
     return build_fock(base, factors, max_level, max_dim=max_dim)
-
-
-def vacuum_lower(ctx: FockContext, op) -> float:
-    """Largest singular value of the operator restricted to the level-0 domain."""
-    dom = ctx.prefix_dim(0)
-    sigma, _ = restricted_sigma_max(op.matrix[:, :dom])
-    return float(sigma)
 
 
 def decay_curve(
@@ -145,7 +134,7 @@ def decay_curve(
             DecayPoint(
                 n=n,
                 lower=rep.lower,
-                ell2_vacuum=vacuum_lower(ctx, op),
+                ell2_vacuum=norm_lower(ctx, op, ctx.max_level, seed=seed).lower,
                 decay_bound=float(bound),
             )
         )
@@ -210,14 +199,14 @@ def cesaro_expectation(
     )
 
 
-def shift_relabel_check(
-    ctx: FockContext, w: Word, seed: int = DEFAULT_SEED
-) -> float:
+def shift_relabel_check(ctx: FockContext, w: Word) -> float:
     """Residual of shift equivariance at the matrix level.
 
-    Compares matrix entries of the operator of the shifted word against the
-    operator of the word itself under the relabeling that moves every index
-    sequence up by one, over all summand pairs where both are defined.
+    Compares the operator of the shifted word with the operator of the word
+    itself under the relabeling that moves every index sequence up by one,
+    over all summands where both are defined. The residual is the Frobenius
+    norm of the difference, an upper bound for the operator norm of each of
+    its summand blocks.
     """
     ws = shift_word(w, 1)
     if any(i not in ctx.factors for i in ws.indices):
@@ -230,13 +219,4 @@ def shift_relabel_check(
         raise StructureError("the shift changes the rank of a summand")
     coords = [np.concatenate([np.arange(s.offset, s.offset + s.rank) for s in side])
               for side in zip(*pairs)]
-    start = np.concatenate([[0], np.cumsum([s.rank for s, _ in pairs])])
-    diff = (op[coords[0]][:, coords[0]] - ops[coords[1]][:, coords[1]]).tocsr()
-    # only summand pairs holding a stored entry of the difference can add to it
-    nz = diff.tocoo()
-    owner = np.repeat(np.arange(len(pairs)), np.diff(start))
-    resid = 0.0
-    for a, b in set(zip(owner[nz.row].tolist(), owner[nz.col].tolist())):
-        blk = diff[start[a]:start[a + 1], start[b]:start[b + 1]].toarray()
-        resid = max(resid, float(np.linalg.norm(blk, 2)))
-    return resid
+    return frobenius(op[coords[0]][:, coords[0]] - ops[coords[1]][:, coords[1]])

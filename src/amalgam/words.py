@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CenteredElement, center
-from .errors import HypothesisError, StructureError, TruncationError
+from .errors import (ConfigError, HypothesisError, StructureError, TruncationError,
+                     pointer_token)
 from .fock import FockContext, FockOperator
 from .linalg import DEFAULT_SEED, restricted_sigma_max
 
@@ -198,7 +199,8 @@ def _block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOpera
 
 
 def ladder_identity_residual(ctx: FockContext, w: Word, m: int) -> float:
-    """Operator-norm residual of w P_m against the sum of all its blocks."""
+    """Residual of w P_m against the sum of all its blocks, as the Frobenius
+    norm of the difference: an upper bound for its operator norm."""
     n = w.length
     if not 0 <= m <= ctx.max_level - n:
         raise TruncationError(f"level m = {m} outside 0..M-n = 0..{ctx.max_level - n}")
@@ -207,7 +209,7 @@ def ladder_identity_residual(ctx: FockContext, w: Word, m: int) -> float:
     for r in range(0, ctx.max_level + 1):
         total = total + _block_decomposition(ctx, w, m, r)
     direct = _word_operator(ctx, w) @ ctx.level_projection(m)
-    return (direct - total).norm()
+    return (direct - total).frobenius()
 
 
 def haagerup_upper(fam: WordFamily, ctx: FockContext) -> float:
@@ -371,13 +373,28 @@ def family_to_json(fam: WordFamily) -> dict:
     }
 
 
+def word_from_json(obj) -> Word:
+    """Load one word of a family spec; a ConfigError points inside it."""
+    for key in obj:
+        if key not in ("indices", "letters"):
+            raise ConfigError(f"unknown field {key!r}", f"/{pointer_token(key)}")
+    indices, letters = obj["indices"], obj["letters"]
+    for i, owner in enumerate(indices):
+        if type(owner) is not int:  # JSON true and 0.7 are no factor index
+            raise ConfigError(f"expected an integer, got {owner!r}", f"/indices/{i}")
+    if len(letters) != len(indices):
+        raise ConfigError(f"{len(letters)} letters, {len(indices)} indices", "/letters")
+    return Word(tuple(
+        CenteredElement(owner, np.array([complex(re, im) for re, im in pairs]))
+        for owner, pairs in zip(indices, letters)))
+
+
 def family_from_json(obj) -> WordFamily:
     """Load a WordFamily; centering is validated when operators are built."""
     words = []
-    for spec in obj["words"]:
-        letters = []
-        for owner, pairs in zip(spec["indices"], spec["letters"]):
-            coords = np.array([complex(re, im) for re, im in pairs])
-            letters.append(CenteredElement(int(owner), coords))
-        words.append(Word(tuple(letters)))
+    for i, spec in enumerate(obj["words"]):
+        try:
+            words.append(word_from_json(spec))
+        except ConfigError as exc:
+            raise ConfigError(exc.message, f"/words/{i}{exc.pointer}") from exc
     return WordFamily(tuple(words), obj.get("id", "family"))

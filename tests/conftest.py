@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import amalgam as am
 
@@ -63,6 +64,14 @@ def sign_letter(owner):
     spec = am.function_algebra_with_state(2)
     coords = spec.algebra.expand(np.diag([1.0, -1.0]))
     return am.CenteredElement(owner, np.asarray(coords, dtype=complex))
+
+
+def spectral_norm(x) -> float:
+    """Exact operator norm by a dense SVD, an oracle for norm values; residual
+    checks use the Frobenius upper bound instead."""
+    matrix = getattr(x, "matrix", x)
+    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
+    return float(np.linalg.svd(dense, compute_uv=False)[0]) if dense.size else 0.0
 
 
 def load_bench_tracer():

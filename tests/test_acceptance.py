@@ -30,7 +30,7 @@ from amalgam.words import (
     random_separated_family,
     random_word,
 )
-from conftest import sign_letter
+from conftest import sign_letter, spectral_norm
 
 SEED = 0xC0FFEE
 
@@ -176,14 +176,14 @@ def test_criterion_6_unit_identities(ctx_two2, ctx_m2diag):
         below = ctx.level_projection_up_to(ctx.max_level - 1)
 
         rhs = ctx.left_b_action(inner_product(fk.mod, y, y)) @ (ident - q)
-        assert ((psi.H @ psi - rhs) @ below).norm() < 1e-9
-        assert abs(psi.norm() - module_norm(fk.mod, y)) < 1e-9
-        assert (ctx.diagonal_action(k, fk.spec.algebra.unit_coords) - q).norm() < 1e-9
-        assert (ctx.represent(k, fk.spec.algebra.unit_coords) - ident).norm() < 1e-9
+        assert ((psi.H @ psi - rhs) @ below).frobenius() < 1e-9
+        assert abs(spectral_norm(psi) - module_norm(fk.mod, y)) < 1e-9
+        assert (ctx.diagonal_action(k, fk.spec.algebra.unit_coords) - q).frobenius() < 1e-9
+        assert (ctx.represent(k, fk.spec.algebra.unit_coords) - ident).frobenius() < 1e-9
         for m in range(ctx.max_level + 1):
             p = ctx.level_projection(m)
-            assert (q @ p - p @ q).norm() < 1e-9
-        assert (psi.H @ ctx.level_projection(0)).norm() < 1e-9
+            assert (q @ p - p @ q).frobenius() < 1e-9
+        assert (psi.H @ ctx.level_projection(0)).frobenius() < 1e-9
     _report(6, "six unit identities on both contexts at 1e-9", time.perf_counter() - t0)
 
 

@@ -26,6 +26,16 @@ def test_validate_good_preset():
         validate_config(load_config(name))
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_every_preset_passes(tmp_path, name):
+    assert main(["run", name, "--out", str(tmp_path)]) == 0
+    statuses = []
+    for path in tmp_path.glob("*.csv"):  # a curve CSV has no status column
+        with path.open(newline="") as fh:
+            statuses += [row["status"] for row in csv.DictReader(fh) if "status" in row]
+    assert statuses and set(statuses) == {"pass"}
+
+
 def test_every_benchmark_config_validates():
     # a config the schema refused would turn benchmark runs into failures
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -211,6 +221,25 @@ def test_main_reports_config_errors(tmp_path, capsys):
          "/parameters/R"),
         ({"kind": "group-shift", "parameters": {"word": "g1^2", "ns": [2], "R": 1}},
          "/parameters/R"),
+        # a prototype has one integer index per letter and no other fields
+        ({"kind": "ergodic-decay",
+          "parameters": {"p": 1, "M": 2,
+                         "prototype": {"indices": [0, 1], "letters": [[[1, 0], [-1, 0]]]}}},
+         "/parameters/prototype/letters"),
+        ({"kind": "ergodic-decay",
+          "parameters": {"p": 1, "M": 2,
+                         "prototype": {"indices": [0], "letters": [[[1, 0], [-1, 0]],
+                                                                   [[1, 0], [-1, 0]]]}}},
+         "/parameters/prototype/letters"),
+        ({"kind": "ergodic-decay",
+          "parameters": {"p": 1, "M": 2,
+                         "prototype": {"indices": [0.7], "letters": [[[1, 0], [-1, 0]]]}}},
+         "/parameters/prototype/indices/0"),
+        ({"kind": "ergodic-decay",
+          "parameters": {"p": 1, "M": 2,
+                         "prototype": {"indices": [0], "letters": [[[1, 0], [-1, 0]]],
+                                       "extra": 1}}},
+         "/parameters/prototype/extra"),
     ],
 )
 def test_bad_integer_types_exit_2_with_pointer(tmp_path, capsys, config, pointer):

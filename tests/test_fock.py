@@ -11,7 +11,7 @@ from amalgam.fock import DEFAULT_MAX_DIM, FockContext, build_fock, operator_coo_
 from amalgam.gns import ModuleVector, inner_product, module_norm
 from amalgam.shift import shift_relabel_check
 from amalgam.words import Word
-from conftest import load_bench_tracer, random_centered
+from conftest import load_bench_tracer, random_centered, spectral_norm
 
 
 def lambda_direct(ctx, i, a_coords):
@@ -227,14 +227,14 @@ def test_level_projections_resolve_identity(ctx_two2):
     total = ctx_two2.zero()
     for m in range(ctx_two2.max_level + 1):
         total = total + ctx_two2.level_projection(m)
-    assert (total - ctx_two2.identity()).norm() < 1e-12
+    assert (total - ctx_two2.identity()).frobenius() < 1e-12
 
 
 def test_level_projections_are_orthogonal(ctx_two2):
     p1 = ctx_two2.level_projection(1)
     p2 = ctx_two2.level_projection(2)
-    assert (p1 @ p2).norm() < 1e-12
-    assert (p1 @ p1 - p1).norm() < 1e-12
+    assert (p1 @ p2).frobenius() < 1e-12
+    assert (p1 @ p1 - p1).frobenius() < 1e-12
 
 
 def test_level_two_rank(two_point):
@@ -252,8 +252,8 @@ def test_first_slot_projections_partition(ctx_two2):
     q1 = ctx_two2.first_slot_projection(1)
     q2 = ctx_two2.first_slot_projection(2)
     p0 = ctx_two2.level_projection(0)
-    assert (q1 + q2 - (ctx_two2.identity() - p0)).norm() < 1e-12
-    assert (q1 @ p0).norm() < 1e-12
+    assert (q1 + q2 - (ctx_two2.identity() - p0)).frobenius() < 1e-12
+    assert (q1 @ p0).frobenius() < 1e-12
 
 
 def test_projections_commute(ctx_m2diag):
@@ -261,7 +261,7 @@ def test_projections_commute(ctx_m2diag):
         q = ctx_m2diag.first_slot_projection(k)
         for m in range(ctx_m2diag.max_level + 1):
             p = ctx_m2diag.level_projection(m)
-            assert (q @ p - p @ q).norm() < 1e-12
+            assert (q @ p - p @ q).frobenius() < 1e-12
 
 
 def test_unknown_first_index(ctx_two2):
@@ -293,14 +293,14 @@ def test_psi_star_psi_identity(fixture, rng, request):
     rhs = ctx.left_b_action(inner_product(ctx.factors[k].mod, y, y)) @ (
         ctx.identity() - q
     )
-    assert ((psi.H @ psi - rhs) @ below).norm() < 1e-9
+    assert ((psi.H @ psi - rhs) @ below).frobenius() < 1e-9
 
 
 @pytest.mark.parametrize("fixture", ["ctx_two2", "ctx_m2diag"])
 def test_psi_norm_equals_module_norm(fixture, rng, request):
     ctx = request.getfixturevalue(fixture)
     y = _module_vector(ctx, 2, rng)
-    assert abs(ctx.creation(2, y).norm() - module_norm(ctx.factors[2].mod, y)) < 1e-9
+    assert abs(spectral_norm(ctx.creation(2, y)) - module_norm(ctx.factors[2].mod, y)) < 1e-9
 
 
 def test_psi_is_offdiagonal_in_first_slot(ctx_m2diag, rng):
@@ -309,12 +309,12 @@ def test_psi_is_offdiagonal_in_first_slot(ctx_m2diag, rng):
     psi = ctx_m2diag.creation(k, y)
     q = ctx_m2diag.first_slot_projection(k)
     sandwich = q @ psi @ (ctx_m2diag.identity() - q)
-    assert (psi - sandwich).norm() < 1e-12
+    assert (psi - sandwich).frobenius() < 1e-12
 
 
 def test_psi_star_kills_level_zero(ctx_two2, rng):
     y = _module_vector(ctx_two2, 1, rng)
-    assert (ctx_two2.creation(1, y).H @ ctx_two2.level_projection(0)).norm() < 1e-12
+    assert (ctx_two2.creation(1, y).H @ ctx_two2.level_projection(0)).frobenius() < 1e-12
 
 
 def test_psi_truncates_at_top(ctx_two2, rng):
@@ -323,7 +323,7 @@ def test_psi_truncates_at_top(ctx_two2, rng):
     psi = ctx_two2.creation(1, y)
     top = ctx_two2.level_projection(ctx_two2.max_level)
     q2 = ctx_two2.first_slot_projection(2)
-    assert (psi @ top @ q2).norm() < 1e-12
+    assert (psi @ top @ q2).frobenius() < 1e-12
 
 
 def test_creation_rejects_unit_component(ctx_two2):
@@ -341,7 +341,7 @@ def test_creation_rejects_unit_component(ctx_two2):
 def test_rho_unit_is_first_slot_projection(ctx_m2diag):
     fk = ctx_m2diag.factors[1]
     rho = ctx_m2diag.diagonal_action(1, fk.spec.algebra.unit_coords)
-    assert (rho - ctx_m2diag.first_slot_projection(1)).norm() < 1e-12
+    assert (rho - ctx_m2diag.first_slot_projection(1)).frobenius() < 1e-12
 
 
 def test_rho_is_contractive(ctx_m2diag, rng):
@@ -349,14 +349,14 @@ def test_rho_is_contractive(ctx_m2diag, rng):
     for _ in range(10):
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         rho = ctx_m2diag.diagonal_action(1, a)
-        assert rho.norm() <= fk.spec.algebra.norm(a) + 1e-10
+        assert spectral_norm(rho) <= fk.spec.algebra.norm(a) + 1e-10
 
 
 def test_rho_is_compressed_by_q(ctx_m2diag, rng):
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     rho = ctx_m2diag.diagonal_action(1, a)
     q = ctx_m2diag.first_slot_projection(1)
-    assert (rho - q @ rho @ q).norm() < 1e-12
+    assert (rho - q @ rho @ q).frobenius() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def test_rho_is_compressed_by_q(ctx_m2diag, rng):
 def test_lambda_unit_is_identity(ctx_two2, ctx_m2diag):
     for ctx in (ctx_two2, ctx_m2diag):
         unit = ctx.factors[1].spec.algebra.unit_coords
-        assert (ctx.represent(1, unit) - ctx.identity()).norm() < 1e-12
+        assert (ctx.represent(1, unit) - ctx.identity()).frobenius() < 1e-12
 
 
 def test_lambda_of_b_is_index_independent(ctx_m2diag, rng):
@@ -375,7 +375,7 @@ def test_lambda_of_b_is_index_independent(ctx_m2diag, rng):
     lifted = {i: ctx_m2diag.factors[i].spec.sub_to_full(b) for i in (1, 2)}
     lam1 = ctx_m2diag.represent(1, lifted[1])
     lam2 = ctx_m2diag.represent(2, lifted[2])
-    assert (lam1 - lam2).norm() < 1e-10
+    assert (lam1 - lam2).frobenius() < 1e-10
 
 
 @pytest.mark.parametrize("fixture", ["ctx_two2", "ctx_two3", "ctx_m2diag"])
@@ -403,7 +403,7 @@ def test_lambda_is_multiplicative_below_truncation(ctx_m2diag, rng):
         lhs = ctx_m2diag.represent(1, a) @ ctx_m2diag.represent(1, b)
         rhs = ctx_m2diag.represent(1, ab)
         scale = spec.algebra.norm(a) * spec.algebra.norm(b)
-        assert ((lhs - rhs) @ below).norm() < 1e-8 * scale
+        assert ((lhs - rhs) @ below).frobenius() < 1e-8 * scale
 
 
 def test_lambda_star_representation(ctx_m2diag, rng):
@@ -411,7 +411,7 @@ def test_lambda_star_representation(ctx_m2diag, rng):
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     lhs = ctx_m2diag.represent(1, a).H
     rhs = ctx_m2diag.represent(1, spec.algebra.adjoint_coords(a))
-    assert (lhs - rhs).norm() < 1e-10
+    assert (lhs - rhs).frobenius() < 1e-10
 
 
 def test_lambda_shifts_levels_by_at_most_one(ctx_two3, rng):
@@ -421,7 +421,7 @@ def test_lambda_shifts_levels_by_at_most_one(ctx_two3, rng):
         for m in range(ctx_two3.max_level + 1):
             if abs(r - m) > 1:
                 blk = ctx_two3.level_projection(r) @ lam @ ctx_two3.level_projection(m)
-                assert blk.norm() < 1e-9
+                assert blk.frobenius() < 1e-9
 
 
 def test_centered_lambda_on_vacuum_is_creation(ctx_two2, rng):
@@ -432,7 +432,7 @@ def test_centered_lambda_on_vacuum_is_creation(ctx_two2, rng):
     fk = ctx_two2.factors[1]
     hat_e, _ = fk.hat_split(a.coords)
     psi = ctx_two2.creation(1, ModuleVector(fk.mod, fk.e_basis @ hat_e))
-    assert (lam @ p0 - p1 @ psi @ p0).norm() < 1e-10
+    assert (lam @ p0 - p1 @ psi @ p0).frobenius() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +498,9 @@ def test_separated_factor_lambda_oracle(ctx_a11, rng):
 
 def test_separated_factor_unit_identities(ctx_a11):
     spec = ctx_a11.factors[0].spec
-    assert (ctx_a11.represent(0, spec.algebra.unit_coords) - ctx_a11.identity()).norm() < 1e-12
+    assert (ctx_a11.represent(0, spec.algebra.unit_coords) - ctx_a11.identity()).frobenius() < 1e-12
     q = ctx_a11.first_slot_projection(0)
-    assert (ctx_a11.diagonal_action(0, spec.algebra.unit_coords) - q).norm() < 1e-12
+    assert (ctx_a11.diagonal_action(0, spec.algebra.unit_coords) - q).frobenius() < 1e-12
 
 
 def test_nonuniform_weights_context(rng):
@@ -574,4 +574,4 @@ def test_sparse_storage_kicks_in(two_point):
     assert isinstance(lam.matrix, sp.csr_matrix)
     assert isinstance((lam @ lam - ctx.identity()).matrix, sp.csr_matrix)
     below = ctx.level_projection_up_to(ctx.max_level - 2)
-    assert ((lam @ lam - ctx.identity()) @ below).norm() < 1e-12
+    assert ((lam @ lam - ctx.identity()) @ below).frobenius() < 1e-12

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from amalgam.linalg import GRAM_LIMIT, operator_norm, restricted_sigma_max
+from amalgam.linalg import GRAM_LIMIT, frobenius, restricted_sigma_max
 
 RTOL = 1e-12
 
@@ -84,17 +84,27 @@ def test_unconverged_solve_warns_and_stays_certified(monkeypatch):
 
 
 @pytest.mark.parametrize("storage", [np.asarray, sparse.csr_matrix])
-def test_operator_norm_matches_svd(storage):
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda f: f.__name__.strip("_"))
+def test_frobenius_is_an_upper_bound(shape, storage):
     rng = np.random.default_rng(9)
-    for x in (_tall(rng, 3 * GRAM_LIMIT), _wide(rng, 3 * GRAM_LIMIT),
-              np.zeros((0, 4))):
-        x = storage(x)
-        ref = _svd_top(x)
-        assert abs(operator_norm(x) - ref) <= RTOL * ref
-    # small matrices take the exact SVD, sparse ones included
-    for width in (12, GRAM_LIMIT + 1, 3 * GRAM_LIMIT):
-        small = storage(_tall(rng, width))
-        assert operator_norm(small) == _svd_top(small)
+    for width in WIDTHS:
+        x = storage(shape(rng, width))
+        dense = x.toarray() if sparse.issparse(x) else x
+        value = frobenius(x)
+        assert abs(value - np.linalg.norm(dense)) <= RTOL * value
+        assert value >= _svd_top(x) * (1 - RTOL)
+        if shape is _rank_one and width:  # one singular value: they agree
+            assert abs(value - _svd_top(x)) <= RTOL * value
+
+
+def test_frobenius_sums_duplicate_entries():
+    # row 0 stores the entry (0, 1) twice: 3 + 4 = 7, not sqrt(3^2 + 4^2) = 5
+    x = sparse.csr_matrix((np.array([3.0, 4.0, 1j]), np.array([1, 1, 0]),
+                           np.array([0, 2, 3])), shape=(2, 2))
+    assert not x.has_canonical_format
+    assert frobenius(x) == np.linalg.norm(x.toarray()) == np.sqrt(50.0)
+    assert frobenius(x.tocoo()) == np.sqrt(50.0)
+    assert x.nnz == 3  # the caller's matrix is left as it was
 
 
 @settings(max_examples=30, deadline=None)

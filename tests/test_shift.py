@@ -13,10 +13,10 @@ from amalgam.shift import (
     decay_curve,
     shift_relabel_check,
     shift_word,
-    vacuum_lower,
 )
-from amalgam.words import Word, family_operator, haagerup_upper
-from conftest import random_centered, sign_letter
+from amalgam.fock import build_fock
+from amalgam.words import Word, family_operator, haagerup_upper, norm_lower, word_operator
+from conftest import random_centered, sign_letter, spectral_norm
 
 TWO_POINT = am.function_algebra_with_state(2)
 BASE = am.scalar_base()
@@ -106,7 +106,7 @@ def test_vacuum_value_is_analytic_for_unit_letters():
     for n in (2, 4, 8):
         fam = average_family(w, n)
         op = (1.0 / n) * family_operator(ctx, fam)
-        assert abs(vacuum_lower(ctx, op) - 1.0 / np.sqrt(n)) < 1e-12
+        assert abs(norm_lower(ctx, op, ctx.max_level).lower - 1.0 / np.sqrt(n)) < 1e-12
 
 
 def test_shift_equivariance_at_matrix_level():
@@ -116,6 +116,32 @@ def test_shift_equivariance_at_matrix_level():
         (random_centered(TWO_POINT, 0, rng), random_centered(TWO_POINT, 1, rng))
     )
     assert shift_relabel_check(ctx, w) < 1e-12
+
+
+@pytest.mark.parametrize("weights, far", [([0.2, 0.3, 0.5], False),
+                                         ([0.6, 0.1, 0.3], True)])
+def test_shift_residual_bounds_the_norm_of_its_difference(weights, far):
+    # (1, 6, -4) is centered under both states; where the copy at index 1
+    # carries another state, the shift is no symmetry and the relabelled
+    # difference is far from zero
+    first = am.function_algebra_with_state(3, weights=[0.2, 0.3, 0.5])
+    factors = {0: first, 1: am.function_algebra_with_state(3, weights=weights), 2: first}
+    ctx = build_fock(BASE, factors, 3)
+    f = np.array([1.0, 6.0, -4.0], dtype=complex)
+    w = Word((am.CenteredElement(0, f), am.CenteredElement(1, f)))
+    src, dst = [], []
+    for s in ctx.summands():
+        if all(i + 1 in factors for i in s.seq):
+            t = ctx.summand(tuple(i + 1 for i in s.seq))
+            src += range(s.offset, s.offset + s.rank)
+            dst += range(t.offset, t.offset + t.rank)
+    op = word_operator(ctx, w).matrix.toarray()
+    ops = word_operator(ctx, shift_word(w, 1)).matrix.toarray()
+    diff = op[np.ix_(src, src)] - ops[np.ix_(dst, dst)]
+    resid = shift_relabel_check(ctx, w)
+    assert resid == pytest.approx(np.linalg.norm(diff), rel=1e-12, abs=1e-15)
+    assert resid >= spectral_norm(diff)
+    assert (resid > 0.1) is far
 
 
 def test_cesaro_on_subalgebra_is_exact():
@@ -155,4 +181,4 @@ def test_lambda_of_b_is_shift_invariant():
     b_lift = TWO_POINT.sub_to_full(np.array([2.0]))
     ops = [ctx.represent(i, b_lift) for i in range(3)]
     for op in ops[1:]:
-        assert (op - ops[0]).norm() < 1e-12
+        assert (op - ops[0]).frobenius() < 1e-12

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amalgam as am
 import amalgam.words
@@ -19,7 +21,7 @@ from amalgam.words import (
     random_separated_family,
     word_operator,
 )
-from conftest import random_centered, sign_letter
+from conftest import random_centered, sign_letter, spectral_norm
 
 
 def random_word(ctx, n, rng):
@@ -85,14 +87,14 @@ def test_single_letter_word_is_lambda(ctx_two2, rng):
     a = random_centered(ctx_two2.factors[1].spec, 1, rng)
     got = word_operator(ctx_two2, Word((a,)))
     want = ctx_two2.represent(1, a.coords)
-    assert (got - want).norm() < 1e-12
+    assert (got - want).frobenius() < 1e-12
 
 
 def test_adjoint_word_is_conjugate_transpose(ctx_m2diag, rng):
     w = random_word(ctx_m2diag, 3, rng)
     lhs = word_operator(ctx_m2diag, adjoint_word(ctx_m2diag, w))
     rhs = word_operator(ctx_m2diag, w).H
-    assert (lhs - rhs).norm() < 1e-10
+    assert (lhs - rhs).frobenius() < 1e-10
 
 
 def test_words_have_zero_expectation(ctx_two3, rng):
@@ -106,8 +108,8 @@ def test_words_have_zero_expectation(ctx_two3, rng):
         pn = ctx_two3.level_projection(n)
         chain = block_decomposition(ctx_two3, w, 0, n)
         direct = word_operator(ctx_two3, w) @ p0
-        assert (direct - chain).norm() < 1e-10
-        assert (direct - pn @ direct).norm() < 1e-10
+        assert (direct - chain).frobenius() < 1e-10
+        assert (direct - pn @ direct).frobenius() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +119,14 @@ def test_words_have_zero_expectation(ctx_two3, rng):
 
 def test_far_blocks_vanish(ctx_two2, rng):
     w = random_word(ctx_two2, 2, rng)
-    assert block_decomposition(ctx_two2, w, 0, 3).norm() == 0.0  # r > m + n
-    assert block_decomposition(ctx_two2, w, 0, 1).norm() == 0.0  # r < |m - n|
+    assert block_decomposition(ctx_two2, w, 0, 3).frobenius() == 0.0  # r > m + n
+    assert block_decomposition(ctx_two2, w, 0, 1).frobenius() == 0.0  # r < |m - n|
     direct = (
         ctx_two2.level_projection(4)
         @ word_operator(ctx_two2, w)
         @ ctx_two2.level_projection(1)
     )
-    assert direct.norm() < 1e-10
+    assert direct.frobenius() < 1e-10
 
 
 def test_single_letter_three_term_identity(ctx_two2, rng):
@@ -144,7 +146,7 @@ def test_two_letter_case_three_block(ctx_two2, rng):
         @ word_operator(ctx_two2, w)
         @ ctx_two2.level_projection(1)
     )
-    assert (got - direct).norm() < 1e-10
+    assert (got - direct).frobenius() < 1e-10
 
 
 @pytest.mark.parametrize("fixture", ["ctx_two2", "ctx_two3", "ctx_m2diag"])
@@ -161,7 +163,7 @@ def test_every_block_matches_direct_product(fixture, rng, request):
                 direct = (
                     ctx.level_projection(r) @ op @ ctx.level_projection(m)
                 )
-                assert (got - direct).norm() < 1e-8 * scale
+                assert (got - direct).frobenius() < 1e-8 * scale
 
 
 def test_ladder_identity_random_words(ctx_two3, rng):
@@ -202,6 +204,26 @@ def test_ladder_identity_nonuniform_state(rng):
             assert ladder_identity_residual(ctx, w, m) < 1e-8 * scale
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ladder_residual_bounds_the_norm_of_its_difference(ctx_two3, ctx_m2diag, seed):
+    # the residual is the Frobenius norm of w P_m minus the sum of its blocks,
+    # so it bounds the operator norm of that difference from above; on a
+    # difference of rank one the two agree up to the rounding of the SVD
+    rng = np.random.default_rng(seed)
+    for ctx in (ctx_two3, ctx_m2diag):
+        n = int(rng.integers(1, 4))
+        w = random_word(ctx, n, rng)
+        for m in range(ctx.max_level - n + 1):
+            total = ctx.zero()
+            for r in range(ctx.max_level + 1):
+                total = total + block_decomposition(ctx, w, m, r)
+            diff = (word_operator(ctx, w) @ ctx.level_projection(m) - total).matrix
+            resid = ladder_identity_residual(ctx, w, m)
+            assert resid == pytest.approx(np.linalg.norm(diff.toarray()), rel=1e-12, abs=0)
+            assert resid >= spectral_norm(diff) * (1 - 1e-12)
+
+
 def test_truncation_guard(ctx_two2, rng):
     w = random_word(ctx_two2, 3, rng)
     with pytest.raises(TruncationError):
@@ -218,9 +240,9 @@ def test_truncation_guard(ctx_two2, rng):
 def test_family_operator_linear(ctx_two2, rng):
     w = random_word(ctx_two2, 2, rng)
     single = family_operator(ctx_two2, WordFamily((w,)))
-    assert (single - word_operator(ctx_two2, w)).norm() < 1e-12
+    assert (single - word_operator(ctx_two2, w)).frobenius() < 1e-12
     empty = family_operator(ctx_two2, WordFamily(()))
-    assert empty.norm() == 0.0
+    assert empty.frobenius() == 0.0
 
 
 def test_family_rejects_mixed_lengths(ctx_two2, rng):
@@ -324,7 +346,7 @@ def test_mixed_support_annihilation(ctx_two2, rng):
 
     psi_a = ctx_two2.creation(1, ModuleVector(fa.mod, ya))
     psi_b = ctx_two2.creation(2, ModuleVector(fb.mod, yb))
-    assert (psi_a.H @ psi_b).norm() < 1e-12
+    assert (psi_a.H @ psi_b).frobenius() < 1e-12
 
 
 # ---------------------------------------------------------------------------
