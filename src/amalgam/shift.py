@@ -109,7 +109,12 @@ def decay_curve(
     max_dim: int = DEFAULT_MAX_DIM,
     seed: int = DEFAULT_SEED,
 ) -> DecayCurve:
-    """Certified lower bounds and the (2p+1) n^(-1/2) upper bound per n."""
+    """Certified lower bounds and the (2p+1) n^(-1/2) upper bound per n.
+
+    The family of n shifts is the family of n - 1 shifts plus one word, so
+    its operator is kept as a running sum, left-folded in the order of
+    ``family_operator``: one word operator per n.
+    """
     try:
         ctx = build_shift_context(
             factor, base, exp.window, exp.max_level, max_dim=max_dim
@@ -125,9 +130,11 @@ def decay_curve(
     for nrm in letter_norms(ctx, exp.prototype):
         norms_prod *= nrm
     points = []
+    total = None
     for n in range(1, exp.n_max + 1):
-        fam = average_family(exp.prototype, n, family_id=f"orbit-n{n}")
-        op = (1.0 / n) * family_operator(ctx, fam)
+        word = word_operator(ctx, shift_word(exp.prototype, n - 1))
+        total = word if total is None else total + word
+        op = (1.0 / n) * total
         rep = norm_lower(ctx, op, p, seed=seed)
         bound = (2 * p + 1) * norms_prod / np.sqrt(n)
         points.append(

@@ -11,7 +11,9 @@ prefix of levels on which truncation cannot alter its action.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -165,51 +167,74 @@ def block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperat
     if not (0 <= m <= ctx.max_level and 0 <= r <= ctx.max_level):
         raise TruncationError("block levels outside the context")
     _check_letters(ctx, w)
-    return _block_decomposition(ctx, w, m, r)
+    return _block_decomposition(ctx, _ladder_factors(ctx, w), m, r)
 
 
-def _block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperator:
-    n = w.length
+def _ladder_factors(ctx: FockContext, w: Word, low: int = 0):
+    """The factors of the blocks of w, each built once: the left-folded
+    creation prefixes up[k] = psi(a_0) ... psi(a_{k-1}) (up[0] is None) and,
+    for the letters from ``low`` on, the annihilators psi(a_j*)* and the
+    first-slot diagonal actions rho(a_j)."""
+    up, down, mid = [None], {}, {}
+    for j, a in enumerate(w.letters):
+        psi = ctx.creation(a.owner, _hat(ctx, a))
+        up.append(psi if j == 0 else up[j] @ psi)
+        if j >= low:
+            down[j] = ctx.creation(a.owner, _hat_dag(ctx, a)).H
+            mid[j] = ctx.diagonal_action(a.owner, a.coords)
+    return up, down, mid
+
+
+def _block_decomposition(ctx: FockContext, factors, m: int, r: int) -> FockOperator:
+    up, down, mid = factors
+    n = len(up) - 1
     if r > m + n or r < abs(m - n):
         return ctx.zero()
-    p_m = ctx.level_projection(m)
     diff = (m + n) - r
-    if diff % 2 == 0:
-        s = diff // 2
-        if not (0 <= s <= min(m, n)):
-            return ctx.zero()
-        ops = [ctx.creation(w.letters[j].owner, _hat(ctx, w.letters[j]))
-               for j in range(n - s)]
-        ops += [ctx.creation(w.letters[j].owner, _hat_dag(ctx, w.letters[j])).H
-                for j in range(n - s, n)]
-    else:
-        s = (diff + 1) // 2
-        if not (1 <= s <= min(m, n)):
-            return ctx.zero()
-        ops = [ctx.creation(w.letters[j].owner, _hat(ctx, w.letters[j]))
-               for j in range(n - s)]
-        mid = w.letters[n - s]
-        ops.append(ctx.diagonal_action(mid.owner, mid.coords))
-        ops += [ctx.creation(w.letters[j].owner, _hat_dag(ctx, w.letters[j])).H
-                for j in range(n - s + 1, n)]
+    s = (diff + 1) // 2  # letters after the creation chain
+    tail = [down[j] for j in range(n - s, n)]
+    if diff % 2:  # the first of them acts on the first slot
+        tail[0] = mid[n - s]
+    ops = ([up[n - s]] if s < n else []) + tail
     out = ops[0]
     for op in ops[1:]:
         out = out @ op
-    return FockOperator(ctx, (out @ p_m).matrix, f"block[{r},{m}]")
+    return FockOperator(ctx, (out @ ctx.level_projection(m)).matrix, f"block[{r},{m}]")
+
+
+def ladder_identity_residuals(ctx: FockContext, w: Word) -> Iterator[float]:
+    """Residuals of w P_m against the sum of all its blocks for m = 0..M-n,
+    yielded in order, each the Frobenius norm of the difference: an upper
+    bound for its operator norm.
+
+    The letters are checked before this returns; the word operator and the
+    letter factors are built once, before the first residual, and every
+    level sums only the blocks that can be nonzero, r in [|m - n|, m + n].
+    """
+    n = w.length
+    if n > ctx.max_level:
+        raise TruncationError(
+            f"word length {n} exceeds the truncation level {ctx.max_level}")
+    _check_letters(ctx, w)  # once here, not once per block
+    return _ladder_residuals(ctx, w)
+
+
+def _ladder_residuals(ctx: FockContext, w: Word) -> Iterator[float]:
+    n, top = w.length, ctx.max_level - w.length
+    factors = _ladder_factors(ctx, w, low=n - min(top, n))  # s <= min(m, n)
+    word = _word_operator(ctx, w)
+    for m in range(top + 1):
+        blocks = [_block_decomposition(ctx, factors, m, r)
+                  for r in range(abs(m - n), m + n + 1)]
+        yield (word @ ctx.level_projection(m) - sum(blocks[1:], blocks[0])).frobenius()
 
 
 def ladder_identity_residual(ctx: FockContext, w: Word, m: int) -> float:
-    """Residual of w P_m against the sum of all its blocks, as the Frobenius
-    norm of the difference: an upper bound for its operator norm."""
-    n = w.length
-    if not 0 <= m <= ctx.max_level - n:
-        raise TruncationError(f"level m = {m} outside 0..M-n = 0..{ctx.max_level - n}")
-    _check_letters(ctx, w)  # once here, not once per block
-    total = ctx.zero()
-    for r in range(0, ctx.max_level + 1):
-        total = total + _block_decomposition(ctx, w, m, r)
-    direct = _word_operator(ctx, w) @ ctx.level_projection(m)
-    return (direct - total).frobenius()
+    """The residual of ``ladder_identity_residuals`` at level m."""
+    if not 0 <= m <= ctx.max_level - w.length:
+        raise TruncationError(
+            f"level m = {m} outside 0..M-n = 0..{ctx.max_level - w.length}")
+    return next(islice(ladder_identity_residuals(ctx, w), m, None))
 
 
 def haagerup_upper(fam: WordFamily, ctx: FockContext) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam.cli
+import amalgam.fock
 import amalgam.words
 from amalgam.cli import KINDS, PRESETS, load_config, main, run_config, validate_config
 from amalgam.errors import ConfigError
@@ -387,6 +388,36 @@ def test_sweep_builds_each_family_operator_once(tmp_path, monkeypatch):
     }
     assert run_config(config, out_dir=tmp_path) == 0
     assert sorted(calls) == ["fam0", "fam1", "fam2"]
+
+
+def test_lemma_check_represents_each_letter_once(tmp_path, monkeypatch):
+    calls = []
+    real = amalgam.fock.FockContext.represent
+
+    def counting(self, i, a_coords):
+        calls.append(i)
+        return real(self, i, a_coords)
+
+    monkeypatch.setattr(amalgam.fock.FockContext, "represent", counting)
+    config = {"kind": "lemma-check", "output": "lemma",
+              "parameters": {"config": "two-point-3", "M": 5, "words": 4, "n_max": 3}}
+    assert run_config(config, out_dir=tmp_path) == 0
+    with (tmp_path / "lemma.csv").open(newline="") as fh:
+        names = [row["name"].split(".") for row in csv.DictReader(fh)]
+    # rows are named w<j>.n<length>.m<level>; every word has a row at m = 0
+    lengths = {word: int(n[1:]) for word, n, _ in names}
+    assert len(names) > len(lengths)  # words with several levels
+    assert len(calls) == sum(lengths.values())
+
+
+@pytest.mark.parametrize("name", ["group-haagerup", "group-shift-g0"])
+def test_group_rows_leave_the_residual_empty(tmp_path, name):
+    # the ell2 floor is no residual of an identity; it stays in the status
+    # check and in the curve's ell2 column
+    assert main(["run", name, "--out", str(tmp_path)]) == 0
+    with (tmp_path / f"{PRESETS[name]['config']['output']}.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["residual"] == "" for row in rows)
 
 
 def test_csv_numbers_parse_as_floats(tmp_path):

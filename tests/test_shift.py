@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amalgam as am
+import amalgam.shift
+import amalgam.words
 from amalgam.errors import StructureError
 from amalgam.shift import (
     CesaroResult,
+    DecayPoint,
     Mixture,
     ShiftExperiment,
     average_family,
@@ -15,7 +22,14 @@ from amalgam.shift import (
     shift_word,
 )
 from amalgam.fock import build_fock
-from amalgam.words import Word, family_operator, haagerup_upper, norm_lower, word_operator
+from amalgam.words import (
+    Word,
+    family_operator,
+    haagerup_upper,
+    letter_norms,
+    norm_lower,
+    word_operator,
+)
 from conftest import random_centered, sign_letter, spectral_norm
 
 TWO_POINT = am.function_algebra_with_state(2)
@@ -96,6 +110,49 @@ def test_decay_curve_lower_monotone_in_truncation():
     c3 = decay_curve(exp3, TWO_POINT, BASE)
     for p2, p3 in zip(c2.points, c3.points):
         assert p3.lower >= p2.lower - 1e-10
+
+
+def reference_decay_points(exp, factor, base, seed):
+    """Each point from the n-term family operator built afresh."""
+    ctx = build_shift_context(factor, base, exp.window, exp.max_level)
+    p = exp.prototype.length
+    points = []
+    for n in range(1, exp.n_max + 1):
+        op = (1.0 / n) * family_operator(ctx, average_family(exp.prototype, n))
+        bound = (2 * p + 1) * math.prod(letter_norms(ctx, exp.prototype)) / np.sqrt(n)
+        points.append(DecayPoint(n, norm_lower(ctx, op, p, seed=seed).lower,
+                                 norm_lower(ctx, op, ctx.max_level, seed=seed).lower,
+                                 float(bound)))
+    return tuple(points)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_decay_curve_equals_fresh_family_operators(two_point, m2_diag, seed):
+    # the running sum adds the same word operators in the same order as
+    # family_operator, so every point is equal, not close
+    rng = np.random.default_rng(seed)
+    for factor, base in ((two_point, BASE), (m2_diag, am.diagonal_base(2))):
+        p = int(rng.integers(1, 3))
+        proto = Word(tuple(random_centered(factor, i, rng) for i in range(p)))
+        exp = ShiftExperiment(proto, n_max=int(rng.integers(2, 6)), max_level=2)
+        curve = decay_curve(exp, factor, base, seed=seed)
+        assert curve.points == reference_decay_points(exp, factor, base, seed)
+
+
+def test_decay_curve_builds_one_word_operator_per_n(monkeypatch):
+    calls = []
+    real = amalgam.words.word_operator
+
+    def counting(ctx, w):
+        calls.append(w.indices)
+        return real(ctx, w)
+
+    for module in (amalgam.shift, amalgam.words):
+        monkeypatch.setattr(module, "word_operator", counting)
+    exp = ShiftExperiment(Word((sign_letter(0), sign_letter(1))), n_max=5, max_level=2)
+    decay_curve(exp, TWO_POINT, BASE)
+    assert calls == [(k, k + 1) for k in range(5)]
 
 
 def test_vacuum_value_is_analytic_for_unit_letters():

@@ -16,6 +16,7 @@ from amalgam.words import (
     family_report,
     haagerup_upper,
     ladder_identity_residual,
+    ladder_identity_residuals,
     letter_norms,
     norm_lower,
     random_separated_family,
@@ -224,12 +225,39 @@ def test_ladder_residual_bounds_the_norm_of_its_difference(ctx_two3, ctx_m2diag,
             assert resid >= spectral_norm(diff) * (1 - 1e-12)
 
 
+def reference_ladder_residual(ctx, w, m):
+    """The ladder residual as the sum of every block from the public API, the
+    zero ones included, against the directly built word operator."""
+    total = ctx.zero()
+    for r in range(ctx.max_level + 1):
+        total = total + block_decomposition(ctx, w, m, r)
+    return (word_operator(ctx, w) @ ctx.level_projection(m) - total).frobenius()
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ladder_residuals_equal_the_sum_of_blocks(ctx_two3, ctx_m2diag, seed):
+    # the per-word residuals reuse each letter's factors and skip the zero
+    # blocks; the arithmetic is unchanged, so the values are equal, not close
+    rng = np.random.default_rng(seed)
+    for ctx in (ctx_two3, ctx_m2diag):
+        n = int(rng.integers(1, 5))
+        w = random_word(ctx, n, rng)
+        want = [reference_ladder_residual(ctx, w, m)
+                for m in range(ctx.max_level - n + 1)]
+        assert list(ladder_identity_residuals(ctx, w)) == want
+        m = int(rng.integers(0, ctx.max_level - n + 1))
+        assert ladder_identity_residual(ctx, w, m) == want[m]
+
+
 def test_truncation_guard(ctx_two2, rng):
     w = random_word(ctx_two2, 3, rng)
     with pytest.raises(TruncationError):
         block_decomposition(ctx_two2, w, ctx_two2.max_level, 1)
     with pytest.raises(TruncationError):
         ladder_identity_residual(ctx_two2, w, ctx_two2.max_level - 1)
+    with pytest.raises(TruncationError):
+        ladder_identity_residuals(ctx_two2, random_word(ctx_two2, 5, rng))
 
 
 # ---------------------------------------------------------------------------
