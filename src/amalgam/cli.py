@@ -558,6 +558,8 @@ def validate_config(config) -> dict:
 
 def run_config(config: dict, *, out_dir: Path, jobs: int = 1,
                seed: int | None = None, max_dim: int | None = None) -> int:
+    if jobs < 1:
+        raise ConfigError(f"jobs: expected an integer >= 1, got {jobs}")
     config = validate_config(config)
     for key, value in (("seed", seed), ("max_dim", max_dim)):
         if value is not None:  # an override passes its field's own check

@@ -63,33 +63,29 @@ class FockBasisLabel:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """A matrix on a FockContext, tagged by how it was built.
-
-    ``matrix`` is always a ``scipy.sparse.csr_matrix``.
-    """
+    """A matrix on a FockContext; ``matrix`` is always a ``scipy.sparse.csr_matrix``."""
 
     context: "FockContext"
     matrix: sparse.csr_matrix
-    tag: str = "op"
 
     @property
     def H(self) -> "FockOperator":
-        return FockOperator(self.context, adjoint(self.matrix), f"{self.tag}*")
+        return FockOperator(self.context, adjoint(self.matrix))
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._same(other)
-        return FockOperator(self.context, self.matrix @ other.matrix, "product")
+        return FockOperator(self.context, self.matrix @ other.matrix)
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         self._same(other)
-        return FockOperator(self.context, self.matrix + other.matrix, "sum")
+        return FockOperator(self.context, self.matrix + other.matrix)
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
         self._same(other)
-        return FockOperator(self.context, self.matrix - other.matrix, "sum")
+        return FockOperator(self.context, self.matrix - other.matrix)
 
     def __rmul__(self, scalar: complex) -> "FockOperator":
-        return FockOperator(self.context, scalar * self.matrix, self.tag)
+        return FockOperator(self.context, scalar * self.matrix)
 
     def __neg__(self) -> "FockOperator":
         return (-1.0) * self
@@ -200,6 +196,22 @@ def _check_same_subalgebra(base: _BaseData, spec: AlgebraWithExpectation, idx):
                 raise ConfigError(
                     f"factor {idx}: subalgebra products differ from the base"
                 )
+
+
+class LetterParts(NamedTuple):
+    """The terms of one letter's representation: creation psi(hat a0),
+    first-slot diagonal rho(a0), annihilation psi(hat a0*)*, and the left
+    action of the B-part phi(a), None when phi(a) is exactly 0."""
+
+    creation: FockOperator
+    diagonal: FockOperator
+    annihilation: FockOperator
+    left_b: FockOperator | None
+
+    def total(self) -> FockOperator:
+        """The letter representation, summed in this order."""
+        op = self.creation + self.diagonal + self.annihilation
+        return op if self.left_b is None else op + self.left_b
 
 
 class Summand(NamedTuple):
@@ -393,10 +405,10 @@ class FockContext:
         n = self.total_dim
         return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
 
-    def _diag_operator(self, mask: np.ndarray, tag: str) -> FockOperator:
-        """Diagonal operator with the given diagonal, built once per tag."""
-        return self._structure(("diag", tag), lambda: FockOperator(
-            self, sparse.diags(mask.astype(complex), format="csr"), tag
+    def _diag_operator(self, mask: np.ndarray, key: str) -> FockOperator:
+        """Diagonal operator with the given diagonal, built once per key."""
+        return self._structure(("diag", key), lambda: FockOperator(
+            self, sparse.diags(mask.astype(complex), format="csr")
         ))
 
     def _structure(self, key, builder):
@@ -464,11 +476,11 @@ class FockContext:
             lambda pos: np.ones(len(pos), dtype=bool),
             lambda q: self.factors[q.seq[0]].left_b[j] if q.seq else lmat))
 
-    def _combine(self, parts, tag) -> FockOperator:
+    def _combine(self, parts) -> FockOperator:
         terms = [coeff * mat for coeff, mat in parts if coeff != 0.0]
         if not terms:
-            return FockOperator(self, self.zero().matrix, tag)
-        return FockOperator(self, sum(terms[1:], terms[0]), tag)
+            return self.zero()
+        return FockOperator(self, sum(terms[1:], terms[0]))
 
     # -- public operators ----------------------------------------------------
 
@@ -519,7 +531,7 @@ class FockContext:
         """The operator prepending y in E_k deg; kills tensors already led by k."""
         ye = self.e_coords(k, y)
         parts = [(ye[s], self._psi_structure(k, s)) for s in range(len(ye))]
-        return self._combine(parts, f"psi{k}")
+        return self._combine(parts)
 
     def diagonal_action(self, k: int, a_coords) -> FockOperator:
         """First-slot action x1 -> H_k(a x1) on tensors led by k, zero elsewhere."""
@@ -532,21 +544,21 @@ class FockContext:
             for s in range(fk.e_dim)
             for t in range(fk.e_dim)
         ]
-        return self._combine(parts, f"rho{k}")
+        return self._combine(parts)
 
     def left_b_action(self, b_coords) -> FockOperator:
         parts = [
             (as_complex(b_coords)[j], self._leftb_structure(j))
             for j in range(self.base.db)
         ]
-        return self._combine(parts, "leftB")
+        return self._combine(parts)
 
-    def represent(self, i: int, a_coords) -> FockOperator:
-        """The letter representation of a in the i-th factor.
+    def letter_parts(self, i: int, a_coords) -> LetterParts:
+        """The terms of the letter representation of a in the i-th factor.
 
-        Decomposes a = phi(a) + centered part; the centered part acts as
-        creation + first-slot diagonal + annihilation, the B-part acts by
-        left multiplication everywhere.
+        Decomposes a = phi(a) + a0: the centered part a0 acts by creation of
+        hat(a0), first-slot diagonal action and annihilation by hat(a0*); the
+        B-part phi(a) acts by left multiplication everywhere.
         """
         fi = self.factors[i]
         a_coords = as_complex(a_coords)
@@ -556,11 +568,14 @@ class FockContext:
         g, resid_dn = fi.hat_split(fi.spec.algebra.adjoint_coords(a0))
         if max(resid_up, resid_dn) > STRUCT_TOL * max(fi.spec.algebra.norm(a_coords), 1.0):
             raise StructureError("centered part of the letter leaks into the B-summand")
-        op = self.creation(i, h_up) + self.diagonal_action(i, a0)
-        op = op + self.creation(i, g).H
-        if np.linalg.norm(b_part) > 0.0:
-            op = op + self.left_b_action(b_part)
-        return FockOperator(self, op.matrix, f"lambda{i}")
+        left_b = self.left_b_action(b_part) if np.linalg.norm(b_part) > 0.0 else None
+        return LetterParts(self.creation(i, h_up), self.diagonal_action(i, a0),
+                           self.creation(i, g).H, left_b)
+
+    def represent(self, i: int, a_coords) -> FockOperator:
+        """The letter representation of a in the i-th factor: the sum of its
+        ``letter_parts``."""
+        return self.letter_parts(i, a_coords).total()
 
     def vacuum_isometry(self) -> np.ndarray:
         """Columns embed the sigma-space through the unit of B at level zero."""

@@ -2,10 +2,12 @@
 
 A word is an alternating product of centered letters; its operator is the
 matrix product of the letter representations. The block decomposition writes
-each compression P_r w P_m as an explicit product of creation, diagonal and
-annihilation factors, the separated-family bound gives the (2n+1) gamma upper
-estimate, and certified lower bounds come from restricting an operator to the
-prefix of levels on which truncation cannot alter its action.
+each compression P_r w P_m as a chain of creation, diagonal and annihilation
+factors taken from the letters' parts (``FockContext.letter_parts``); a chain
+depends only on the level difference m + n - r. The separated-family bound
+gives the (2n+1) gamma upper estimate, and certified lower bounds come from
+restricting an operator to the prefix of levels on which truncation cannot
+alter its action.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
+from operator import add, matmul
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .algebra import CenteredElement, center
 from .errors import (ConfigError, HypothesisError, StructureError, TruncationError,
                      pointer_token)
 from .fock import FockContext, FockOperator
-from .linalg import DEFAULT_SEED, restricted_sigma_max
+from .linalg import DEFAULT_SEED, frobenius, restricted_sigma_max
 
 CENTERING_TOL = 1e-9
 
@@ -115,47 +119,23 @@ def word_operator(ctx: FockContext, w: Word) -> FockOperator:
 
 
 def _word_operator(ctx: FockContext, w: Word) -> FockOperator:
-    op = ctx.represent(w.letters[0].owner, w.letters[0].coords)
-    for a in w.letters[1:]:
-        op = op @ ctx.represent(a.owner, a.coords)
-    return FockOperator(ctx, op.matrix, "word")
+    return reduce(matmul, (ctx.represent(a.owner, a.coords) for a in w.letters))
 
 
 def family_operator(ctx: FockContext, fam: WordFamily) -> FockOperator:
     if not fam.words:
         return ctx.zero()
-    op = word_operator(ctx, fam.words[0])
-    for w in fam.words[1:]:
-        op = op + word_operator(ctx, w)
-    return FockOperator(ctx, op.matrix, "family")
+    return reduce(add, (word_operator(ctx, w) for w in fam.words))
 
 
 def letter_norms(ctx: FockContext, w: Word) -> list[float]:
     return [ctx.factors[a.owner].spec.algebra.norm(a.coords) for a in w.letters]
 
 
-def _hat(ctx: FockContext, a: CenteredElement) -> np.ndarray:
-    fk = ctx.factors[a.owner]
-    e, resid = fk.hat_split(a.coords)
-    if resid > CENTERING_TOL * max(np.linalg.norm(e), 1.0):
-        raise StructureError("hat of a centered letter leaks into the B-summand")
-    return e
-
-
-def _hat_dag(ctx: FockContext, a: CenteredElement) -> np.ndarray:
-    fk = ctx.factors[a.owner]
-    adj = fk.spec.algebra.adjoint_coords(a.coords)
-    e, _ = fk.hat_split(adj)
-    return e
-
-
 def block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperator:
-    """P_r w P_m written with creation, diagonal and annihilation factors only.
-
-    The level difference fixes the split: with n the word length, r outside
-    [|m - n|, m + n] gives zero; r = m + n - 2s gives a creation chain of
-    length n - s followed by s annihilators; r = m + n - 2s + 1 inserts one
-    first-slot diagonal factor between the chains. Requires m + n <= M so
+    """P_r w P_m written with creation, diagonal and annihilation factors only:
+    the chain of level difference m + n - r times P_m, and zero for r outside
+    [|m - n|, m + n], where n is the word length. Requires m + n <= M so
     truncation cannot alter either side.
     """
     n = w.length
@@ -167,39 +147,37 @@ def block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperat
     if not (0 <= m <= ctx.max_level and 0 <= r <= ctx.max_level):
         raise TruncationError("block levels outside the context")
     _check_letters(ctx, w)
-    return _block_decomposition(ctx, _ladder_factors(ctx, w), m, r)
-
-
-def _ladder_factors(ctx: FockContext, w: Word, low: int = 0):
-    """The factors of the blocks of w, each built once: the left-folded
-    creation prefixes up[k] = psi(a_0) ... psi(a_{k-1}) (up[0] is None) and,
-    for the letters from ``low`` on, the annihilators psi(a_j*)* and the
-    first-slot diagonal actions rho(a_j)."""
-    up, down, mid = [None], {}, {}
-    for j, a in enumerate(w.letters):
-        psi = ctx.creation(a.owner, _hat(ctx, a))
-        up.append(psi if j == 0 else up[j] @ psi)
-        if j >= low:
-            down[j] = ctx.creation(a.owner, _hat_dag(ctx, a)).H
-            mid[j] = ctx.diagonal_action(a.owner, a.coords)
-    return up, down, mid
-
-
-def _block_decomposition(ctx: FockContext, factors, m: int, r: int) -> FockOperator:
-    up, down, mid = factors
-    n = len(up) - 1
-    if r > m + n or r < abs(m - n):
+    if not abs(m - n) <= r <= m + n:
         return ctx.zero()
-    diff = (m + n) - r
-    s = (diff + 1) // 2  # letters after the creation chain
-    tail = [down[j] for j in range(n - s, n)]
-    if diff % 2:  # the first of them acts on the first slot
-        tail[0] = mid[n - s]
-    ops = ([up[n - s]] if s < n else []) + tail
-    out = ops[0]
-    for op in ops[1:]:
-        out = out @ op
-    return FockOperator(ctx, (out @ ctx.level_projection(m)).matrix, f"block[{r},{m}]")
+    return _chain(_ladder_factors(ctx, w), m + n - r) @ ctx.level_projection(m)
+
+
+def _ladder_factors(ctx: FockContext, w: Word):
+    """The parts of each letter of w, built once, and the left-folded creation
+    prefixes up[k] = psi(a_0) ... psi(a_{k-1}) (up[0] is None)."""
+    parts = [ctx.letter_parts(a.owner, a.coords) for a in w.letters]
+    up = [None, parts[0].creation]
+    for p in parts[1:]:
+        up.append(up[-1] @ p.creation)
+    return parts, up
+
+
+def _chain(factors, d: int) -> FockOperator:
+    """The chain of level difference d, which maps level m to level m + n - d.
+
+    With s = ceil(d / 2), it is the creation prefix of the first n - s letters
+    followed by the annihilators of the last s; for odd d the first of those
+    acts by its first-slot diagonal instead. On level m it is the block
+    P_{m+n-d} w P_m for 0 <= d <= 2 min(m, n). For larger d it has no entries
+    there: its last m annihilators reach level 0, which the next factor kills.
+    """
+    parts, up = factors
+    n = len(parts)
+    s = (d + 1) // 2  # letters after the creation prefix
+    tail = [p.annihilation for p in parts[n - s:]]
+    if d % 2:
+        tail[0] = parts[n - s].diagonal
+    return reduce(matmul, ([up[n - s]] if s < n else []) + tail)
 
 
 def ladder_identity_residuals(ctx: FockContext, w: Word) -> Iterator[float]:
@@ -207,9 +185,11 @@ def ladder_identity_residuals(ctx: FockContext, w: Word) -> Iterator[float]:
     yielded in order, each the Frobenius norm of the difference: an upper
     bound for its operator norm.
 
-    The letters are checked before this returns; the word operator and the
-    letter factors are built once, before the first residual, and every
-    level sums only the blocks that can be nonzero, r in [|m - n|, m + n].
+    The letters are checked before this returns. Before the first residual,
+    the difference D = w - sum_d chain_d over d = 0..2 min(M-n, n) is built
+    once, from each letter's parts. Its level-m columns are those of w P_m
+    minus the sum of its blocks, entry for entry: the chains reach disjoint
+    levels, and those of d > 2 min(m, n) have no entries there.
     """
     n = w.length
     if n > ctx.max_level:
@@ -221,12 +201,13 @@ def ladder_identity_residuals(ctx: FockContext, w: Word) -> Iterator[float]:
 
 def _ladder_residuals(ctx: FockContext, w: Word) -> Iterator[float]:
     n, top = w.length, ctx.max_level - w.length
-    factors = _ladder_factors(ctx, w, low=n - min(top, n))  # s <= min(m, n)
-    word = _word_operator(ctx, w)
+    factors = _ladder_factors(ctx, w)
+    word = reduce(matmul, (p.total() for p in factors[0]))
+    chains = reduce(add, (_chain(factors, d) for d in range(2 * min(top, n) + 1)))
+    delta = (word - chains).matrix
     for m in range(top + 1):
-        blocks = [_block_decomposition(ctx, factors, m, r)
-                  for r in range(abs(m - n), m + n + 1)]
-        yield (word @ ctx.level_projection(m) - sum(blocks[1:], blocks[0])).frobenius()
+        start, end = ctx.level_range(m)
+        yield frobenius(delta[:, start:end])
 
 
 def ladder_identity_residual(ctx: FockContext, w: Word, m: int) -> float:

@@ -260,6 +260,14 @@ def test_overrides_pass_the_field_checks(tmp_path, capsys, flag, value, pointer)
     assert pointer in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert main(["run", "rd-report-basic", "--out", str(out), "--jobs", jobs]) == 2
+    assert f"got {jobs}" in capsys.readouterr().err
+    assert not out.exists()  # refused before anything ran
+
+
 # one valid parameter set per kind, every level spread at its least, so that
 # a value in one slot can only break that slot
 BASES = {
@@ -391,14 +399,17 @@ def test_sweep_builds_each_family_operator_once(tmp_path, monkeypatch):
 
 
 def test_lemma_check_represents_each_letter_once(tmp_path, monkeypatch):
-    calls = []
-    real = amalgam.fock.FockContext.represent
+    # the ladder takes each letter's parts once and sums them itself; a call
+    # to represent would split the letter a second time
+    calls = {"letter_parts": [], "represent": []}
+    for name in calls:
+        real = getattr(amalgam.fock.FockContext, name)
 
-    def counting(self, i, a_coords):
-        calls.append(i)
-        return real(self, i, a_coords)
+        def counting(self, i, a_coords, real=real, name=name):
+            calls[name].append(i)
+            return real(self, i, a_coords)
 
-    monkeypatch.setattr(amalgam.fock.FockContext, "represent", counting)
+        monkeypatch.setattr(amalgam.fock.FockContext, name, counting)
     config = {"kind": "lemma-check", "output": "lemma",
               "parameters": {"config": "two-point-3", "M": 5, "words": 4, "n_max": 3}}
     assert run_config(config, out_dir=tmp_path) == 0
@@ -407,7 +418,8 @@ def test_lemma_check_represents_each_letter_once(tmp_path, monkeypatch):
     # rows are named w<j>.n<length>.m<level>; every word has a row at m = 0
     lengths = {word: int(n[1:]) for word, n, _ in names}
     assert len(names) > len(lengths)  # words with several levels
-    assert len(calls) == sum(lengths.values())
+    assert len(calls["letter_parts"]) == sum(lengths.values())
+    assert calls["represent"] == []
 
 
 @pytest.mark.parametrize("name", ["group-haagerup", "group-shift-g0"])

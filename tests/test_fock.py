@@ -9,6 +9,7 @@ from amalgam.cli import _factor_context
 from amalgam.errors import CapacityError, ConfigError, StructureError
 from amalgam.fock import DEFAULT_MAX_DIM, FockContext, build_fock, operator_coo_rows
 from amalgam.gns import ModuleVector, inner_product, module_norm
+from amalgam.linalg import as_complex
 from amalgam.shift import shift_relabel_check
 from amalgam.words import Word
 from conftest import load_bench_tracer, random_centered, spectral_norm
@@ -391,6 +392,33 @@ def test_lambda_matches_direct_formula(fixture, rng, request):
             got = ctx.represent(i, a).matrix.toarray()
             want = lambda_direct(ctx, i, a)
             assert np.linalg.norm(got - want, 2) < 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["ctx_two3", "ctx_m2diag"])
+def test_represent_is_the_sum_of_letter_parts(fixture, rng, request):
+    # one letter split: represent adds the parts creation, diagonal,
+    # annihilation, B-part in that order, so the CSR arrays agree exactly;
+    # the unit and a raw letter have a B-part, a centered letter may have none
+    ctx = request.getfixturevalue(fixture)
+    branches = set()
+    for i in ctx.order:
+        spec = ctx.factors[i].spec
+        raw = rng.standard_normal(spec.algebra.dim) + 1j * rng.standard_normal(
+            spec.algebra.dim)
+        letters = [spec.algebra.unit_coords, raw]
+        letters += [random_centered(spec, i, rng).coords for _ in range(3)]
+        for a in letters:
+            parts = ctx.letter_parts(i, a)
+            has_b = np.linalg.norm(spec.apply(as_complex(a))) > 0.0
+            assert (parts.left_b is not None) == has_b
+            branches.add(has_b)
+            want = parts.creation + parts.diagonal + parts.annihilation
+            if has_b:
+                want = want + parts.left_b
+            got = ctx.represent(i, a).matrix
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(want.matrix, name))
+    assert branches == {True, False}
 
 
 def test_lambda_is_multiplicative_below_truncation(ctx_m2diag, rng):
