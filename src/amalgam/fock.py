@@ -624,11 +624,3 @@ def build_fock(
     fd = {idx: by_spec[id(spec)] for idx, spec in factors.items()}
     return FockContext(bd, fd, max_level, max_dim)
 
-
-def operator_coo_rows(x: FockOperator) -> list[tuple[int, int, float, float]]:
-    """Coordinate-list export (row, col, re, im) of an operator matrix."""
-    coo = x.matrix.tocoo()
-    return [
-        (int(r), int(c), float(v.real), float(v.imag))
-        for r, c, v in zip(coo.row, coo.col, coo.data)
-    ]

@@ -6,9 +6,13 @@ Conventions used across the package:
   eigenvalue of a PSD matrix) below ``RANK_RTOL`` times the largest one
   counts as zero;
 * every certified top singular value comes from ``restricted_sigma_max``.
-  It returns ``||X v||`` for an explicit unit vector ``v``, found by Lanczos
-  (ARPACK) on ``X* X`` applied as an operator, or by the exact Gram
-  eigenproblem for blocks of at most ``GRAM_LIMIT`` columns;
+  It returns ``||X v||`` for an explicit unit vector ``v``. A sparse ``X``
+  is split into the connected components of its row/column graph, a direct
+  sum whose norm is the largest of its summands' norms; when no component
+  is wider than ``GRAM_LIMIT`` columns, ``v`` is the exact top eigenvector
+  of the Gram block of the best one, from one batched eigenproblem per
+  component size. Only an operator with a wider component goes to Lanczos
+  (ARPACK) on ``X* X`` applied as an operator;
 * every upper bound on an operator norm, and so every residual checked
   against a tolerance, is the Frobenius norm from ``frobenius``.
 """
@@ -38,7 +42,8 @@ def adjoint(x):
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part of a square matrix, or of each one in a stack."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def rank_from_spectrum(values: np.ndarray, rtol: float = RANK_RTOL) -> int:
@@ -78,25 +83,91 @@ def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray
     """Largest singular value of ``x`` as ``(||x v||, v)`` for a unit witness ``v``.
 
     The value is a certified lower bound for ``||x||`` whether or not the
-    solve converged. Blocks of at most ``GRAM_LIMIT`` columns take the top
-    eigenvector of the dense Gram ``x* x``; wider ones run Lanczos on
+    solve converged. A block of at most ``GRAM_LIMIT`` columns is one
+    component. A wider sparse block is split into the connected components
+    of its bipartite row/column graph: columns in different components
+    touch disjoint rows, so ``x* x`` is block diagonal over them and ``||x||``
+    is the largest component norm. When every component has at most
+    ``GRAM_LIMIT`` columns, their Gram blocks are solved exactly, by one
+    batched ``eigh`` per component size, and ``v`` is the top eigenvector of
+    the first component with the largest top eigenvalue, zero elsewhere.
+    Any other block (dense, or with a wider component) runs Lanczos on
     ``x* x`` without forming it, from a start vector drawn from ``seed``.
     """
     n = x.shape[1]
     if n == 0:
         return 0.0, np.zeros(0, dtype=complex)
-    xh = adjoint(x)
     if n <= GRAM_LIMIT:
-        gram = xh @ x
-        gram = gram.toarray() if sparse.issparse(gram) else gram
-        evals, evecs = np.linalg.eigh(hermitian_part(gram))
-        v = evecs[:, int(np.argmax(evals))]
+        labels = np.zeros(n, dtype=np.intp)
+    elif sparse.issparse(x):
+        labels = _column_components(x)
     else:
-        v = _lanczos_witness(x, xh, seed)
+        labels = None
+    if labels is None:
+        v = _lanczos_witness(x, seed)
+    else:
+        v = _gram_witness(x, labels)
     return float(np.linalg.norm(x @ v)), v
 
 
-def _lanczos_witness(x, xh, seed: int) -> np.ndarray:
+def _column_components(x) -> np.ndarray | None:
+    """Component label of each column of sparse ``x``, numbered in the order
+    of their first columns, or None if some component has more than
+    ``GRAM_LIMIT`` columns.
+
+    The graph has the n columns as its first nodes and the rows after them;
+    its CSR is the pattern of ``x`` read with each row pointing at its
+    columns, and ``directed=False`` follows every edge both ways.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    x = x.tocsr()
+    m, n = x.shape
+    indptr = np.concatenate([np.zeros(n, dtype=x.indptr.dtype), x.indptr])
+    graph = sparse.csr_matrix(
+        (np.ones(x.indices.size, dtype=bool), x.indices, indptr), shape=(n + m, n + m)
+    )
+    _, labels = connected_components(graph, directed=False)
+    _, first, labels = np.unique(labels[:n], return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[labels]
+    if np.bincount(labels).max() > GRAM_LIMIT:
+        return None
+    return labels
+
+
+def _gram_witness(x, labels: np.ndarray) -> np.ndarray:
+    """Unit top eigenvector of ``x* x``, which is block diagonal over the
+    column components ``labels``, each of at most ``GRAM_LIMIT`` columns."""
+    n = x.shape[1]
+    gram = sparse.coo_matrix(adjoint(x) @ x)
+    rows, cols, vals = gram.row, gram.col, gram.data
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    place = np.empty(n, dtype=np.intp)  # index of each column in its component
+    place[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    top = np.empty(sizes.size)
+    slot = np.empty(sizes.size, dtype=np.intp)
+    witnesses = {}  # component size -> top eigenvector of each such component
+    for size in np.unique(sizes):
+        members = np.flatnonzero(sizes == size)
+        slot[members] = np.arange(members.size)
+        stack = np.zeros((members.size, size, size), dtype=vals.dtype)
+        here = sizes[labels[rows]] == size
+        r, c = rows[here], cols[here]
+        stack[slot[labels[r]], place[r], place[c]] = vals[here]
+        evals, evecs = np.linalg.eigh(hermitian_part(stack))
+        best = np.argmax(evals, axis=1)
+        pick = np.arange(members.size)
+        top[members] = evals[pick, best]
+        witnesses[size] = evecs[pick, :, best]
+    winner = int(np.argmax(top))  # the first component on a tie
+    vec = witnesses[sizes[winner]][slot[winner]]
+    v = np.zeros(n, dtype=vec.dtype)
+    v[labels == winner] = vec
+    return v
+
+
+def _lanczos_witness(x, seed: int) -> np.ndarray:
     """Unit top Ritz vector of ``x* x`` by implicitly restarted Lanczos.
 
     ARPACK solves a complex Hermitian problem through ``eigs`` (``eigsh``
@@ -107,6 +178,7 @@ def _lanczos_witness(x, xh, seed: int) -> np.ndarray:
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     n = x.shape[1]
+    xh = adjoint(x)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import amalgam.linalg
 from amalgam.linalg import GRAM_LIMIT, frobenius, restricted_sigma_max
 
 RTOL = 1e-12
@@ -121,3 +123,53 @@ def test_sparse_property(rows, cols, density, seed):
     x.data = rng.standard_normal(x.nnz) + 1j * rng.standard_normal(x.nnz)
     sigma, v = restricted_sigma_max(x, seed=seed)
     _check_certified(x, sigma, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, GRAM_LIMIT), st.booleans()),
+        min_size=1, max_size=10,
+    ),
+    zero_cols=st.integers(0, 5),
+    tie=st.booleans(),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_direct_sum_property(blocks, zero_cols, tie, wide, seed):
+    # a direct sum of dense (so connected) blocks, purely imaginary ones among
+    # them, with zero columns, an exact copy of one block and, when ``wide``,
+    # one block too wide for the exact solve; then rows and columns shuffled
+    rng = np.random.default_rng(seed)
+    parts = [1j * rng.standard_normal((rows, cols)) if imaginary
+             else _complex(rng, rows, cols) for rows, cols, imaginary in blocks]
+    if tie:
+        parts.append(parts[0])
+    if wide:
+        parts.append(_complex(rng, 3, GRAM_LIMIT + 1))
+    parts.append(np.zeros((0, zero_cols)))
+    x = sparse.block_diag(parts, format="csr")
+    x = x[rng.permutation(x.shape[0])][:, rng.permutation(x.shape[1])]
+    lanczos = mock.patch.object(amalgam.linalg, "_lanczos_witness",
+                                wraps=amalgam.linalg._lanczos_witness)
+    with lanczos as spy, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, v = restricted_sigma_max(x, seed=seed)
+        again, v_again = restricted_sigma_max(x, seed=seed)
+    assert spy.called == wide  # only a component wider than GRAM_LIMIT needs it
+    _check_certified(x, sigma, v)
+    assert sigma == again
+    assert np.array_equal(v, v_again)
+
+
+def test_split_tie_goes_to_the_first_component():
+    # 40 copies of one integer block, whose Gram blocks are equal bit for bit;
+    # copy j holds columns j and j + 40, and the rows are shuffled
+    copies = 40
+    block = np.array([[1, 2j], [0, 1], [3, 0]])
+    x = sparse.block_diag([block] * copies, format="csr")
+    cols = np.arange(2 * copies).reshape(copies, 2).T.ravel()
+    x = x[np.random.default_rng(2).permutation(x.shape[0])][:, cols]
+    sigma, v = restricted_sigma_max(x)
+    _check_certified(x, sigma, v)
+    assert np.array_equal(np.flatnonzero(v), [0, copies])

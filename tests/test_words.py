@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ import amalgam as am
 import amalgam.words
 from amalgam.errors import HypothesisError, StructureError, TruncationError
 from amalgam.fock import build_fock
+from amalgam.linalg import GRAM_LIMIT
 from amalgam.words import (
     Word,
     WordFamily,
@@ -418,6 +421,39 @@ def test_norm_lower_monotone_in_truncation(two_point, rng):
 def test_norm_lower_rejects_large_spread(ctx_two2):
     with pytest.raises(TruncationError):
         norm_lower(ctx_two2, ctx_two2.identity(), ctx_two2.max_level + 1)
+
+
+# six two-point factors, and four matrix factors over a noncommutative B with
+# two-dimensional E-parts; at M=4 the blocks of one-letter families reach 150
+# and 72 columns
+ORACLE_CONTEXTS = {
+    "two-point-6": (am.scalar_base, partial(am.function_algebra_with_state, 2), 6,
+                    [(1, 1), (1, 3), (1, 6), (2, 2), (2, 6), (3, 4)]),
+    "m2-diag": (partial(am.diagonal_base, 2), partial(am.diagonal_in_matn, 2), 4,
+                [(1, 1), (1, 4), (2, 2), (2, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+def test_block_and_norm_lowers_match_dense_svd(name):
+    base, spec, factors, shapes = ORACLE_CONTEXTS[name]
+    ctx = build_fock(base(), {i: spec() for i in range(factors)}, 4)
+    rng = np.random.default_rng(29)
+    widest = 0
+    for n, k in shapes:
+        fam = random_separated_family(ctx, n, k, rng, f"n{n}k{k}")
+        op = family_operator(ctx, fam)
+        dense = op.matrix.toarray()
+        ref = spectral_norm(dense[:, : ctx.prefix_dim(ctx.max_level - n)])
+        assert abs(norm_lower(ctx, op, n).lower - ref) <= 1e-12 * ref
+        for m in range(ctx.max_level - n + 1):
+            start, end = ctx.level_range(m)
+            widest = max(widest, end - start)
+            for r in range(abs(m - n), m + n + 1):
+                rs, re = ctx.level_range(r)
+                ref = spectral_norm(dense[rs:re, start:end])
+                assert abs(block_lower(ctx, op, n, m, r) - ref) <= 1e-12 * ref
+    assert widest > GRAM_LIMIT
 
 
 def test_family_json_round_trip(ctx_two2, rng):
