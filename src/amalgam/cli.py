@@ -30,7 +30,6 @@ from .linalg import DEFAULT_SEED, restricted_sigma_max
 from .shift import ShiftExperiment, decay_curve
 from .words import (
     Word,
-    block_lower,
     family_operator,
     haagerup_upper,
     ladder_identity_residuals,
@@ -39,6 +38,7 @@ from .words import (
     random_separated_family,
     random_word,
     word_from_json,
+    worst_block_lower,
 )
 
 LEMMA_TOL = 1e-8
@@ -265,10 +265,7 @@ def _kind_haagerup_sweep(params, seed, max_dim, jobs):
                        seconds=time.perf_counter() - t0)
         t0 = time.perf_counter()
         gamma = upper / (2 * n + 1)
-        worst = 0.0
-        for m in range(0, ctx.max_level - n + 1):
-            for r in range(abs(m - n), min(m + n, ctx.max_level) + 1):
-                worst = max(worst, block_lower(ctx, op, n, m, r, seed=seed))
+        worst = worst_block_lower(ctx, op, n, seed=seed)
         block_row = Row(f"fam{j}.blocks", worst <= gamma * (1 + 1e-12),
                         lower=worst, upper=gamma,
                         seconds=time.perf_counter() - t0)

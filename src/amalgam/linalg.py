@@ -12,7 +12,9 @@ Conventions used across the package:
   is wider than ``GRAM_LIMIT`` columns, ``v`` is the exact top eigenvector
   of the Gram block of the best one, from one batched eigenproblem per
   component size. Only an operator with a wider component goes to Lanczos
-  (ARPACK) on ``X* X`` applied as an operator;
+  on ``X* X`` applied as an operator, by one ARPACK driver, ``eigsh``, in
+  real arithmetic: on n coordinates for a real ``X``, on the 2n of
+  ``[Re v; Im v]`` for a complex one;
 * every upper bound on an operator norm, and so every residual checked
   against a tolerance, is the Frobenius norm from ``frobenius``.
 """
@@ -170,24 +172,46 @@ def _gram_witness(x, labels: np.ndarray) -> np.ndarray:
 def _lanczos_witness(x, seed: int) -> np.ndarray:
     """Unit top Ritz vector of ``x* x`` by implicitly restarted Lanczos.
 
-    ARPACK solves a complex Hermitian problem through ``eigs`` (``eigsh``
-    forwards it there without its random generator), so ``eigs`` is called
-    directly: the seeded generator then also draws every restart vector, and
-    the result does not depend on the process or the thread.
+    One ARPACK driver, ``eigsh``, runs in real arithmetic. If ``x`` has no
+    imaginary part it solves ``x^T x`` on the n real coordinates; otherwise
+    it solves the real form of ``x* x``, which acts on ``[Re v; Im v]`` as
+    ``x* x`` acts on v, on 2n coordinates. The start vector is the real part
+    of a seeded complex draw, or its stacked parts; the seeded generator
+    also draws every restart vector, so the result does not depend on the
+    process or the thread. The Ritz vector is lifted back to complex
+    coordinates.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n = x.shape[1]
-    xh = adjoint(x)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
-    nonzero = x.count_nonzero() if sparse.issparse(x) else np.count_nonzero(x)
-    if not nonzero:  # ARPACK cannot start on the zero operator
+    values = x.data if sparse.issparse(x) else x
+    if not np.count_nonzero(values):  # ARPACK cannot start on the zero operator
         return v0
-    gram = LinearOperator((n, n), matvec=lambda v: xh @ (x @ v), dtype=complex)
+    if not np.iscomplexobj(values) or not np.any(values.imag):
+        xr = x.real.astype(float, copy=False)
+        xt = xr.T.tocsr() if sparse.issparse(xr) else xr.T
+        gram = LinearOperator((n, n), matvec=lambda u: xt @ (xr @ u), dtype=float)
+        start = v0.real
+
+        def lift(u):
+            return u.astype(complex)
+    else:
+        xh = adjoint(x)
+
+        def lift(u):
+            return u[:n] + 1j * u[n:]
+
+        def matvec(u):
+            z = xh @ (x @ lift(np.ravel(u)))
+            return np.concatenate([z.real, z.imag])
+
+        gram = LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
+        start = np.concatenate([v0.real, v0.imag])
     try:
-        _, vecs = eigs(gram, k=1, which="LR", v0=v0, tol=POWER_RTOL, rng=rng)
+        _, vecs = eigsh(gram, k=1, which="LA", v0=start, tol=POWER_RTOL, rng=rng)
     except ArpackNoConvergence as exc:
         warnings.warn(
             f"Lanczos on a {x.shape[0]}x{n} operator did not converge ({exc}); "
@@ -195,8 +219,8 @@ def _lanczos_witness(x, seed: int) -> np.ndarray:
             RuntimeWarning,
             stacklevel=3,
         )
-        vecs = np.column_stack([exc.eigenvectors, v0])
+        vecs = np.column_stack([lift(exc.eigenvectors), v0])
         vecs = vecs / np.linalg.norm(vecs, axis=0)
         return vecs[:, int(np.argmax(np.linalg.norm(x @ vecs, axis=0)))]
-    v = vecs[:, 0]
+    v = lift(vecs[:, 0])
     return v / np.linalg.norm(v)

@@ -20,6 +20,7 @@ from itertools import islice
 from operator import add, matmul
 
 import numpy as np
+from scipy import sparse
 
 from .algebra import CenteredElement, center
 from .errors import (ConfigError, HypothesisError, StructureError, TruncationError,
@@ -309,6 +310,37 @@ def block_lower(
     rs, re = ctx.level_range(r)
     restricted = x.matrix[rs:re, start:end]
     sigma, _ = restricted_sigma_max(restricted, seed=seed)
+    return float(sigma)
+
+
+def worst_block_lower(
+    ctx: FockContext,
+    x: FockOperator,
+    spread: int,
+    seed: int = DEFAULT_SEED,
+) -> float:
+    """Largest singular value of the blocks P_r x P_m, m = 0..M-spread, in one
+    solve: that of their direct sum.
+
+    Entry (i, j) of x on the exact domain, with i in level r and j in level
+    m, moves to row (m, i) and column (r, j) of the direct sum Y; empty rows
+    and columns are dropped in order. The blocks of Y touch disjoint rows
+    and columns, so ``||Y||`` is the largest block norm, and the solver's
+    ``||Y v||`` is a certified lower for it.
+    """
+    if spread > ctx.max_level:
+        raise TruncationError(
+            f"level spread {spread} exceeds the truncation level {ctx.max_level}"
+        )
+    ends = [ctx.prefix_dim(m) for m in range(ctx.max_level + 1)]
+    restricted = x.matrix[:, :ctx.prefix_dim(ctx.max_level - spread)].tocoo()
+    i, j = restricted.row, restricted.col
+    m = np.searchsorted(ends, j, side="right")
+    r = np.searchsorted(ends, i, side="right")
+    rows, i = np.unique(m * x.matrix.shape[0] + i, return_inverse=True)
+    cols, j = np.unique(r * restricted.shape[1] + j, return_inverse=True)
+    blocks = sparse.csr_matrix((restricted.data, (i, j)), shape=(rows.size, cols.size))
+    sigma, _ = restricted_sigma_max(blocks, seed=seed)
     return float(sigma)
 
 

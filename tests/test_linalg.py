@@ -71,18 +71,62 @@ def test_sigma_max_matches_svd_and_repeats_bit_for_bit(shape, width, storage):
     assert np.array_equal(v, v_again)
 
 
-def test_unconverged_solve_warns_and_stays_certified(monkeypatch):
-    real_eigs = scipy.sparse.linalg.eigs
+def _real(rng, rows, cols):
+    return rng.standard_normal((rows, cols))
+
+
+@pytest.mark.parametrize("entries", [_complex, _real], ids=["complex", "real"])
+def test_unconverged_solve_warns_and_stays_certified(monkeypatch, entries):
+    real_eigsh = scipy.sparse.linalg.eigsh
     monkeypatch.setattr(
-        scipy.sparse.linalg, "eigs",
-        lambda *args, **kwargs: real_eigs(*args, **{**kwargs, "maxiter": 1}),
+        scipy.sparse.linalg, "eigsh",
+        lambda *args, **kwargs: real_eigsh(*args, **{**kwargs, "maxiter": 1}),
     )
-    x = _tall(np.random.default_rng(3), 3 * GRAM_LIMIT)
+    n = 3 * GRAM_LIMIT
+    x = entries(np.random.default_rng(3), 2 * n + 3, n)
     with pytest.warns(RuntimeWarning, match=r"\d+x192 operator did not converge"):
         sigma, v = restricted_sigma_max(x)
     assert sigma == np.linalg.norm(x @ v)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     assert sigma <= _svd_top(x) * (1 + RTOL)
+
+
+# real operators, as float64 and as complex with a zero imaginary part, run
+# Lanczos on n real coordinates; complex ones on 2n
+LANCZOS_CASES = {
+    "float64": (_real, 1),
+    "zero-imaginary": (lambda rng, rows, cols: _real(rng, rows, cols).astype(complex), 1),
+    "complex": (_complex, 2),
+}
+
+
+@pytest.mark.parametrize("storage", [np.asarray, sparse.csr_matrix])
+@pytest.mark.parametrize("case", LANCZOS_CASES)
+def test_lanczos_runs_real_operators_in_real_arithmetic(monkeypatch, case, storage):
+    entries, factor = LANCZOS_CASES[case]
+    n = 3 * GRAM_LIMIT
+    x = storage(entries(np.random.default_rng(4), 2 * n + 3, n))  # dense: one component
+    sizes = []
+    real_eigsh = scipy.sparse.linalg.eigsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real_eigsh(a, *args, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("eigs ran")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, v = restricted_sigma_max(x, seed=5)
+        again, v_again = restricted_sigma_max(x, seed=5)
+    assert sizes == [factor * n, factor * n]
+    assert v.dtype == complex
+    _check_certified(x, sigma, v)
+    assert sigma == again
+    assert np.array_equal(v, v_again)
 
 
 @pytest.mark.parametrize("storage", [np.asarray, sparse.csr_matrix])

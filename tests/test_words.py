@@ -1,4 +1,5 @@
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam as am
+import amalgam.linalg
 import amalgam.words
+from amalgam.cli import run_config
 from amalgam.errors import HypothesisError, StructureError, TruncationError
 from amalgam.fock import build_fock
 from amalgam.linalg import GRAM_LIMIT
@@ -24,6 +27,7 @@ from amalgam.words import (
     norm_lower,
     random_separated_family,
     word_operator,
+    worst_block_lower,
 )
 from conftest import random_centered, sign_letter, spectral_norm
 
@@ -444,6 +448,7 @@ def test_block_and_norm_lowers_match_dense_svd(name):
         fam = random_separated_family(ctx, n, k, rng, f"n{n}k{k}")
         op = family_operator(ctx, fam)
         dense = op.matrix.toarray()
+        worst = 0.0
         ref = spectral_norm(dense[:, : ctx.prefix_dim(ctx.max_level - n)])
         assert abs(norm_lower(ctx, op, n).lower - ref) <= 1e-12 * ref
         for m in range(ctx.max_level - n + 1):
@@ -453,7 +458,60 @@ def test_block_and_norm_lowers_match_dense_svd(name):
                 rs, re = ctx.level_range(r)
                 ref = spectral_norm(dense[rs:re, start:end])
                 assert abs(block_lower(ctx, op, n, m, r) - ref) <= 1e-12 * ref
+                worst = max(worst, ref)
+        assert abs(worst_block_lower(ctx, op, n) - worst) <= 1e-12 * worst
     assert widest > GRAM_LIMIT
+
+
+def _worst_of_every_block(ctx, op, n, seed):
+    return max(block_lower(ctx, op, n, m, r, seed=seed)
+               for m in range(ctx.max_level - n + 1)
+               for r in range(ctx.max_level + 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(two3=st.booleans(), n=st.integers(1, 3), k=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_worst_block_is_the_largest_block(ctx_two3, ctx_m2diag, two3, n, k, seed):
+    ctx = ctx_two3 if two3 else ctx_m2diag
+    fam = random_separated_family(ctx, n, k, np.random.default_rng(seed), "fam")
+    op = family_operator(ctx, fam)
+    worst = _worst_of_every_block(ctx, op, n, seed)
+    assert abs(worst_block_lower(ctx, op, n, seed=seed) - worst) <= 1e-12 * worst
+
+
+@pytest.mark.parametrize("fixture", ["ctx_two3", "ctx_m2diag"])
+def test_worst_block_lanczos_fallback(fixture, request):
+    # with GRAM_LIMIT at 1 every component of two or more columns, in the
+    # direct sum and in the single blocks alike, goes to Lanczos
+    ctx = request.getfixturevalue(fixture)
+    fam = random_separated_family(ctx, 2, 2, np.random.default_rng(5), "fam")
+    op = family_operator(ctx, fam)
+    lanczos = mock.patch.object(amalgam.linalg, "_lanczos_witness",
+                                wraps=amalgam.linalg._lanczos_witness)
+    with mock.patch.object(amalgam.linalg, "GRAM_LIMIT", 1), lanczos as spy:
+        worst = _worst_of_every_block(ctx, op, 2, 7)
+        spy.reset_mock()
+        value = worst_block_lower(ctx, op, 2, seed=7)
+        assert spy.call_count == 1
+    assert abs(value - worst) <= 1e-12 * worst
+
+
+def test_worst_block_of_zero_and_of_large_spread(ctx_two3):
+    assert worst_block_lower(ctx_two3, ctx_two3.zero(), 1) == 0.0
+    with pytest.raises(TruncationError):
+        worst_block_lower(ctx_two3, ctx_two3.identity(), ctx_two3.max_level + 1)
+
+
+def test_sweep_solves_twice_per_family(tmp_path):
+    # one norm solve and one direct-sum block solve per family
+    config = {"kind": "haagerup-sweep", "seed": 3,
+              "parameters": {"config": "two-point-3", "M": 4, "families": 5}}
+    spy = mock.patch.object(amalgam.words, "restricted_sigma_max",
+                            wraps=amalgam.words.restricted_sigma_max)
+    with spy as solver:
+        assert run_config(config, out_dir=tmp_path) == 0
+    assert solver.call_count == 2 * 5
 
 
 def test_family_json_round_trip(ctx_two2, rng):
