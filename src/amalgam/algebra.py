@@ -58,9 +58,6 @@ class MatrixStarAlgebra:
         except StructureError:
             return False
 
-    def multiply(self, c1, c2) -> np.ndarray:
-        return self.expand(self.matrix(c1) @ self.matrix(c2))
-
     def adjoint_coords(self, coords) -> np.ndarray:
         return self.expand(self.matrix(coords).conj().T)
 
@@ -157,12 +154,6 @@ class CenteredElement:
     owner: int
     coords: np.ndarray
     centering_residual: float = 0.0
-
-
-def expectation_apply(spec: AlgebraWithExpectation, a) -> np.ndarray:
-    """Apply the conditional expectation to an element (coords or ambient matrix)."""
-    coords = a if np.ndim(a) == 1 else spec.algebra.expand(a)
-    return spec.apply(coords)
 
 
 def center(spec: AlgebraWithExpectation, a, owner: int = 0) -> CenteredElement:
@@ -299,11 +290,6 @@ def _mat_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
     return data.reshape(rows, cols)
 
 
-def _pairs_from_mat(mat) -> list[list[float]]:
-    flat = as_complex(mat).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
 def scalars_in_matn(n: int) -> AlgebraWithExpectation:
     """Full M_n over the scalars, with the normalized trace."""
     basis = [
@@ -388,11 +374,3 @@ def algebra_from_json(obj) -> AlgebraWithExpectation:
     exp = _mat_from_pairs(obj["expectation_matrix"], b.dim, a.dim)
     return AlgebraWithExpectation(a, b, exp)
 
-
-def algebra_to_json(spec: AlgebraWithExpectation) -> dict:
-    return {
-        "ambient_dim": spec.algebra.ambient_dim,
-        "algebra_basis": [_pairs_from_mat(m) for m in spec.algebra.basis],
-        "subalgebra_basis": [_pairs_from_mat(m) for m in spec.subalgebra.basis],
-        "expectation_matrix": _pairs_from_mat(spec.expectation),
-    }

@@ -9,7 +9,6 @@ reflects exclusively the mathematical checks, never performance.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -171,7 +170,7 @@ def _fields(obj, table, root):
 # ---------------------------------------------------------------------------
 
 
-def _kind_validate_algebra(params, seed, max_dim, jobs):
+def _kind_validate_algebra(params, seed, max_dim):
     rows = []
     for j, spec in enumerate(params["algebras"]):
         for check in alg.validate_expectation(spec, seed=seed).checks:
@@ -180,7 +179,7 @@ def _kind_validate_algebra(params, seed, max_dim, jobs):
     return rows
 
 
-def _kind_fock_report(params, seed, max_dim, jobs):
+def _kind_fock_report(params, seed, max_dim):
     ctx = _factor_context(params["config"], params["M"], max_dim)
     rng = np.random.default_rng(seed)
     rows = []
@@ -217,62 +216,48 @@ def _kind_fock_report(params, seed, max_dim, jobs):
     return rows, {"context.json": context_json}
 
 
-def _kind_lemma_check(params, seed, max_dim, jobs):
+def _kind_lemma_check(params, seed, max_dim):
     ctx = _factor_context(params["config"], params["M"], max_dim)
     rng = np.random.default_rng(seed)
-    tasks = []
+    # one row per word and level m; a row's seconds cover its m, the first
+    # row's also the word's factors, so they sum to the word's time
+    rows = []
     for j in range(params["words"]):
-        n = int(rng.integers(1, params["n_max"] + 1))
-        tasks.append((j, random_word(ctx, n, rng)))
-
-    def check(task):
-        """The rows of one word, one per level m. A row's seconds cover its m,
-        the first row's also the word's factors, so they sum to the word's time."""
-        j, w = task
+        w = random_word(ctx, int(rng.integers(1, params["n_max"] + 1)), rng)
         scale = math.prod(letter_norms(ctx, w))
-        rows = []
         t0 = time.perf_counter()
         for m, resid in enumerate(ladder_identity_residuals(ctx, w)):
             t1 = time.perf_counter()
             rows.append(Row(f"w{j}.n{w.length}.m{m}", resid <= LEMMA_TOL * scale,
                             residual=resid, upper=LEMMA_TOL * scale, seconds=t1 - t0))
             t0 = t1
-        return rows
-
-    return [row for rows in _run_tasks(tasks, check, jobs) for row in rows]
+    return rows
 
 
-def _kind_haagerup_sweep(params, seed, max_dim, jobs):
+def _kind_haagerup_sweep(params, seed, max_dim):
     ctx = _factor_context(params["config"], params["M"], max_dim)
     rng = np.random.default_rng(seed)
-    tasks = []
+    # the norm rows of all families, then their block rows; the two rows of a
+    # family share its operator
+    norm_rows, block_rows = [], []
     for j in range(params["families"]):
         n = int(rng.integers(1, params["n_max"] + 1))
         k = int(rng.integers(1, params["k_max"] + 1))
         fam = random_separated_family(ctx, n, k, rng, f"fam{j}")
-        tasks.append((j, fam))
-
-    def check(task):
-        """The norm row and the block row of one family, on one operator."""
-        j, fam = task
-        n = fam.length
         t0 = time.perf_counter()
         upper = haagerup_upper(fam, ctx)
         op = family_operator(ctx, fam)
         lower = norm_lower(ctx, op, n, seed=seed).lower
-        norm_row = Row(f"fam{j}.n{n}.k{len(fam.words)}",
-                       lower <= upper * (1 + 1e-12), lower=lower, upper=upper,
-                       seconds=time.perf_counter() - t0)
+        norm_rows.append(Row(f"fam{j}.n{n}.k{len(fam.words)}",
+                             lower <= upper * (1 + 1e-12), lower=lower, upper=upper,
+                             seconds=time.perf_counter() - t0))
         t0 = time.perf_counter()
         gamma = upper / (2 * n + 1)
         worst = worst_block_lower(ctx, op, n, seed=seed)
-        block_row = Row(f"fam{j}.blocks", worst <= gamma * (1 + 1e-12),
-                        lower=worst, upper=gamma,
-                        seconds=time.perf_counter() - t0)
-        return norm_row, block_row
-
-    pairs = _run_tasks(tasks, check, jobs)
-    return [norm for norm, _ in pairs] + [block for _, block in pairs]
+        block_rows.append(Row(f"fam{j}.blocks", worst <= gamma * (1 + 1e-12),
+                              lower=worst, upper=gamma,
+                              seconds=time.perf_counter() - t0))
+    return norm_rows + block_rows
 
 
 def _curve_csv(points) -> str:
@@ -284,7 +269,7 @@ def _curve_csv(points) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kind_ergodic_decay(params, seed, max_dim, jobs):
+def _kind_ergodic_decay(params, seed, max_dim):
     p, proto = params["p"], params["prototype"]
     exp = ShiftExperiment(_unit_prototype(p) if proto is None else proto,
                           n_max=params["n_max"], max_level=params["M"])
@@ -303,7 +288,7 @@ def _kind_ergodic_decay(params, seed, max_dim, jobs):
         [(pt.n, pt.lower, pt.ell2_vacuum, pt.decay_bound) for pt in curve.points])}
 
 
-def _kind_group_haagerup(params, seed, max_dim, jobs):
+def _kind_group_haagerup(params, seed, max_dim):
     word = params["word"]
     rep = fg.haagerup_check(
         fg.GroupFunction.delta(word), params["R"], max_ball=params["max_ball"],
@@ -314,13 +299,12 @@ def _kind_group_haagerup(params, seed, max_dim, jobs):
                 lower=rep.lower, upper=rep.upper)]
 
 
-def _kind_group_shift(params, seed, max_dim, jobs):
-    ns = params["ns"]
-    reports = _run_tasks(ns, lambda n: fg.shift_average_group(
-        params["word"], n, params["R"], max_ball=params["max_ball"], seed=seed), jobs)
+def _kind_group_shift(params, seed, max_dim):
     rows = []
     points = []
-    for n, rep in zip(ns, reports):
+    for n in params["ns"]:
+        rep = fg.shift_average_group(params["word"], n, params["R"],
+                                     max_ball=params["max_ball"], seed=seed)
         ok = rep.ell2 * (1 - 1e-12) <= rep.lower <= rep.upper * (1 + 1e-12)
         rows.append(Row(f"shift.n{n}.Reff{rep.effective_radius}", ok,
                         lower=rep.lower, upper=rep.upper))
@@ -328,7 +312,7 @@ def _kind_group_shift(params, seed, max_dim, jobs):
     return rows, {"curve.csv": _curve_csv(points)}
 
 
-def _kind_rd_report(params, seed, max_dim, jobs):
+def _kind_rd_report(params, seed, max_dim):
     word, s = params["word"], params["s"]
     p = fg.word_length(word)
     rows = []
@@ -342,13 +326,6 @@ def _kind_rd_report(params, seed, max_dim, jobs):
         resid0 = abs(fg.rd_norm(avg, 0.0) - avg.ell2())
         rows.append(Row(f"rd.s0.n{n}", resid0 <= EXACT_TOL, residual=resid0))
     return rows
-
-
-def _run_tasks(tasks, fn, jobs):
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
 
 
 # parameters that several kinds share
@@ -522,6 +499,8 @@ def load_config(source: str) -> dict:
         raise ConfigError(f"config {source!r} is neither a preset nor a file")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ConfigError(f"cannot read config {source!r}: {exc.strerror}") from exc
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
@@ -540,6 +519,15 @@ def validate_config(config) -> dict:
         raise ConfigError("the identity has no distinct shifts", "/parameters/word")
     if "R" in params and params["R"] < fg.word_length(params["word"]):
         raise ConfigError(f"R = {params['R']} is below the word length", "/parameters/R")
+    if kind == "rd-report":  # rd_norm weighs each term by (1 + p)^(2s)
+        p, s = fg.word_length(params["word"]), params["s"]
+        try:
+            finite = math.isfinite((1.0 + p) ** (2 * s))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"s = {s} overflows the weight (1 + p)^(2s) of a word "
+                              f"of length p = {p}", "/parameters/s")
     proto = params["prototype"] if kind == "ergodic-decay" else None
     if proto is not None:
         if proto.length != params["p"]:
@@ -553,22 +541,24 @@ def validate_config(config) -> dict:
     return config
 
 
-def run_config(config: dict, *, out_dir: Path, jobs: int = 1,
+def run_config(config: dict, *, out_dir: Path,
                seed: int | None = None, max_dim: int | None = None) -> int:
-    if jobs < 1:
-        raise ConfigError(f"jobs: expected an integer >= 1, got {jobs}")
     config = validate_config(config)
     for key, value in (("seed", seed), ("max_dim", max_dim)):
         if value is not None:  # an override passes its field's own check
             config[key] = TOP[key][0](value, f"/{key}")
+    try:  # before the run, which an unusable directory would waste
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {str(out_dir)!r}: "
+                          f"{exc.strerror}") from exc
     kind, stem = config["kind"], config["output"]
     fn, _, _ = KINDS[kind]
     t0 = time.perf_counter()
-    result = fn(config["parameters"], config["seed"], config["max_dim"], jobs)
+    result = fn(config["parameters"], config["seed"], config["max_dim"])
     elapsed = time.perf_counter() - t0
     rows, extras = result if isinstance(result, tuple) else (result, {})
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
     lines = ["name,status,lower,upper,residual"]
     lines += [row.csv() for row in rows]
@@ -604,7 +594,8 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute a config file or preset name")
     p_run.add_argument("config")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="checks run serially, so only 1 is accepted")
     p_run.add_argument("--out", type=Path, default=Path("."))
     p_run.add_argument("--max-dim", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
@@ -627,11 +618,13 @@ def main(argv=None) -> int:
             validate_config(load_config(args.config))
             print("config ok")
             return 0
+        if args.jobs != 1:
+            raise ConfigError(f"--jobs: checks run serially, so only 1 is accepted; "
+                              f"got {args.jobs}")
         config = load_config(args.config)
         return run_config(
             config,
             out_dir=args.out,
-            jobs=args.jobs,
             seed=args.seed,
             max_dim=args.max_dim,
         )

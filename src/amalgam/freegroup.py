@@ -108,12 +108,6 @@ class GroupFunction:
             out[w] = out.get(w, 0.0) + c
         return GroupFunction(out)
 
-    def star(self) -> "GroupFunction":
-        """f*(g) = conj(f(g^-1))."""
-        return GroupFunction(
-            {w.inverse(): np.conj(c) for w, c in self.terms.items()}
-        )
-
     def ell2(self) -> float:
         return float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
 
@@ -125,31 +119,12 @@ class GroupFunction:
         return tuple(sorted(gens))
 
 
-def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    out: dict[ReducedWord, complex] = {}
-    for wf, cf in f.terms.items():
-        for wg, cg in g.terms.items():
-            w = wf * wg
-            out[w] = out.get(w, 0.0) + cf * cg
-    return GroupFunction(out)
-
-
-def trace_tau(f: GroupFunction) -> complex:
-    """The canonical trace: the coefficient of the identity."""
-    return complex(f.terms.get(IDENTITY, 0.0))
-
-
 def rd_norm(f: GroupFunction, s: float) -> float:
     """Length-weighted ell2 norm (sum |f(g)|^2 (1 + |g|)^(2s))^(1/2)."""
     total = 0.0
     for w, c in f.terms.items():
         total += abs(c) ** 2 * (1.0 + word_length(w)) ** (2 * s)
     return float(np.sqrt(total))
-
-
-def orbit_classify(h: ReducedWord) -> str:
-    """Orbit type under the index shift: only the identity is fixed."""
-    return "fixed" if not h.letters else "infinite"
 
 
 def ball_size(num_generators: int, radius: int) -> int:

@@ -137,12 +137,6 @@ def build_gns(spec: AlgebraWithExpectation) -> GnsModule:
     )
 
 
-def split_unit(mod: GnsModule) -> tuple[np.ndarray, np.ndarray]:
-    """Projections (onto the B-summand, onto E_deg) as carrier matrices."""
-    p_b = mod.b_summand @ mod.b_summand.conj().T
-    return p_b, np.eye(mod.carrier_dim) - p_b
-
-
 def inner_product(mod: GnsModule, x: ModuleVector, y: ModuleVector) -> np.ndarray:
     """B-valued inner product <x, y> = phi(x* y), in B-coordinates.
 
@@ -158,19 +152,3 @@ def module_norm(mod: GnsModule, x: ModuleVector) -> float:
     sq = inner_product(mod, x, x)
     return float(np.sqrt(mod.source.subalgebra.norm(sq)))
 
-
-def gns_to_json(mod: GnsModule) -> dict:
-    """Serializable summary (basis representatives plus Gram data) for caching."""
-
-    def pairs(mat):
-        flat = as_complex(mat).reshape(-1)
-        return [[float(z.real), float(z.imag)] for z in flat]
-
-    return {
-        "carrier_dim": mod.carrier_dim,
-        "e_dim": mod.e_dim,
-        "carrier_basis": pairs(mod.carrier_basis),
-        "hat_matrix": pairs(mod.hat_matrix),
-        "scalar_gram": pairs(mod.scalar_gram),
-        "bip_full": pairs(mod.bip_full),
-    }

@@ -16,7 +16,6 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
 from operator import add, matmul
 
 import numpy as np
@@ -86,21 +85,14 @@ class WordFamily:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Certified lower bound paired with the corresponding upper estimate."""
+    """A certified lower bound ``lower = ||x v||`` with its unit witness v on
+    the exact domain, the Fock label of v's largest coordinate, and the
+    seconds the solve took."""
 
-    family_id: str
-    length: int
-    size: int
-    max_level: int
     lower: float
-    upper: float
     witness_label: str = ""
     witness: np.ndarray | None = field(default=None, repr=False, compare=False)
     seconds: float = 0.0
-
-    @property
-    def ratio(self) -> float:
-        return self.lower / self.upper if self.upper > 0 else float("nan")
 
 
 def _check_letters(ctx: FockContext, w: Word):
@@ -211,14 +203,6 @@ def _ladder_residuals(ctx: FockContext, w: Word) -> Iterator[float]:
         yield frobenius(delta[:, start:end])
 
 
-def ladder_identity_residual(ctx: FockContext, w: Word, m: int) -> float:
-    """The residual of ``ladder_identity_residuals`` at level m."""
-    if not 0 <= m <= ctx.max_level - w.length:
-        raise TruncationError(
-            f"level m = {m} outside 0..M-n = 0..{ctx.max_level - w.length}")
-    return next(islice(ladder_identity_residuals(ctx, w), m, None))
-
-
 def haagerup_upper(fam: WordFamily, ctx: FockContext) -> float:
     """(2n+1) gamma with gamma^2 the sum over the family of squared letter-norm
     products. Requires the distinct-first/last-index hypothesis."""
@@ -243,16 +227,14 @@ def norm_lower(
     ctx: FockContext,
     x: FockOperator,
     spread: int,
-    upper: float = float("inf"),
-    family_id: str = "op",
-    size: int = 1,
     seed: int = DEFAULT_SEED,
 ) -> NormReport:
     """Certified lower bound for the untruncated operator norm.
 
     Restricts x to the prefix of levels 0..M-spread, where a level spread of
     ``spread`` cannot reach the truncation boundary, and takes the largest
-    singular value of that exact restriction.
+    singular value of that exact restriction. The upper bound to compare it
+    with is the caller's, for example ``haagerup_upper`` of a family.
     """
     if spread > ctx.max_level:
         raise TruncationError(
@@ -266,32 +248,10 @@ def norm_lower(
     if witness.size:
         label = str(ctx.label_of_coordinate(int(np.argmax(np.abs(witness)))))
     return NormReport(
-        family_id=family_id,
-        length=spread,
-        size=size,
-        max_level=ctx.max_level,
         lower=float(sigma),
-        upper=float(upper),
         witness_label=label,
         witness=witness,
         seconds=time.perf_counter() - t0,
-    )
-
-
-def family_report(
-    ctx: FockContext, fam: WordFamily, seed: int = DEFAULT_SEED
-) -> NormReport:
-    """Certified lower bound against the separated-family upper bound."""
-    op = family_operator(ctx, fam)
-    upper = haagerup_upper(fam, ctx)
-    return norm_lower(
-        ctx,
-        op,
-        fam.length,
-        upper=upper,
-        family_id=fam.family_id,
-        size=len(fam.words),
-        seed=seed,
     )
 
 
@@ -394,25 +354,9 @@ def random_separated_family(ctx: FockContext, n: int, k: int, rng,
     return WordFamily(tuple(words), family_id)
 
 
-def family_to_json(fam: WordFamily) -> dict:
-    """Word-family spec: letters by algebra-basis coordinates."""
-    return {
-        "id": fam.family_id,
-        "words": [
-            {
-                "indices": [int(i) for i in w.indices],
-                "letters": [
-                    [[float(z.real), float(z.imag)] for z in a.coords]
-                    for a in w.letters
-                ],
-            }
-            for w in fam.words
-        ],
-    }
-
-
 def word_from_json(obj) -> Word:
-    """Load one word of a family spec; a ConfigError points inside it."""
+    """Load a word from its factor indices and its letters, each a list of
+    [re, im] algebra-basis coordinates; a ConfigError points inside it."""
     for key in obj:
         if key not in ("indices", "letters"):
             raise ConfigError(f"unknown field {key!r}", f"/{pointer_token(key)}")
@@ -426,13 +370,3 @@ def word_from_json(obj) -> Word:
         CenteredElement(owner, np.array([complex(re, im) for re, im in pairs]))
         for owner, pairs in zip(indices, letters)))
 
-
-def family_from_json(obj) -> WordFamily:
-    """Load a WordFamily; centering is validated when operators are built."""
-    words = []
-    for i, spec in enumerate(obj["words"]):
-        try:
-            words.append(word_from_json(spec))
-        except ConfigError as exc:
-            raise ConfigError(exc.message, f"/words/{i}{exc.pointer}") from exc
-    return WordFamily(tuple(words), obj.get("id", "family"))

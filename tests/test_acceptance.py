@@ -23,10 +23,10 @@ from amalgam.shift import (
 from amalgam.words import (
     block_lower,
     family_operator,
-    family_report,
     haagerup_upper,
-    ladder_identity_residual,
+    ladder_identity_residuals,
     letter_norms,
+    norm_lower,
     random_separated_family,
     random_word,
 )
@@ -53,8 +53,9 @@ def test_criterion_1_ladder_identity():
             n = int(rng.integers(1, 5))
             w = random_word(ctx, n, rng)
             scale = float(np.prod(letter_norms(ctx, w)))
-            for m in range(0, 6 - n + 1):
-                resid = ladder_identity_residual(ctx, w, m)
+            residuals = list(ladder_identity_residuals(ctx, w))
+            assert len(residuals) == 6 - n + 1  # one per level m = 0..M-n
+            for resid in residuals:
                 assert resid < 1e-8 * scale
                 worst = max(worst, resid / scale)
             total += 1
@@ -77,18 +78,23 @@ def family_sweep():
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, 7))
         families.append(random_separated_family(ctx, n, k, rng, f"fam{j}"))
-    reports = [family_report(ctx, fam, seed=SEED) for fam in families]
+    # the composition of haagerup-sweep: one operator per family, reused below
+    checks = []
+    for fam in families:
+        upper = haagerup_upper(fam, ctx)
+        op = family_operator(ctx, fam)
+        checks.append((op, norm_lower(ctx, op, fam.length, seed=SEED).lower, upper))
     elapsed = time.perf_counter() - t0
-    return ctx, families, reports, elapsed
+    return ctx, families, checks, elapsed
 
 
 def test_criterion_2_separated_family_bound(family_sweep):
-    ctx, families, reports, elapsed = family_sweep
+    ctx, families, checks, elapsed = family_sweep
     ratios = []
-    for fam, rep in zip(families, reports):
-        assert rep.lower <= rep.upper * (1 + 1e-12)
-        ratios.append(rep.ratio)
-    assert len(reports) == 50
+    for _, lower, upper in checks:
+        assert lower <= upper * (1 + 1e-12)
+        ratios.append(lower / upper)
+    assert len(checks) == 50
     assert elapsed < 120.0
     _report(
         2,
@@ -98,14 +104,13 @@ def test_criterion_2_separated_family_bound(family_sweep):
 
 
 def test_criterion_3_block_bounds(family_sweep):
-    ctx, families, reports, _ = family_sweep
+    ctx, families, checks, _ = family_sweep
     t0 = time.perf_counter()
     violations = 0
     worst = 0.0
-    for fam in families:
+    for fam, (op, _, upper) in zip(families, checks):
         n = fam.length
-        gamma = haagerup_upper(fam, ctx) / (2 * n + 1)
-        op = family_operator(ctx, fam)
+        gamma = upper / (2 * n + 1)
         for m in range(0, ctx.max_level - n + 1):
             for r in range(abs(m - n), min(m + n, ctx.max_level) + 1):
                 sigma = block_lower(ctx, op, n, m, r, seed=SEED)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam as am
-from amalgam.algebra import algebra_from_json, algebra_to_json
+from amalgam.algebra import algebra_from_json
 from amalgam.errors import ConfigError, StructureError
 
 E = np.eye(2)
@@ -47,18 +47,18 @@ def test_a11_expectation_validates():
 
 
 def test_trace_applied_to_matrix(m2_trace):
-    out = am.expectation_apply(m2_trace, np.array([[1, 2], [3, 4]], dtype=complex))
+    mat = np.array([[1, 2], [3, 4]], dtype=complex)
+    out = m2_trace.apply(m2_trace.algebra.expand(mat))
     np.testing.assert_allclose(out, [2.5])
 
 
 def test_diagonal_expectation_deletes_entries(m2_diag):
-    out = am.expectation_apply(m2_diag, np.array([[1, 2], [3, 4]], dtype=complex))
-    mat = m2_diag.subalgebra.matrix(out)
+    mat = m2_diag.apply_matrix(np.array([[1, 2], [3, 4]], dtype=complex))
     np.testing.assert_allclose(mat, np.diag([1.0, 4.0]))
 
 
 def test_expectation_fixes_unit(m2_trace):
-    out = am.expectation_apply(m2_trace, m2_trace.algebra.unit_coords)
+    out = m2_trace.apply(m2_trace.algebra.unit_coords)
     np.testing.assert_allclose(out, m2_trace.subalgebra.unit_coords)
 
 
@@ -143,8 +143,21 @@ def test_not_closed_under_product_rejected():
 
 
 def test_json_round_trip(m2_diag):
-    spec = algebra_from_json(algebra_to_json(m2_diag))
+    # M_2 over its diagonal written out by hand: matrices as row-major lists
+    # of [re, im] pairs, loaded into the same spec as the preset
+    def pairs(mat):
+        return [[float(z), 0.0] for z in np.ravel(mat)]
+
+    obj = {
+        "ambient_dim": 2,
+        "algebra_basis": [pairs(unit(i, j)) for i in range(2) for j in range(2)],
+        "subalgebra_basis": [pairs(unit(0, 0)), pairs(unit(1, 1))],
+        "expectation_matrix": pairs([[1, 0, 0, 0], [0, 0, 0, 1]]),
+    }
+    spec = algebra_from_json(obj)
     assert am.validate_expectation(spec).passed
+    np.testing.assert_allclose(spec.algebra.basis, m2_diag.algebra.basis)
+    np.testing.assert_allclose(spec.subalgebra.basis, m2_diag.subalgebra.basis)
     np.testing.assert_allclose(spec.expectation, m2_diag.expectation)
 
 

@@ -260,12 +260,54 @@ def test_overrides_pass_the_field_checks(tmp_path, capsys, flag, value, pointer)
     assert pointer in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "2"])
 def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
     out = tmp_path / "out"
     assert main(["run", "rd-report-basic", "--out", str(out), "--jobs", jobs]) == 2
     assert f"got {jobs}" in capsys.readouterr().err
     assert not out.exists()  # refused before anything ran
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_directory_config_exits_2(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err
+    assert "Traceback" not in err
+
+
+def test_out_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    ran, real = [], amalgam.cli.fg.shift_average
+    monkeypatch.setattr(amalgam.cli.fg, "shift_average",
+                        lambda *args: ran.append(args) or real(*args))
+    assert main(["run", "rd-report-basic", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err
+    assert "Traceback" not in err
+    assert ran == []  # refused before the kind ran
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("s", [600, 1e308])
+def test_rd_report_overflowing_s_exits_2(tmp_path, capsys, s):
+    # (1 + 1)^(2s) is no finite float; run used to die with OverflowError
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "rd-report",
+                               "parameters": {"word": "g0", "s": s, "ns": [1]}}))
+    for argv in (["validate", str(bad)], ["run", str(bad), "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "/parameters/s" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s", [-600, -1e308])
+def test_rd_report_accepts_large_negative_s(tmp_path, s):
+    # (1 + p)^(2s) underflows to 0, and every row still checks exactly
+    config = {"kind": "rd-report", "parameters": {"word": "g0 g1", "s": s, "ns": [1, 4]}}
+    assert run_config(config, out_dir=tmp_path) == 0
 
 
 # one valid parameter set per kind, every level spread at its least, so that
@@ -347,34 +389,6 @@ def test_runs_are_deterministic(tmp_path):
     run_config(config, out_dir=tmp_path / "b")
     assert (tmp_path / "a/decay.csv").read_bytes() == (
         tmp_path / "b/decay.csv"
-    ).read_bytes()
-
-
-def test_jobs_flag_keeps_order(tmp_path):
-    config = {
-        "kind": "lemma-check",
-        "parameters": {"config": "two-point-2", "M": 4, "words": 4, "n_max": 2},
-        "output": "ordered",
-    }
-    run_config(config, out_dir=tmp_path / "a", jobs=1)
-    run_config(config, out_dir=tmp_path / "b", jobs=4)
-    assert (tmp_path / "a/ordered.csv").read_bytes() == (
-        tmp_path / "b/ordered.csv"
-    ).read_bytes()
-
-
-def test_jobs_flag_keeps_sparse_sweep_bytes(tmp_path):
-    # two-point-6 at M=5 is stored sparse; n=1 families solve on 937 columns
-    config = {
-        "kind": "haagerup-sweep",
-        "parameters": {"config": "two-point-6", "M": 5, "families": 2,
-                       "n_max": 1},
-        "output": "sweep",
-    }
-    run_config(config, out_dir=tmp_path / "a", jobs=1)
-    run_config(config, out_dir=tmp_path / "b", jobs=4)
-    assert (tmp_path / "a/sweep.csv").read_bytes() == (
-        tmp_path / "b/sweep.csv"
     ).read_bytes()
 
 

@@ -13,16 +13,13 @@ from amalgam.freegroup import (
     ball_size,
     build_ball,
     convolution_operator,
-    convolve,
     haagerup_check,
     largest_feasible_radius,
-    orbit_classify,
     parse_word,
     rd_norm,
     reduce_word,
     shift_average,
     shift_average_group,
-    trace_tau,
     word_length,
 )
 from amalgam.linalg import restricted_sigma_max
@@ -303,35 +300,8 @@ def test_capacity_reduces_effective_radius():
 
 
 # ---------------------------------------------------------------------------
-# trace, rapid-decay norms, orbits
+# rapid-decay norms
 # ---------------------------------------------------------------------------
-
-
-def test_trace_values():
-    assert trace_tau(GroupFunction.delta(IDENTITY)) == 1.0
-    assert trace_tau(GroupFunction.delta(parse_word("g0"))) == 0.0
-    f = GroupFunction.delta(IDENTITY) + GroupFunction.delta(parse_word("g0 g1"), 2.0)
-    assert trace_tau(f) == 1.0
-
-
-def test_trace_positivity():
-    f = GroupFunction(
-        {IDENTITY: 1.5, parse_word("g0"): -2.0j, parse_word("g1 g0"): 0.25}
-    )
-    val = trace_tau(convolve(f.star(), f))
-    assert abs(val.imag) < 1e-12
-    assert abs(val.real - f.ell2() ** 2) < 1e-12
-
-
-def test_convolution_associativity():
-    f = GroupFunction({parse_word("g0"): 1.0, parse_word("g1^-1"): 2.0})
-    g = GroupFunction({parse_word("g0^-1"): 1.0, IDENTITY: -1.0})
-    h = GroupFunction({parse_word("g1"): 3.0})
-    lhs = convolve(convolve(f, g), h)
-    rhs = convolve(f, convolve(g, h))
-    assert set(lhs.terms) == set(rhs.terms)
-    for w in lhs.terms:
-        assert abs(lhs.terms[w] - rhs.terms[w]) < 1e-12
 
 
 def test_rd_norm_values():
@@ -342,8 +312,3 @@ def test_rd_norm_values():
     assert abs(rd_norm(avg, 2.0) - 9.0 / 2.0) < 1e-12
     assert abs(rd_norm(avg, 0.0) - avg.ell2()) < 1e-15
 
-
-def test_orbit_classification():
-    assert orbit_classify(IDENTITY) == "fixed"
-    assert orbit_classify(parse_word("g0")) == "infinite"
-    assert orbit_classify(parse_word("g5 g7^-1")) == "infinite"

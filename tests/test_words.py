@@ -19,9 +19,7 @@ from amalgam.words import (
     block_decomposition,
     block_lower,
     family_operator,
-    family_report,
     haagerup_upper,
-    ladder_identity_residual,
     ladder_identity_residuals,
     letter_norms,
     norm_lower,
@@ -74,7 +72,7 @@ def test_every_entry_point_checks_letters(ctx_two2):
     with pytest.raises(StructureError):
         block_decomposition(ctx_two2, w, 0, 1)
     with pytest.raises(StructureError):
-        ladder_identity_residual(ctx_two2, w, 0)
+        ladder_identity_residuals(ctx_two2, w)
 
 
 def test_ladder_identity_checks_letters_once(ctx_two3, rng, monkeypatch):
@@ -87,7 +85,7 @@ def test_ladder_identity_checks_letters_once(ctx_two3, rng, monkeypatch):
 
     monkeypatch.setattr(amalgam.words, "_check_letters", counting)
     w = random_word(ctx_two3, 2, rng)
-    assert ladder_identity_residual(ctx_two3, w, 1) < 1e-8
+    assert list(ladder_identity_residuals(ctx_two3, w))[1] < 1e-8
     assert calls == [w]
 
 
@@ -141,8 +139,9 @@ def test_single_letter_three_term_identity(ctx_two2, rng):
     # a P_m = P_{m+1} psi P_m + P_m rho P_m + P_{m-1} psi* P_m
     a = random_centered(ctx_two2.factors[1].spec, 1, rng)
     w = Word((a,))
+    residuals = list(ladder_identity_residuals(ctx_two2, w))
     for m in (1, 2, 3):
-        assert ladder_identity_residual(ctx_two2, w, m) < 1e-10
+        assert residuals[m] < 1e-10
 
 
 def test_two_letter_case_three_block(ctx_two2, rng):
@@ -179,8 +178,8 @@ def test_ladder_identity_random_words(ctx_two3, rng):
         n = int(rng.integers(1, 5))
         w = random_word(ctx_two3, n, rng)
         scale = np.prod(letter_norms(ctx_two3, w))
-        for m in range(0, min(3, ctx_two3.max_level - n) + 1):
-            assert ladder_identity_residual(ctx_two3, w, m) < 1e-8 * scale
+        for resid in ladder_identity_residuals(ctx_two3, w):
+            assert resid < 1e-8 * scale
 
 
 def test_ladder_identity_on_separated_module(rng):
@@ -197,8 +196,8 @@ def test_ladder_identity_on_separated_module(rng):
         n = int(rng.integers(1, 4))
         w = random_word(ctx, n, rng)
         scale = np.prod(letter_norms(ctx, w))
-        for m in range(0, ctx.max_level - n + 1):
-            assert ladder_identity_residual(ctx, w, m) < 1e-8 * scale
+        for resid in ladder_identity_residuals(ctx, w):
+            assert resid < 1e-8 * scale
 
 
 def test_ladder_identity_nonuniform_state(rng):
@@ -208,8 +207,8 @@ def test_ladder_identity_nonuniform_state(rng):
         n = int(rng.integers(1, 4))
         w = random_word(ctx, n, rng)
         scale = np.prod(letter_norms(ctx, w))
-        for m in range(0, ctx.max_level - n + 1):
-            assert ladder_identity_residual(ctx, w, m) < 1e-8 * scale
+        for resid in ladder_identity_residuals(ctx, w):
+            assert resid < 1e-8 * scale
 
 
 @settings(max_examples=10, deadline=None)
@@ -222,12 +221,13 @@ def test_ladder_residual_bounds_the_norm_of_its_difference(ctx_two3, ctx_m2diag,
     for ctx in (ctx_two3, ctx_m2diag):
         n = int(rng.integers(1, 4))
         w = random_word(ctx, n, rng)
+        residuals = list(ladder_identity_residuals(ctx, w))
         for m in range(ctx.max_level - n + 1):
             total = ctx.zero()
             for r in range(ctx.max_level + 1):
                 total = total + block_decomposition(ctx, w, m, r)
             diff = (word_operator(ctx, w) @ ctx.level_projection(m) - total).matrix
-            resid = ladder_identity_residual(ctx, w, m)
+            resid = residuals[m]
             assert resid == pytest.approx(np.linalg.norm(diff.toarray()), rel=1e-12, abs=0)
             assert resid >= spectral_norm(diff) * (1 - 1e-12)
 
@@ -253,16 +253,12 @@ def test_ladder_residuals_equal_the_sum_of_blocks(ctx_two3, ctx_m2diag, seed):
         want = [reference_ladder_residual(ctx, w, m)
                 for m in range(ctx.max_level - n + 1)]
         assert list(ladder_identity_residuals(ctx, w)) == want
-        m = int(rng.integers(0, ctx.max_level - n + 1))
-        assert ladder_identity_residual(ctx, w, m) == want[m]
 
 
 def test_truncation_guard(ctx_two2, rng):
     w = random_word(ctx_two2, 3, rng)
     with pytest.raises(TruncationError):
         block_decomposition(ctx_two2, w, ctx_two2.max_level, 1)
-    with pytest.raises(TruncationError):
-        ladder_identity_residual(ctx_two2, w, ctx_two2.max_level - 1)
     with pytest.raises(TruncationError):
         ladder_identity_residuals(ctx_two2, random_word(ctx_two2, 5, rng))
 
@@ -324,9 +320,8 @@ def test_separated_families_respect_upper_bound(ctx_two3, rng):
         fam = WordFamily(tuple(words), f"fam{trial}")
         if fam.separation_clash() is not None:
             continue
-        rep = family_report(ctx_two3, fam)
-        assert rep.lower <= rep.upper * (1 + 1e-12)
-        assert rep.ratio <= 1 + 1e-12
+        lower = norm_lower(ctx_two3, family_operator(ctx_two3, fam), n).lower
+        assert lower <= haagerup_upper(fam, ctx_two3) * (1 + 1e-12)
 
 
 def test_separated_families_over_diagonal_base(ctx_m2diag, rng):
@@ -346,10 +341,10 @@ def test_separated_families_over_diagonal_base(ctx_m2diag, rng):
             )
         fam = WordFamily(tuple(words), f"diag{trial}")
         assert fam.separation_clash() is None
-        rep = family_report(ctx_m2diag, fam)
-        assert rep.lower <= rep.upper * (1 + 1e-12)
-        gamma = rep.upper / (2 * n + 1)
+        upper = haagerup_upper(fam, ctx_m2diag)
         op = family_operator(ctx_m2diag, fam)
+        assert norm_lower(ctx_m2diag, op, n).lower <= upper * (1 + 1e-12)
+        gamma = upper / (2 * n + 1)
         for m in range(0, ctx_m2diag.max_level - n + 1):
             for r in range(abs(m - n), min(m + n, ctx_m2diag.max_level) + 1):
                 assert block_lower(ctx_m2diag, op, n, m, r) <= gamma * (1 + 1e-12)
@@ -416,8 +411,7 @@ def test_norm_lower_monotone_in_truncation(two_point, rng):
                 Word((random_centered(two_point, 1, r), random_centered(two_point, 2, r))),
             ]
         fam = WordFamily(tuple(words))
-        rep = family_report(ctx, fam)
-        lowers.append(rep.lower)
+        lowers.append(norm_lower(ctx, family_operator(ctx, fam), fam.length).lower)
     for a, b in zip(lowers, lowers[1:]):
         assert b >= a - 1e-10
 
@@ -514,31 +508,14 @@ def test_sweep_solves_twice_per_family(tmp_path):
     assert solver.call_count == 2 * 5
 
 
-def test_family_json_round_trip(ctx_two2, rng):
-    from amalgam.words import family_from_json, family_to_json
-
-    w1 = Word((sign_letter(1), sign_letter(2)))
-    w2 = Word((random_centered(ctx_two2.factors[2].spec, 2, rng),
-               random_centered(ctx_two2.factors[1].spec, 1, rng)))
-    fam = WordFamily((w1, w2), "round-trip")
-    back = family_from_json(family_to_json(fam))
-    assert back.family_id == "round-trip"
-    assert [w.indices for w in back.words] == [(1, 2), (2, 1)]
-    for wa, wb in zip(fam.words, back.words):
-        for la, lb in zip(wa.letters, wb.letters):
-            np.testing.assert_allclose(la.coords, lb.coords)
-    rep_a = family_report(ctx_two2, fam)
-    rep_b = family_report(ctx_two2, back)
-    assert abs(rep_a.lower - rep_b.lower) < 1e-12
-
-
 def test_norm_report_metadata(ctx_two2, rng):
     w = random_word(ctx_two2, 2, rng)
-    fam = WordFamily((w,), "meta")
-    rep = family_report(ctx_two2, fam)
-    assert rep.family_id == "meta"
-    assert rep.size == 1
-    assert rep.max_level == ctx_two2.max_level
+    op = family_operator(ctx_two2, WordFamily((w,)))
+    rep = norm_lower(ctx_two2, op, w.length)
+    # the witness is a unit vector on the exact domain, and it attains lower
+    assert rep.witness.shape == (ctx_two2.prefix_dim(ctx_two2.max_level - 2),)
+    assert np.linalg.norm(rep.witness) == pytest.approx(1.0, rel=1e-12)
+    assert rep.lower == np.linalg.norm(op.matrix[:, :rep.witness.size] @ rep.witness)
     assert rep.witness_label != ""
     assert rep.seconds >= 0.0
 
