@@ -13,7 +13,6 @@ alter its action.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, matmul
@@ -24,7 +23,7 @@ from scipy import sparse
 from .algebra import CenteredElement, center
 from .errors import (ConfigError, HypothesisError, StructureError, TruncationError,
                      pointer_token)
-from .fock import FockContext, FockOperator
+from .fock import FockContext, FockOperator, LetterParts
 from .linalg import DEFAULT_SEED, frobenius, restricted_sigma_max
 
 CENTERING_TOL = 1e-9
@@ -142,20 +141,49 @@ def block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperat
     _check_letters(ctx, w)
     if not abs(m - n) <= r <= m + n:
         return ctx.zero()
-    return _chain(_ladder_factors(ctx, w), m + n - r) @ ctx.level_projection(m)
+    chain = _chain(_ladder_factors(ctx, [w]), m + n - r)
+    return FockOperator(ctx, chain) @ ctx.level_projection(m)
 
 
-def _ladder_factors(ctx: FockContext, w: Word):
-    """The parts of each letter of w, built once, and the left-folded creation
+def _direct_sum(blocks, dim: int) -> sparse.csr_matrix | None:
+    """Block-diagonal CSR of the dim x dim blocks, None for an empty block, or
+    None when every block is. Built by concatenating the blocks' arrays with
+    shifted indices, so each block keeps its stored order: a product or sum
+    on the direct sum then forms every block's entries in the same order as
+    on the block alone."""
+    if all(b is None for b in blocks):
+        return None
+    data, indices, indptr, nnz = [], [], [np.zeros(1, dtype=np.int64)], 0
+    for k, b in enumerate(blocks):
+        if b is None:
+            indptr.append(np.full(dim, nnz))
+            continue
+        m = b.matrix
+        end = m.indptr[-1]
+        data.append(m.data[:end])
+        indices.append(m.indices[:end] + k * dim)
+        indptr.append(m.indptr[1:] + nnz)
+        nnz += end
+    size = len(blocks) * dim
+    return sparse.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                              np.concatenate(indptr)), shape=(size, size))
+
+
+def _ladder_factors(ctx: FockContext, words: list[Word]):
+    """The parts of each letter, split once, as ``LetterParts`` whose fields
+    hold the direct sum over the words (all of one length n) of their k-th
+    letter's part, one module copy per word, and the left-folded creation
     prefixes up[k] = psi(a_0) ... psi(a_{k-1}) (up[0] is None)."""
-    parts = [ctx.letter_parts(a.owner, a.coords) for a in w.letters]
+    split = [[ctx.letter_parts(a.owner, a.coords) for a in w.letters] for w in words]
+    parts = [LetterParts(*(_direct_sum(blocks, ctx.total_dim) for blocks in zip(*column)))
+             for column in zip(*split)]
     up = [None, parts[0].creation]
     for p in parts[1:]:
         up.append(up[-1] @ p.creation)
     return parts, up
 
 
-def _chain(factors, d: int) -> FockOperator:
+def _chain(factors, d: int) -> sparse.csr_matrix:
     """The chain of level difference d, which maps level m to level m + n - d.
 
     With s = ceil(d / 2), it is the creation prefix of the first n - s letters
@@ -173,34 +201,66 @@ def _chain(factors, d: int) -> FockOperator:
     return reduce(matmul, ([up[n - s]] if s < n else []) + tail)
 
 
-def ladder_identity_residuals(ctx: FockContext, w: Word) -> Iterator[float]:
-    """Residuals of w P_m against the sum of all its blocks for m = 0..M-n,
-    yielded in order, each the Frobenius norm of the difference: an upper
-    bound for its operator norm.
+def ladder_identity_residuals(ctx: FockContext, words: list[Word]) -> list[list[float]]:
+    """For each word w, in input order, the residuals of w P_m against the sum
+    of all its blocks for m = 0..M-n, each the Frobenius norm of the
+    difference: an upper bound for its operator norm.
 
-    The letters are checked before this returns. Before the first residual,
+    Every word's length and letters are checked before any product is built.
+    The words are then grouped by length, and each group is taken in batches
+    of at most max(1, max_dim // total_dim) words: a batch is one direct sum
+    with a module copy per word, no larger than one context may be. On it,
     the difference D = w - sum_d chain_d over d = 0..2 min(M-n, n) is built
-    once, from each letter's parts. Its level-m columns are those of w P_m
-    minus the sum of its blocks, entry for entry: the chains reach disjoint
-    levels, and those of d > 2 min(m, n) have no entries there.
+    once, from each letter's parts. The level-m columns of a word's diagonal
+    block of D are those of w P_m minus the sum of its blocks, entry for
+    entry: the chains reach disjoint levels, and those of d > 2 min(m, n)
+    have no entries there. A block forms its entries by the same products in
+    the same order as a batch of that word alone, so the residuals do not
+    depend on the batch.
     """
-    n = w.length
-    if n > ctx.max_level:
-        raise TruncationError(
-            f"word length {n} exceeds the truncation level {ctx.max_level}")
-    _check_letters(ctx, w)  # once here, not once per block
-    return _ladder_residuals(ctx, w)
+    for w in words:
+        if w.length > ctx.max_level:
+            raise TruncationError(
+                f"word length {w.length} exceeds the truncation level {ctx.max_level}")
+    for w in words:
+        _check_letters(ctx, w)  # once here, not once per block
+    by_length: dict[int, list[int]] = {}
+    for j, w in enumerate(words):
+        by_length.setdefault(w.length, []).append(j)
+    cap = max(1, ctx.max_dim // ctx.total_dim)
+    out: list[list[float]] = [[] for _ in words]
+    for group in by_length.values():
+        for b in range(0, len(group), cap):
+            batch = group[b:b + cap]
+            for j, residuals in zip(batch, _ladder_residuals(ctx, [words[j] for j in batch])):
+                out[j] = residuals
+    return out
 
 
-def _ladder_residuals(ctx: FockContext, w: Word) -> Iterator[float]:
-    n, top = w.length, ctx.max_level - w.length
-    factors = _ladder_factors(ctx, w)
+def _ladder_residuals(ctx: FockContext, words: list[Word]) -> list[list[float]]:
+    """The residuals of one batch of words of a common length.
+
+    Residual (k, m) is the Frobenius norm of the level-m columns of word k's
+    diagonal block of the difference. Sorting the difference's rows first
+    puts the entries of each such block in row-major order, the order in
+    which ``frobenius`` reads that block as a sparse slice, so the value is
+    the same.
+    """
+    n, top, dim = words[0].length, ctx.max_level - words[0].length, ctx.total_dim
+    factors = _ladder_factors(ctx, words)
     word = reduce(matmul, (p.total() for p in factors[0]))
     chains = reduce(add, (_chain(factors, d) for d in range(2 * min(top, n) + 1)))
-    delta = (word - chains).matrix
-    for m in range(top + 1):
-        start, end = ctx.level_range(m)
-        yield frobenius(delta[:, start:end])
+    delta = word - chains
+    delta.sum_duplicates()
+    copy, col = np.divmod(delta.indices, dim)  # the word and column of each entry
+    ends = [ctx.prefix_dim(m) for m in range(top + 1)]
+    level = np.searchsorted(ends, col, side="right")
+    exact = level <= top
+    key = (copy * (top + 1) + level)[exact]
+    entries = delta.data[exact][np.argsort(key, kind="stable")]
+    cuts = np.cumsum(np.bincount(key, minlength=len(words) * (top + 1)))[:-1]
+    residuals = [frobenius(block) for block in np.split(entries, cuts)]
+    return [residuals[k * (top + 1):(k + 1) * (top + 1)] for k in range(len(words))]
 
 
 def haagerup_upper(fam: WordFamily, ctx: FockContext) -> float:

@@ -53,7 +53,7 @@ def test_criterion_1_ladder_identity():
             n = int(rng.integers(1, 5))
             w = random_word(ctx, n, rng)
             scale = float(np.prod(letter_norms(ctx, w)))
-            residuals = list(ladder_identity_residuals(ctx, w))
+            [residuals] = ladder_identity_residuals(ctx, [w])
             assert len(residuals) == 6 - n + 1  # one per level m = 0..M-n
             for resid in residuals:
                 assert resid < 1e-8 * scale

@@ -1,8 +1,10 @@
 import csv
 import importlib.util
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -434,6 +436,43 @@ def test_lemma_check_represents_each_letter_once(tmp_path, monkeypatch):
     assert len(names) > len(lengths)  # words with several levels
     assert len(calls["letter_parts"]) == sum(lengths.values())
     assert calls["represent"] == []
+
+
+def test_lemma_check_builds_one_direct_sum_per_word_length(tmp_path, monkeypatch):
+    # all words are drawn first and checked in one call, whose batches are
+    # the word lengths; the rows are those of one-word calls, in word order
+    params = {"config": "two-point-3", "M": 5, "words": 8, "n_max": 3}
+    ctx = amalgam.cli._factor_context(params["config"], params["M"],
+                                      amalgam.fock.DEFAULT_MAX_DIM)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    words = [amalgam.words.random_word(ctx, int(rng.integers(1, params["n_max"] + 1)), rng)
+             for _ in range(params["words"])]
+    want = []
+    for j, w in enumerate(words):
+        [residuals] = amalgam.words.ladder_identity_residuals(ctx, [w])
+        upper = amalgam.cli.LEMMA_TOL * math.prod(amalgam.words.letter_norms(ctx, w))
+        want += [amalgam.cli.Row(f"w{j}.n{w.length}.m{m}", resid <= upper,
+                                 residual=resid, upper=upper).csv()
+                 for m, resid in enumerate(residuals)]
+    lengths = {w.length for w in words}
+    assert 1 < len(lengths) < len(words)
+
+    sums = []
+    real = amalgam.words._ladder_factors
+
+    def counting(ctx, batch):
+        sums.append(batch)
+        return real(ctx, batch)
+
+    monkeypatch.setattr(amalgam.words, "_ladder_factors", counting)
+    config = {"kind": "lemma-check", "output": "lemma", "parameters": params}
+    assert run_config(config, out_dir=tmp_path) == 0
+    assert len(sums) == len(lengths)
+    assert sorted(batch[0].length for batch in sums) == sorted(lengths)
+    lines = (tmp_path / "lemma.csv").read_text().splitlines()
+    assert lines[1:] == want
+    checks = json.loads((tmp_path / "lemma.json").read_text())["checks"]
+    assert len({c["seconds"] for c in checks}) == 1  # the call's time, split evenly
 
 
 @pytest.mark.parametrize("name", ["group-haagerup", "group-shift-g0"])

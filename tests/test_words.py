@@ -72,7 +72,7 @@ def test_every_entry_point_checks_letters(ctx_two2):
     with pytest.raises(StructureError):
         block_decomposition(ctx_two2, w, 0, 1)
     with pytest.raises(StructureError):
-        ladder_identity_residuals(ctx_two2, w)
+        ladder_identity_residuals(ctx_two2, [w])
 
 
 def test_ladder_identity_checks_letters_once(ctx_two3, rng, monkeypatch):
@@ -85,7 +85,7 @@ def test_ladder_identity_checks_letters_once(ctx_two3, rng, monkeypatch):
 
     monkeypatch.setattr(amalgam.words, "_check_letters", counting)
     w = random_word(ctx_two3, 2, rng)
-    assert list(ladder_identity_residuals(ctx_two3, w))[1] < 1e-8
+    assert ladder_identity_residuals(ctx_two3, [w])[0][1] < 1e-8
     assert calls == [w]
 
 
@@ -139,7 +139,7 @@ def test_single_letter_three_term_identity(ctx_two2, rng):
     # a P_m = P_{m+1} psi P_m + P_m rho P_m + P_{m-1} psi* P_m
     a = random_centered(ctx_two2.factors[1].spec, 1, rng)
     w = Word((a,))
-    residuals = list(ladder_identity_residuals(ctx_two2, w))
+    [residuals] = ladder_identity_residuals(ctx_two2, [w])
     for m in (1, 2, 3):
         assert residuals[m] < 1e-10
 
@@ -178,7 +178,7 @@ def test_ladder_identity_random_words(ctx_two3, rng):
         n = int(rng.integers(1, 5))
         w = random_word(ctx_two3, n, rng)
         scale = np.prod(letter_norms(ctx_two3, w))
-        for resid in ladder_identity_residuals(ctx_two3, w):
+        for resid in ladder_identity_residuals(ctx_two3, [w])[0]:
             assert resid < 1e-8 * scale
 
 
@@ -196,7 +196,7 @@ def test_ladder_identity_on_separated_module(rng):
         n = int(rng.integers(1, 4))
         w = random_word(ctx, n, rng)
         scale = np.prod(letter_norms(ctx, w))
-        for resid in ladder_identity_residuals(ctx, w):
+        for resid in ladder_identity_residuals(ctx, [w])[0]:
             assert resid < 1e-8 * scale
 
 
@@ -207,7 +207,7 @@ def test_ladder_identity_nonuniform_state(rng):
         n = int(rng.integers(1, 4))
         w = random_word(ctx, n, rng)
         scale = np.prod(letter_norms(ctx, w))
-        for resid in ladder_identity_residuals(ctx, w):
+        for resid in ladder_identity_residuals(ctx, [w])[0]:
             assert resid < 1e-8 * scale
 
 
@@ -221,7 +221,7 @@ def test_ladder_residual_bounds_the_norm_of_its_difference(ctx_two3, ctx_m2diag,
     for ctx in (ctx_two3, ctx_m2diag):
         n = int(rng.integers(1, 4))
         w = random_word(ctx, n, rng)
-        residuals = list(ladder_identity_residuals(ctx, w))
+        [residuals] = ladder_identity_residuals(ctx, [w])
         for m in range(ctx.max_level - n + 1):
             total = ctx.zero()
             for r in range(ctx.max_level + 1):
@@ -252,7 +252,72 @@ def test_ladder_residuals_equal_the_sum_of_blocks(ctx_two3, ctx_m2diag, seed):
         w = random_word(ctx, n, rng)
         want = [reference_ladder_residual(ctx, w, m)
                 for m in range(ctx.max_level - n + 1)]
-        assert list(ladder_identity_residuals(ctx, w)) == want
+        assert ladder_identity_residuals(ctx, [w]) == [want]
+
+
+def mixed_words(ctx, rng):
+    """Words of lengths 1 to 3 with random owners, in no order of length. Two
+    of length 2 differ only in their first letter: exactly centered in one,
+    with a B-part of 1e-11, still inside CENTERING_TOL, in the other, so only
+    one of them has a left_b part at position 0."""
+    i, j = ctx.order[0], ctx.order[1]
+    exact = [random_centered(ctx.factors[k].spec, k, rng) for k in (i, j)]
+    while ctx.letter_parts(i, exact[0].coords).left_b is not None:
+        exact[0] = random_centered(ctx.factors[i].spec, i, rng)
+    unit = np.asarray(ctx.factors[i].spec.algebra.unit_coords)
+    offset = am.CenteredElement(i, exact[0].coords + 1e-11 * unit)
+    assert ctx.letter_parts(i, offset.coords).left_b is not None
+    return [random_word(ctx, 3, rng), Word(tuple(exact)), random_word(ctx, 1, rng),
+            Word((offset, exact[1])), random_word(ctx, 2, rng), random_word(ctx, 3, rng),
+            random_word(ctx, 1, rng)]
+
+
+@pytest.mark.parametrize("fixture", ["ctx_two3", "ctx_m2diag"])
+def test_batched_ladder_residuals_equal_one_word_calls(fixture, rng, request):
+    # a batch forms each word's entries by the same products in the same order
+    # as that word alone, so the residuals are equal, not close
+    ctx = request.getfixturevalue(fixture)
+    words = mixed_words(ctx, rng)
+    alone = [ladder_identity_residuals(ctx, [w])[0] for w in words]
+    assert ladder_identity_residuals(ctx, words) == alone
+    assert ladder_identity_residuals(ctx, words[::-1]) == alone[::-1]
+    assert [len(r) for r in alone] == [ctx.max_level - w.length + 1 for w in words]
+    for w, residuals in zip(words, alone):
+        assert max(residuals) < 1e-8 * np.prod(letter_norms(ctx, w))
+    assert ladder_identity_residuals(ctx, []) == []
+
+
+@pytest.mark.parametrize("fixture", ["ctx_two3", "ctx_m2diag"])
+def test_over_long_word_refused_before_any_product(fixture, rng, request, monkeypatch):
+    ctx = request.getfixturevalue(fixture)
+    words = mixed_words(ctx, rng)
+    words.insert(3, random_word(ctx, ctx.max_level + 1, rng))
+    monkeypatch.setattr(amalgam.words, "_ladder_factors", mock.Mock())
+    with pytest.raises(TruncationError):
+        ladder_identity_residuals(ctx, words)
+    amalgam.words._ladder_factors.assert_not_called()
+
+
+def test_batches_of_one_word_give_the_residuals_of_one_batch(ctx_m2diag, rng, monkeypatch):
+    # max_dim // total_dim words share a direct sum; below two, each word
+    # is its own batch
+    words = mixed_words(ctx_m2diag, rng)
+    wide = ladder_identity_residuals(ctx_m2diag, words)
+    batches = []
+    real = amalgam.words._ladder_residuals
+
+    def counting(ctx, batch):
+        batches.append(len(batch))
+        return real(ctx, batch)
+
+    monkeypatch.setattr(amalgam.words, "_ladder_residuals", counting)
+    monkeypatch.setattr(ctx_m2diag, "max_dim", 2 * ctx_m2diag.total_dim - 1)
+    assert ladder_identity_residuals(ctx_m2diag, words) == wide
+    assert batches == [1] * len(words)
+    monkeypatch.setattr(ctx_m2diag, "max_dim", 2 * ctx_m2diag.total_dim)
+    batches.clear()
+    assert ladder_identity_residuals(ctx_m2diag, words) == wide
+    assert max(batches) == 2
 
 
 def test_truncation_guard(ctx_two2, rng):
@@ -260,7 +325,7 @@ def test_truncation_guard(ctx_two2, rng):
     with pytest.raises(TruncationError):
         block_decomposition(ctx_two2, w, ctx_two2.max_level, 1)
     with pytest.raises(TruncationError):
-        ladder_identity_residuals(ctx_two2, random_word(ctx_two2, 5, rng))
+        ladder_identity_residuals(ctx_two2, [random_word(ctx_two2, 5, rng)])
 
 
 # ---------------------------------------------------------------------------
