@@ -153,15 +153,12 @@ class CenteredElement:
 
     owner: int
     coords: np.ndarray
-    centering_residual: float = 0.0
 
 
 def center(spec: AlgebraWithExpectation, a, owner: int = 0) -> CenteredElement:
-    """a minus phi(a), packaged with its owner index and centering residual."""
+    """a minus phi(a), packaged with its owner index."""
     coords = as_complex(a) if np.ndim(a) == 1 else spec.algebra.expand(a)
-    centered = coords - spec.sub_to_full(spec.apply(coords))
-    resid = spec.subalgebra.norm(spec.apply(centered))
-    return CenteredElement(owner, centered, float(resid))
+    return CenteredElement(owner, coords - spec.sub_to_full(spec.apply(coords)))
 
 
 @dataclass(frozen=True)

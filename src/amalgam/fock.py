@@ -12,11 +12,14 @@ lexicographic order, one Gram quotient per distinct sequence of factor specs
 (one per level when all factors share a spec), and the offset of each summand.
 Operators are sparse CSR matrices: level projections, first-slot projections,
 creation operators (prepend a vector of E_k deg), first-slot diagonal actions,
-and the letter representation of each factor algebra. A structure operator
-computes its block once per level and pair of quotients, and array arithmetic
-places it at every pair of summands. Any term that would raise above the
-truncation level maps to zero; identities involving creation at the top level
-therefore hold only below it.
+and the letter representation of each factor algebra. The letter parts are
+left folds of their coefficients over letter templates, built once per factor
+in one pass: the operators of the basis coefficients (e_s, e_s e_t*, b_j) on
+the union of their CSR patterns, each block computed once per level and pair
+of quotients and placed at every pair of summands by array arithmetic;
+annihilation folds over the creation template's adjoint. Any term that would
+raise above the truncation level maps to zero; identities involving creation
+at the top level therefore hold only below it.
 """
 
 from __future__ import annotations
@@ -198,6 +201,27 @@ def _check_same_subalgebra(base: _BaseData, spec: AlgebraWithExpectation, idx):
                 )
 
 
+class _Template(NamedTuple):
+    """Structure operators theta_j on the canonical CSR pattern of the union of
+    their entries: coef[j] holds theta_j's entries there, 0 where it has none."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    coef: np.ndarray  # (terms, nnz)
+
+    @staticmethod
+    def from_coo(rows, cols, coef, n: int) -> "_Template":
+        """Entries coef[:, i] at (rows[i], cols[i]), no position twice; scipy's
+        CSR of the data 1, 2, ... records where each went."""
+        order = sparse.csr_matrix((np.arange(1, len(rows) + 1), (rows, cols)), shape=(n, n))
+        return _Template(order.indptr, order.indices, coef[:, order.data - 1])
+
+    def adjoint(self) -> "_Template":  # of the adjoints theta_j*
+        n = len(self.indptr) - 1
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        return _Template.from_coo(self.indices, rows, self.coef.conj(), n)
+
+
 class LetterParts(NamedTuple):
     """The terms of one letter's representation: creation psi(hat a0),
     first-slot diagonal rho(a0), annihilation psi(hat a0*)*, and the left
@@ -247,7 +271,7 @@ class FockContext:
         self.max_dim = max_dim
         self._pos = {i: p for p, i in enumerate(self.order)}
         self._struct_cache: dict = {}
-        self._struct_lock = threading.Lock()
+        self._struct_lock = threading.RLock()  # a builder may ask for another entry
         self._levels = self._build_levels()
         self.total_dim = int(self._levels[-1].offset[-1])
 
@@ -386,24 +410,26 @@ class FockContext:
 
     # -- operator assembly ---------------------------------------------------
 
-    def _assemble(self, parts) -> sparse.csr_matrix:
-        """CSR matrix of parts (target level, target rows, source level, source
-        rows, block). The source quotient fixes the target one, so block(tq, sq)
-        is computed once per source quotient and placed at every summand pair
-        (tgt_rows[j], src_rows[j]) that uses it; exact zeros are not stored."""
-        coo = [(np.zeros(0, dtype=complex), np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64))]
-        for tgt, tgt_rows, src, src_rows, block in parts:
+    def _template(self, parts, slots) -> _Template:
+        """Template of parts (target level, target rows, source level, source
+        rows): term j acts on the first tensor slot of source quotient sq by
+        slots(sq)[j]. The blocks are computed once per source quotient, which
+        fixes the target one, and placed at every summand pair (tgt_rows[j],
+        src_rows[j]) that uses it; positions where every term is 0 are not stored."""
+        terms, empty = len(slots(self._levels[0].quotients[0])), np.zeros(0, dtype=np.int64)
+        coo = [(np.zeros((terms, 0), dtype=complex), empty, empty)]
+        for tgt, tgt_rows, src, src_rows in parts:
             for q in np.unique(src.quot[src_rows]):
                 sel = src.quot[src_rows] == q
-                blk = block(tgt.quotients[tgt.quot[tgt_rows[sel][0]]], src.quotients[q])
-                r, c = np.nonzero(np.abs(blk) > 0.0)
-                coo.append((np.tile(blk[r, c], np.count_nonzero(sel)),
+                tq, sq = tgt.quotients[tgt.quot[tgt_rows[sel][0]]], src.quotients[q]
+                blk = np.stack([tq.cmap @ np.kron(a, np.eye(sq.prod_dim // a.shape[1])) @ sq.w
+                                for a in slots(sq)])
+                r, c = np.nonzero((np.abs(blk) > 0.0).any(axis=0))
+                coo.append((np.tile(blk[:, r, c], np.count_nonzero(sel)),
                             (tgt.offset[tgt_rows[sel]][:, None] + r).reshape(-1),
                             (src.offset[src_rows[sel]][:, None] + c).reshape(-1)))
-        vals, rows, cols = map(np.concatenate, zip(*coo))
-        n = self.total_dim
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
+        vals, rows, cols = (np.concatenate(x, axis=-1) for x in zip(*coo))
+        return _Template.from_coo(rows, cols, vals, self.total_dim)
 
     def _diag_operator(self, mask: np.ndarray, key: str) -> FockOperator:
         """Diagonal operator with the given diagonal, built once per key."""
@@ -420,67 +446,59 @@ class FockContext:
                 self._struct_cache[key] = builder()
             return self._struct_cache[key]
 
-    def _psi_structure(self, k: int, s: int):
-        """Matrix of the creation operator of the s-th E-deg basis vector of factor k."""
+    def _creation_template(self, k: int) -> _Template:
+        """Creation operators of the E-deg basis vectors e_s of factor k, s < e."""
 
         def build():
-            fk = self.factors[k]
-            nb, pk = self.base.nb, self._pos[k]
-            e_col = np.zeros((fk.e_dim, 1), dtype=complex)
-            e_col[s, 0] = 1.0
-            ymat = np.stack(
-                [fk.right_b[j] @ e_col[:, 0] for j in range(self.base.db)], axis=1
-            )
-
-            def block(tq, sq):
-                if not sq.seq:
-                    return tq.cmap @ np.kron(ymat, np.eye(nb)) @ sq.w
-                return tq.cmap @ np.kron(e_col, np.eye(sq.prod_dim)) @ sq.w
-
+            fk, pk = self.factors[k], self._pos[k]
+            e_cols = np.eye(fk.e_dim, dtype=complex)[:, :, None]
+            ymats = fk.right_b.transpose(2, 1, 0)  # ymats[s][:, j] = right_b[j] e_s
             # a level lists the index at position p prepended to each sequence
             # of the level below not led by p, in order, for p = 0, 1, ...
             parts = [(tgt, np.flatnonzero(self._led_by(tgt.pos, pk)),
-                      src, np.flatnonzero(~self._led_by(src.pos, pk)), block)
+                      src, np.flatnonzero(~self._led_by(src.pos, pk)))
                      for src, tgt in zip(self._levels, self._levels[1:])]
-            return self._assemble(parts)
+            return self._template(parts, lambda sq: e_cols if sq.seq else ymats)
 
-        return self._structure(("psi", k, s), build)
+        return self._structure(("creation", k), build)
 
-    def _first_slot_structure(self, led, slot) -> sparse.csr_matrix:
-        """Block-diagonal matrix acting by slot(q) on the first tensor slot of
-        the summands whose sequences (rows of a level's pos) led(pos) selects;
-        at level zero the first slot is B itself."""
+    def _annihilation_template(self, k: int) -> _Template:
+        """Adjoints of the creation operators of factor k, term for term."""
+        return self._structure(("annihilation", k), lambda: self._creation_template(k).adjoint())
 
-        def block(q, _):
-            a = slot(q)
-            return q.cmap @ np.kron(a, np.eye(q.prod_dim // a.shape[1])) @ q.w
+    def _first_slot_template(self, led, slots) -> _Template:
+        """Block-diagonal on the summands led(pos) selects; level 0's first slot is B."""
+        return self._template([(lev, rows, lev, rows) for lev in self._levels
+                               for rows in [np.flatnonzero(led(lev.pos))]], slots)
 
-        return self._assemble([(lev, rows, lev, rows, block) for lev in self._levels
-                               for rows in [np.flatnonzero(led(lev.pos))]])
+    def _diagonal_template(self, k: int) -> _Template:
+        """First-slot matrix units e_s e_t* on summands led by factor k, s-major."""
+        e = self.factors[k].e_dim
+        return self._structure(("diagonal", k), lambda: self._first_slot_template(
+            lambda pos: self._led_by(pos, self._pos[k]),
+            lambda q: np.eye(e * e, dtype=complex).reshape(e * e, e, e)))
 
-    def _rho_structure(self, k: int, s: int, t: int):
-        """First-slot matrix unit e_s e_t* on summands led by factor k."""
-
-        def build():
-            unit = np.zeros((self.factors[k].e_dim,) * 2, dtype=complex)
-            unit[s, t] = 1.0
-            return self._first_slot_structure(
-                lambda pos: self._led_by(pos, self._pos[k]), lambda q: unit)
-
-        return self._structure(("rho", k, s, t), build)
-
-    def _leftb_structure(self, j: int):
-        """Left action of the j-th basis element of B on every summand."""
-        lmat = self.base.mult[j].T  # lmat[k', k] = coords of b_j b_k
-        return self._structure(("leftb", j), lambda: self._first_slot_structure(
+    def _leftb_template(self) -> _Template:
+        """Left actions of the basis elements b_j of B on every summand."""
+        lmats = self.base.mult.transpose(0, 2, 1)  # lmats[j][k', k] = coords of b_j b_k
+        return self._structure(("leftb",), lambda: self._first_slot_template(
             lambda pos: np.ones(len(pos), dtype=bool),
-            lambda q: self.factors[q.seq[0]].left_b[j] if q.seq else lmat))
+            lambda q: self.factors[q.seq[0]].left_b if q.seq else lmats))
 
-    def _combine(self, parts) -> FockOperator:
-        terms = [coeff * mat for coeff, mat in parts if coeff != 0.0]
+    def _fold(self, template: _Template, coeffs) -> FockOperator:
+        """sum_j coeffs[j] theta_j in canonical CSR, left-folded over the nonzero
+        coeffs with exact zeros dropped: entry for entry a sum of sparse matrices."""
+        terms = [(c, t) for c, t in zip(coeffs, template.coef) if c != 0.0]
         if not terms:
             return self.zero()
-        return FockOperator(self, sum(terms[1:], terms[0]))
+        data = terms[0][1] * terms[0][0]
+        for c, t in terms[1:]:
+            data = data + t * c
+        matrix = sparse.csr_matrix((data, template.indices, template.indptr),
+                                   shape=(self.total_dim,) * 2, copy=True)
+        if not data.all():
+            matrix.eliminate_zeros()
+        return FockOperator(self, matrix)
 
     # -- public operators ----------------------------------------------------
 
@@ -529,9 +547,7 @@ class FockContext:
 
     def creation(self, k: int, y) -> FockOperator:
         """The operator prepending y in E_k deg; kills tensors already led by k."""
-        ye = self.e_coords(k, y)
-        parts = [(ye[s], self._psi_structure(k, s)) for s in range(len(ye))]
-        return self._combine(parts)
+        return self._fold(self._creation_template(k), self.e_coords(k, y))
 
     def diagonal_action(self, k: int, a_coords) -> FockOperator:
         """First-slot action x1 -> H_k(a x1) on tensors led by k, zero elsewhere."""
@@ -539,19 +555,10 @@ class FockContext:
         if np.ndim(a_coords) != 1 or len(a_coords) != fk.spec.algebra.dim:
             raise StructureError(f"expected coordinates in the factor-{k} algebra")
         slot = fk.rho_slot(as_complex(a_coords))
-        parts = [
-            (slot[s, t], self._rho_structure(k, s, t))
-            for s in range(fk.e_dim)
-            for t in range(fk.e_dim)
-        ]
-        return self._combine(parts)
+        return self._fold(self._diagonal_template(k), slot.reshape(-1))
 
     def left_b_action(self, b_coords) -> FockOperator:
-        parts = [
-            (as_complex(b_coords)[j], self._leftb_structure(j))
-            for j in range(self.base.db)
-        ]
-        return self._combine(parts)
+        return self._fold(self._leftb_template(), as_complex(b_coords))
 
     def letter_parts(self, i: int, a_coords) -> LetterParts:
         """The terms of the letter representation of a in the i-th factor.
@@ -566,11 +573,12 @@ class FockContext:
         a0 = a_coords - fi.spec.sub_to_full(b_part)
         h_up, resid_up = fi.hat_split(a0)
         g, resid_dn = fi.hat_split(fi.spec.algebra.adjoint_coords(a0))
-        if max(resid_up, resid_dn) > STRUCT_TOL * max(fi.spec.algebra.norm(a_coords), 1.0):
+        resid = max(resid_up, resid_dn)  # tolerance STRUCT_TOL max(||a||, 1) >= STRUCT_TOL
+        if resid > STRUCT_TOL and resid > STRUCT_TOL * fi.spec.algebra.norm(a_coords):
             raise StructureError("centered part of the letter leaks into the B-summand")
         left_b = self.left_b_action(b_part) if np.linalg.norm(b_part) > 0.0 else None
         return LetterParts(self.creation(i, h_up), self.diagonal_action(i, a0),
-                           self.creation(i, g).H, left_b)
+                           self._fold(self._annihilation_template(i), g.conj()), left_b)
 
     def represent(self, i: int, a_coords) -> FockOperator:
         """The letter representation of a in the i-th factor: the sum of its

@@ -29,12 +29,7 @@ from .words import (
 
 def shift_word(w: Word, k: int) -> Word:
     """Move every letter index up by k; the letters themselves are unchanged."""
-    return Word(
-        tuple(
-            CenteredElement(a.owner + k, a.coords, a.centering_residual)
-            for a in w.letters
-        )
-    )
+    return Word(tuple(CenteredElement(a.owner + k, a.coords) for a in w.letters))
 
 
 def average_family(w: Word, n: int, family_id: str = "shift-orbit") -> WordFamily:

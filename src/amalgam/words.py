@@ -26,7 +26,7 @@ from .errors import (ConfigError, HypothesisError, StructureError, TruncationErr
 from .fock import FockContext, FockOperator, LetterParts
 from .linalg import DEFAULT_SEED, frobenius, restricted_sigma_max
 
-CENTERING_TOL = 1e-9
+CENTERING_TOL = 1e-9  # times max(||a||, 1) >= 1, so ||a|| matters only above it
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _check_letters(ctx: FockContext, w: Word):
             raise StructureError(f"letter index {a.owner} outside the context window")
         fk = ctx.factors[a.owner]
         resid = fk.spec.subalgebra.norm(fk.spec.apply(a.coords))
-        if resid > CENTERING_TOL * max(fk.spec.algebra.norm(a.coords), 1.0):
+        if resid > CENTERING_TOL and resid > CENTERING_TOL * fk.spec.algebra.norm(a.coords):
             raise StructureError(f"letter with owner {a.owner} is not centered")
 
 

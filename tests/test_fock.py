@@ -1,5 +1,8 @@
 import itertools
+import sys
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from amalgam.cli import _factor_context
 from amalgam.errors import CapacityError, ConfigError, StructureError
 from amalgam.fock import DEFAULT_MAX_DIM, FockContext, build_fock
 from amalgam.gns import ModuleVector, inner_product, module_norm
-from amalgam.linalg import as_complex
+from amalgam.linalg import adjoint, as_complex
 from amalgam.shift import shift_relabel_check
 from amalgam.words import Word
 from conftest import load_bench_tracer, random_centered, spectral_norm
@@ -584,6 +587,102 @@ def test_concurrent_operator_construction(two_point, rng):
         )
     for s, p in zip(serial, parallel):
         np.testing.assert_allclose(s, p, atol=0)
+    # letter parts built by many threads, switching often, on a context with
+    # no cached templates yet equal the serial parts bit for bit
+    serial_parts = [ctx.letter_parts(a.owner, a.coords) for a in letters]
+    fresh = build_fock(am.scalar_base(), {i: two_point for i in range(3)}, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            parallel_parts = list(pool.map(lambda a: fresh.letter_parts(a.owner, a.coords),
+                                           letters))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(serial_parts, parallel_parts):
+        for w, g in zip(want, got):
+            assert (w is None) == (g is None)
+            if w is not None:
+                assert_same_csr(g.matrix, w.matrix)
+
+
+def test_nested_structure_build_does_not_deadlock(two_point):
+    # the annihilation template is built from the creation template: one
+    # cached entry asks for another while the cache lock is held
+    import threading
+
+    ctx = build_fock(am.scalar_base(), {i: two_point for i in range(3)}, 4)
+    done = []
+    worker = threading.Thread(target=lambda: done.append(ctx._annihilation_template(1)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert done, "building the annihilation template first did not finish"
+    y = np.array([0.6 - 0.8j])
+    assert_same_csr(ctx._fold(ctx._annihilation_template(1), y.conj()).matrix,
+                    adjoint(ctx.creation(1, y).matrix))
+
+
+# ---------------------------------------------------------------------------
+# letter templates
+# ---------------------------------------------------------------------------
+
+
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def assert_canonical(m):
+    """Strictly increasing column indices in every row and no stored zero."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    assert np.all(np.diff(rows * m.shape[1] + m.indices) > 0)
+    assert np.all(m.data != 0)
+
+
+def left_fold(ctx, terms):
+    """sum of coeff * matrix over the nonzero coefficients, left to right."""
+    return reduce(add, [c * m for c, m in terms if c != 0.0], ctx.zero().matrix)
+
+
+@pytest.mark.parametrize("fixture", ["ctx_two2", "ctx_two3", "ctx_m2diag", "ctx_a11"])
+def test_letter_templates(fixture, rng, request):
+    # the one-pass fold over a template equals the sparse left fold of the
+    # scaled terms entry for entry, in canonical CSR: the solver splits an
+    # operator by its sparsity pattern, so a stray stored zero would matter
+    ctx = request.getfixturevalue(fixture)
+    db = ctx.base.db
+    units_b = [ctx.left_b_action(np.eye(db)[j]).matrix for j in range(db)]
+    for i in ctx.order:
+        fk = ctx.factors[i]
+        spec, e = fk.spec, fk.e_dim
+        units_e = [ctx.creation(i, np.eye(e)[s]).matrix for s in range(e)]
+        diag = ctx._diagonal_template(i)
+        units_rho = [ctx._fold(diag, np.eye(e * e)[j]).matrix for j in range(e * e)]
+        raw = rng.standard_normal(spec.algebra.dim) + 1j * rng.standard_normal(
+            spec.algebra.dim)
+        letters = [random_centered(spec, i, rng).coords for _ in range(3)] + [raw]
+        for a in letters:
+            parts = ctx.letter_parts(i, a)
+            b_part = spec.apply(a)
+            assert (parts.left_b is not None) == (np.linalg.norm(b_part) > 0.0)
+            assert a is not raw or parts.left_b is not None
+            for part in parts:
+                if part is not None:
+                    assert_canonical(part.matrix)
+            a0 = a - spec.sub_to_full(b_part)
+            g, _ = fk.hat_split(spec.algebra.adjoint_coords(a0))
+            assert_same_csr(parts.annihilation.matrix, adjoint(ctx.creation(i, g).matrix))
+            slot = fk.rho_slot(a0).reshape(-1)
+            assert_same_csr(parts.diagonal.matrix, left_fold(ctx, zip(slot, units_rho)))
+            if parts.left_b is not None:
+                assert_same_csr(parts.left_b.matrix, left_fold(ctx, zip(b_part, units_b)))
+            y = rng.standard_normal(e) + 1j * rng.standard_normal(e)
+            if e > 1:
+                y[0] = 0.0  # a zero coefficient contributes no term
+            got = ctx.creation(i, y).matrix
+            assert_canonical(got)
+            assert_same_csr(got, left_fold(ctx, zip(y, units_e)))
 
 
 def test_sparse_storage_kicks_in(two_point):
