@@ -322,15 +322,18 @@ class FockContext:
                     f"{self.max_dim} at level {m}",
                     required=estimate,
                 )
+            key = np.zeros(1, dtype=np.int64)
             if m:  # prepend each index to the sequences it does not lead
-                pos = np.concatenate([
-                    np.column_stack([np.full(len(rest), p), rest])
-                    for p in range(len(self.order))
-                    for rest in [pos[~self._led_by(pos, p)]]
-                ])
-            _, first, quot = np.unique(spec[pos], axis=0, return_index=True,
-                                       return_inverse=True)
-            quot = quot.reshape(-1)
+                rests = [np.flatnonzero(~self._led_by(pos, p))
+                         for p in range(len(self.order))]
+                # a sequence's spec row sorts as (spec of its first index,
+                # quotient of the rest), and quotients are numbered in
+                # spec-row order, so the key orders like the rows
+                key = np.concatenate([spec[p] * len(first) + quot[rest]
+                                      for p, rest in enumerate(rests)])
+                pos = np.concatenate([np.column_stack([np.full(len(rest), p), pos[rest]])
+                                      for p, rest in enumerate(rests)])
+            _, first, quot = np.unique(key, return_index=True, return_inverse=True)
             quotients = [self._quotient(tuple(self.order[p] for p in pos[j]))
                          for j in first]
             start = levels[-1].offset[-1] if levels else 0

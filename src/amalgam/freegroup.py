@@ -7,14 +7,15 @@ full ball is exact, so its largest singular value is a certified lower bound
 for the true operator norm.
 
 Words enter as `ReducedWord` tuples of (generator, exponent) letters. A ball
-stores them as int arrays, one per length: letter (g, e) of the window has
-code a = 2 pos(g) + (e == -1), so its inverse is a ^ 1, and the words of a
-length are listed breadth-first, generator ascending, +1 before -1, which is
-lexicographic in the codes. A word's rank among those of its length is then
-its mixed-radix code in radix (2d, 2d - 1, ..., 2d - 1), where each later
-digit skips the inverse of the letter before it, and its ball index is that
-rank plus the number of shorter words. Convolution applies each term's
-letters to all domain words at once and looks their products up by index.
+lists no words: it is its offset table. Letter (g, e) of the window has code
+a = 2 pos(g) + (e == -1), so its inverse is a ^ 1, and the words of a length
+are ordered lexicographically in the codes: breadth-first, generator
+ascending, +1 before -1. A word's rank among those of its length is its
+mixed-radix code in radix (2d, 2d - 1, ..., 2d - 1), where each later digit
+skips the inverse of the letter before it, and its ball index is that rank
+plus the number of shorter words. Convolution carries every domain word as
+its (length, rank) and applies each term's letters to all of them at once by
+integer arithmetic on the ranks.
 """
 
 from __future__ import annotations
@@ -127,67 +128,55 @@ def rd_norm(f: GroupFunction, s: float) -> float:
     return float(np.sqrt(total))
 
 
+def _level_sizes(num_generators: int, radius: int) -> list[int]:
+    """Number of reduced words of each length 0..radius over d generators."""
+    a = 2 * num_generators
+    return [1] + [a * (a - 1) ** (ell - 1) for ell in range(1, radius + 1)]
+
+
 def ball_size(num_generators: int, radius: int) -> int:
     """Number of reduced words of length at most radius over d generators."""
-    a = 2 * num_generators
-    return 1 + sum(a * (a - 1) ** (ell - 1) for ell in range(1, radius + 1))
+    return sum(_level_sizes(num_generators, radius))
 
 
 @dataclass(frozen=True)
 class BallBasis:
-    """The reduced words of length <= radius: levels[L] holds those of length L."""
+    """The reduced words of length <= radius, as their offset table: the words
+    of length L have ball indices offset[L]:offset[L + 1], in rank order."""
 
     radius: int
     window: tuple[int, ...]
-    levels: tuple[np.ndarray, ...]
-    offset: np.ndarray  # (radius + 2,) levels[L] spans offset[L]:offset[L + 1]
+    offset: np.ndarray  # (radius + 2,)
 
     def __len__(self) -> int:
         return int(self.offset[-1])
 
 
-def _ball_index(basis: BallBasis, words: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Ball indices of right-aligned words: row i holds words[i, start[i]:]."""
-    cols = np.arange(basis.radius)
-    prev = np.roll(words, 1, axis=1) ^ 1  # the inverse of the letter before
-    digit = np.where(cols == start[:, None], words, words - (words > prev))
-    weight = (2 * len(basis.window) - 1) ** (basis.radius - 1 - cols)
-    code = np.where(cols >= start[:, None], digit, 0) @ weight
-    return basis.offset[basis.radius - start] + code
-
-
 def build_ball(window, radius: int, max_size: int = DEFAULT_MAX_BALL) -> BallBasis:
-    """Breadth-first enumeration: generator index ascending, +1 before -1."""
+    """The ball over the sorted window, its level sizes from the growth formula."""
     window = tuple(sorted(set(window)))
-    expected = ball_size(len(window), radius)
+    sizes = _level_sizes(len(window), radius)
+    expected = sum(sizes)
     if expected > max_size:
         raise CapacityError(
             f"ball of radius {radius} over {len(window)} generators has "
             f"{expected} words, above the cap {max_size}",
             required=expected,
         )
-    alphabet = np.arange(2 * len(window))
-    levels = [np.zeros((1, 0), dtype=int)]
-    for _ in range(radius):
-        rows = np.repeat(levels[-1], len(alphabet), axis=0)
-        last = np.tile(alphabet, len(levels[-1]))
-        # a letter may not follow its inverse; the empty word has no last letter
-        keep = (rows[:, -1:] ^ 1 != last[:, None]).all(axis=1)
-        levels.append(np.column_stack([rows, last])[keep])
-    offset = np.cumsum([0] + [len(words) for words in levels])
-    if offset[-1] != expected:
-        raise StructureError(
-            f"ball enumeration produced {offset[-1]} words, expected {expected}"
-        )
-    return BallBasis(radius=radius, window=window, levels=tuple(levels), offset=offset)
+    return BallBasis(radius=radius, window=window, offset=np.cumsum([0] + sizes))
 
 
 def largest_feasible_radius(window, radius: int, max_size: int) -> int:
-    """Largest r <= radius whose ball over the window fits under the cap."""
-    d = len(set(window))
-    r = radius
-    while r > 0 and ball_size(d, r) > max_size:
-        r -= 1
+    """Largest r <= radius whose ball over the window fits under the cap, or 0.
+
+    The search runs upward, adding one level at a time, so its cost is
+    bounded by the answer rather than by the requested radius."""
+    a = 2 * len(set(window))
+    if a == 0:  # the ball is {e} at every radius
+        return radius if max_size >= 1 else 0
+    r, size, level = 0, 1, a
+    while r < radius and size + level <= max_size:
+        r, size, level = r + 1, size + level, level * (a - 1)
     return r
 
 
@@ -206,29 +195,36 @@ def convolution_operator(f: GroupFunction, basis: BallBasis):
     for g in f.touched_generators():
         if g not in basis.window:
             raise StructureError(f"generator g{g} outside the ball window")
-    dom_radius, width = basis.radius - p, basis.radius
-    levels = basis.levels[:dom_radius + 1]
+    dom_radius = basis.radius - p
     size = int(basis.offset[dom_radius + 1])
-    # the domain words right-aligned in rows as wide as the ball radius:
-    # row i holds its word in dom[i, start[i]:]
-    dom = np.concatenate([np.pad(w, ((0, 0), (width - w.shape[1], 0))) for w in levels])
-    start = np.concatenate([np.full(len(w), width - w.shape[1]) for w in levels])
+    # every domain word as (length, rank among the words of its length)
+    dom_length = np.repeat(np.arange(dom_radius + 1), np.diff(basis.offset[:dom_radius + 2]))
+    dom_rank = np.arange(size) - basis.offset[dom_length]
+    power = (2 * len(basis.window) - 1) ** np.arange(basis.radius + 1)
     pos = {g: i for i, g in enumerate(basis.window)}
-    every, rows = np.arange(size), []
+    rows = []
     for h in f.terms:  # h * w for every domain word w, one letter of h at a time
-        words, first = dom.copy(), start.copy()
+        length, rank = dom_length, dom_rank
         for g, e in reversed(h.letters):
             a = 2 * pos[g] + (e == -1)
-            lead = words[every, np.minimum(first, width - 1)]
-            cancel = (first < width) & (lead == a ^ 1)
-            first = np.where(cancel, first + 1, first - 1)
-            words[~cancel, first[~cancel]] = a
-        rows.append(_ball_index(basis, words, first))
-    vals = np.repeat(np.array(list(f.terms.values()), dtype=complex), size)
-    mat = sparse.csr_matrix(
-        (vals, (np.concatenate(rows or [every[:0]]), np.tile(every, len(rows)))),
-        shape=(len(basis), size),
-    )
+            top = power[np.maximum(length - 1, 0)]  # the weight of the first digit
+            head, rest = np.divmod(rank, top)  # head: the first letter's code
+            cancel = (length > 0) & (head == a ^ 1)
+            # prepend: a leads, and the old first letter becomes a digit
+            # that skips a's inverse (the empty word has head = rest = 0)
+            grow = a * power[length] + (head - (head > a ^ 1)) * top + rest
+            # cancel: the second letter leads again, its code restored from
+            # the digit that skipped the inverse of the first letter
+            low = power[np.maximum(length - 2, 0)]
+            back = rest + ((rest // low >= head ^ 1) & (length > 1)) * low
+            rank = np.where(cancel, back, grow)
+            length = np.where(cancel, length - 1, length + 1)
+        rows.append(basis.offset[length] + rank)
+    # left translation is injective: column j holds one row per term of f
+    indices = np.array(rows, dtype=np.int64).T.ravel()
+    vals = np.tile(np.array(list(f.terms.values()), dtype=complex), size)
+    mat = sparse.csc_matrix((vals, indices, np.arange(size + 1) * len(rows)),
+                            shape=(len(basis), size)).tocsr()
     return mat, dom_radius, size
 
 

@@ -9,7 +9,9 @@ Conventions used across the package:
   It returns ``||X v||``, on the caller's own ``X``, for an explicit unit
   vector ``v``. It solves on ``X`` as CSR, dense input too: ``X`` is split
   into the connected components of its row/column graph, a direct sum whose
-  norm is the largest of its summands' norms; when no component
+  norm is the largest of its summands' norms. An ``X`` wider than
+  ``GRAM_LIMIT`` columns is split and solved on its nonempty rows, which
+  share their entries with ``X``; when no component
   is wider than ``GRAM_LIMIT`` columns, ``v`` is the exact top eigenvector
   of the Gram block of the best one, from one batched eigenproblem per
   component size. Only an operator with a wider component goes to Lanczos
@@ -89,7 +91,8 @@ def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray
     columns is one component. A wider block is split into the connected
     components of its bipartite row/column graph: columns in different
     components touch disjoint rows, so ``x* x`` is block diagonal over them
-    and ``||x||`` is the largest component norm. When every component has at
+    and ``||x||`` is the largest component norm. Empty rows, which touch no
+    column, are dropped before the split. When every component has at
     most ``GRAM_LIMIT`` columns, their Gram blocks are solved exactly, by one
     batched ``eigh`` per component size, and ``v`` is the top eigenvector of
     the first component with the largest top eigenvalue, zero elsewhere. A
@@ -100,9 +103,25 @@ def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray
     if n == 0:
         return 0.0, np.zeros(0, dtype=complex)
     xs = sparse.csr_matrix(x)
-    labels = np.zeros(n, dtype=np.intp) if n <= GRAM_LIMIT else _column_components(xs)
+    if n <= GRAM_LIMIT:
+        labels = np.zeros(n, dtype=np.intp)
+    else:
+        xs = _nonempty_rows(xs)
+        labels = _column_components(xs)
     v = _lanczos_witness(xs, seed) if labels is None else _gram_witness(xs, labels)
     return float(np.linalg.norm(x @ v)), v
+
+
+def _nonempty_rows(x):
+    """CSR ``x`` without its empty rows, sharing ``data`` and ``indices``.
+
+    Only ``indptr`` is rebuilt, so every product with the result forms the
+    same nonzero terms in the same order as with ``x``.
+    """
+    ends = np.flatnonzero(np.diff(x.indptr)) + 1  # end of each nonempty row
+    indptr = x.indptr[np.concatenate([[0], ends])]
+    return sparse.csr_matrix((x.data, x.indices, indptr),
+                             shape=(indptr.size - 1, x.shape[1]))
 
 
 def _column_components(x) -> np.ndarray | None:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_parse_word_syntax():
 
 def reference_ball(window, radius):
     """The ball as reduced words, breadth-first: generator ascending, +1
-    before -1. Written independently of build_ball's letter arrays."""
+    before -1. Written independently of build_ball's rank arithmetic."""
     alphabet = [ReducedWord(((g, e),)) for g in sorted(set(window)) for e in (1, -1)]
     words, frontier = [IDENTITY], [IDENTITY]
     for _ in range(radius):
@@ -94,12 +95,6 @@ def reference_ball(window, radius):
                     if word_length(w * a) > word_length(w)]
         words += frontier
     return words
-
-
-def decoded(basis):
-    """The ball's letter codes 2 * pos(g) + (e == -1), read back as words."""
-    return [ReducedWord(tuple((basis.window[a // 2], 1 - 2 * (a % 2)) for a in row))
-            for level in basis.levels for row in level.tolist()]
 
 
 def naive_convolution(f, basis):
@@ -118,16 +113,24 @@ def naive_convolution(f, basis):
 
 
 def test_ball_counts_match_growth_formula():
-    b = build_ball([0, 1], 3)
-    assert len(b) == 1 + 4 + 4 * 3 + 4 * 9 == ball_size(2, 3)
-    lengths = [word_length(w) for w in decoded(b)]
-    assert lengths == sorted(lengths)
+    assert len(build_ball([0, 1], 3)) == 1 + 4 + 4 * 3 + 4 * 9
+    for window, radius in [([0, 1], 3), ([4], 5), ([], 3), ([-1, 0, 2], 2)]:
+        b = build_ball(window, radius)
+        per_length = Counter(word_length(w) for w in reference_ball(window, radius))
+        assert np.diff(b.offset).tolist() == [per_length[L] for L in range(radius + 1)]
+        assert len(b) == ball_size(len(window), radius)
 
 
 def test_ball_enumeration_deterministic():
     b1 = build_ball([0, 1, 5], 2)
-    b2 = build_ball([5, 1, 0], 2)
-    assert decoded(b1) == decoded(b2)
+    b2 = build_ball([5, 1, 0, 5], 2)
+    assert b1.window == b2.window == (0, 1, 5)
+    assert b1.offset.tolist() == b2.offset.tolist()
+    for w in reference_ball([0, 1, 5], 2):
+        m1, _, _ = convolution_operator(GroupFunction.delta(w, 1 - 2j), b1)
+        m2, _, _ = convolution_operator(GroupFunction.delta(w, 1 - 2j), b2)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(m1, part), getattr(m2, part))
 
 
 @st.composite
@@ -148,10 +151,16 @@ def windows_and_functions(draw):
 def test_array_ball_matches_reference(case):
     window, radius, f = case
     basis = build_ball(window, radius)
-    assert decoded(basis) == reference_ball(window, radius)
     mat, _, _ = convolution_operator(f, basis)
     assert mat.format == "csr" and mat.has_sorted_indices
     np.testing.assert_array_equal(mat.toarray(), naive_convolution(f, basis))
+    # every word of positive length is a * w with w shorter, so the letters'
+    # translations pin the whole index order to the reference ball
+    for g in window if radius else []:
+        for e in (1, -1):
+            delta = GroupFunction.delta(ReducedWord(((g, e),)))
+            mat, _, _ = convolution_operator(delta, basis)
+            np.testing.assert_array_equal(mat.toarray(), naive_convolution(delta, basis))
 
 
 def test_ball_capacity():
@@ -159,6 +168,27 @@ def test_ball_capacity():
         build_ball(range(16), 8)
     assert largest_feasible_radius(range(16), 8, 200000) == 3
     assert largest_feasible_radius([0], 8, 200000) == 8
+
+
+def test_largest_feasible_radius_matches_downward_search():
+    def downward(window, radius, cap):
+        r = radius
+        while r > 0 and ball_size(len(window), r) > cap:
+            r -= 1
+        return r
+
+    for window in ([], [0], [0, 3], [-2, 0, 1]):
+        for radius in range(1, 13):
+            for cap in (0, 1, 2, 3, 5, 17, 100, 1000, 10**4, 10**5, 10**6):
+                assert (largest_feasible_radius(window, radius, cap)
+                        == downward(window, radius, cap)), (window, radius, cap)
+
+
+def test_largest_feasible_radius_is_bounded_by_the_answer():
+    # a downward search from R = 10**6 would sum 10**6 big integers per step
+    assert largest_feasible_radius([0, 1], 10**6, 200000) == 10
+    assert largest_feasible_radius([0], 10**6, 200000) == 99999
+    assert largest_feasible_radius([], 10**6, 200000) == 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +257,20 @@ def test_tracer_counts_ball_words_and_convolution_entries():
     result = convolution_operator(f, basis)
     tracer._count_convolution(counts, result, (f, basis))
     assert counts["freegroup.conv_nnz"] == result[2] * len(f.terms)
+
+
+def test_ball_and_operator_memory_peak():
+    # the ball is an offset table; a list of its 156,865 words took 22.2 MB
+    f = shift_average(parse_word("g0"), 4)
+    tracemalloc.start()
+    try:
+        basis = build_ball(f.touched_generators(), 6)
+        mat, _, _ = convolution_operator(f, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 156865 and mat.nnz == 4 * 22409
+    assert peak < 12 * 2**20
 
 
 def test_support_outside_window_rejected():

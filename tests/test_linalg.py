@@ -217,3 +217,41 @@ def test_split_tie_goes_to_the_first_component():
     sigma, v = restricted_sigma_max(x)
     _check_certified(x, sigma, v)
     assert np.array_equal(np.flatnonzero(v), [0, copies])
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("wide", [False, True], ids=["gram", "lanczos"])
+def test_empty_rows_leave_the_solve_unchanged(wide, real):
+    # an operator of width > GRAM_LIMIT with empty rows woven between the rows
+    # of ``packed`` solves to the witness of ``packed``, bit for bit. Its value
+    # is ||x v|| on the caller's matrix, which is left as it was; the zeros of
+    # x v regroup the norm's sum, so it may differ from the value on
+    # ``packed`` in the last bits
+    rng = np.random.default_rng(11)
+    draw = rng.standard_normal if real else (lambda shape: _complex(rng, *shape))
+    parts = [draw((3, 5)) for _ in range(20)]  # 100 columns in components of 5
+    if wide:
+        parts.append(draw((4, GRAM_LIMIT + 1)))
+    packed = sparse.block_diag(parts, format="csr")
+    m, n = packed.shape
+    counts = np.zeros(3 * m, dtype=packed.indptr.dtype)
+    counts[np.sort(rng.choice(3 * m, m, replace=False))] = np.diff(packed.indptr)
+    x = sparse.csr_matrix((packed.data.copy(), packed.indices.copy(),
+                           np.concatenate([[0], np.cumsum(counts)])), shape=(3 * m, n))
+    before = [a.copy() for a in (x.data, x.indices, x.indptr)]
+    lanczos = mock.patch.object(amalgam.linalg, "_lanczos_witness",
+                                wraps=amalgam.linalg._lanczos_witness)
+    with lanczos as spy:
+        sigma, v = restricted_sigma_max(x, seed=3)
+    assert spy.called == wide
+    assert spy.call_args is None or spy.call_args.args[0].shape == (m, n)
+    packed_sigma, packed_v = restricted_sigma_max(packed, seed=3)
+    assert np.array_equal(v, packed_v)
+    assert sigma == np.linalg.norm(x @ v)
+    assert abs(sigma - packed_sigma) <= 4 * np.finfo(float).eps * packed_sigma
+    for was, now in zip(before, (x.data, x.indices, x.indptr)):
+        assert np.array_equal(was, now)
+    rows = amalgam.linalg._nonempty_rows(x)
+    assert np.shares_memory(rows.data, x.data)
+    assert np.shares_memory(rows.indices, x.indices)
+    assert np.array_equal(rows.indptr, packed.indptr)
