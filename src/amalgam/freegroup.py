@@ -266,7 +266,8 @@ def haagerup_check(
             f"no ball of radius >= {p} over {len(window)} generators fits "
             f"under the cap {max_ball}"
         )
-    basis = build_ball(window, eff, max_ball)
+    # a ball over no generators is {e} at every radius, so radius p = 0 holds it
+    basis = build_ball(window, eff if window else p, max_ball)
     mat, _, _ = convolution_operator(f, basis)
     sigma, _ = restricted_sigma_max(mat, seed=seed)
     return GroupNormReport(label=label, length=p, radius=radius, effective_radius=eff,

@@ -14,10 +14,11 @@ Conventions used across the package:
   share their entries with ``X``; when no component
   is wider than ``GRAM_LIMIT`` columns, ``v`` is the exact top eigenvector
   of the Gram block of the best one, from one batched eigenproblem per
-  component size. Only an operator with a wider component goes to Lanczos
-  on ``X* X`` applied as an operator, by one ARPACK driver, ``eigsh``, in
-  real arithmetic: on n coordinates for a real ``X``, on the 2n of
-  ``[Re v; Im v]`` for a complex one;
+  component size. Only an operator with a wider component goes to
+  thick-restart Lanczos on ``X* X`` applied as an operator, in real
+  arithmetic: on n coordinates for a real ``X``, on the 2n of
+  ``[Re v; Im v]`` for a complex one. The labelling and both solves need
+  numpy and the ``scipy.sparse`` matrix types only;
 * every upper bound on an operator norm, and so every residual checked
   against a tolerance, is the Frobenius norm from ``frobenius``.
 """
@@ -32,6 +33,9 @@ from scipy import sparse
 RANK_RTOL = 1e-10
 GRAM_LIMIT = 64
 POWER_RTOL = 1e-12  # relative eigen-residual tolerance of the Lanczos solve
+LANCZOS_BASIS = 20  # Lanczos vectors per restart, ARPACK's default for one eigenpair
+LANCZOS_KEEP = 10  # Ritz vectors kept on a restart
+LANCZOS_RESTARTS_PER_DIM = 10  # restart budget per coordinate, ARPACK's default
 DEFAULT_SEED = 0xC0FFEE
 
 
@@ -96,8 +100,9 @@ def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray
     most ``GRAM_LIMIT`` columns, their Gram blocks are solved exactly, by one
     batched ``eigh`` per component size, and ``v`` is the top eigenvector of
     the first component with the largest top eigenvalue, zero elsewhere. A
-    block with a wider component runs Lanczos on ``x* x`` without forming
-    it, from a start vector drawn from ``seed``.
+    block with a wider component runs thick-restart Lanczos on ``x* x``
+    without forming it, from a start vector drawn from ``seed``; a solve
+    that runs out of restarts says so in a ``RuntimeWarning``.
     """
     n = x.shape[1]
     if n == 0:
@@ -129,30 +134,41 @@ def _column_components(x) -> np.ndarray | None:
     of their first columns, or None if some component has more than
     ``GRAM_LIMIT`` columns.
 
-    The graph has the n columns as its first nodes and the rows after them;
-    its CSR is the pattern of ``x`` read with each row pointing at its
-    columns, and ``directed=False`` follows every edge both ways.
+    Every column of a row is joined to the row's first column. Each round
+    hooks the larger root of every pair of joined trees under the smaller
+    one, then points every column at its root by pointer jumping
+    (Shiloach & Vishkin, J. Algorithms 3, 1982). A parent is never larger
+    than its child, so a root is the least column of its tree, and the
+    labels of the sorted roots follow the first columns. A tree is connected,
+    so the labelling stops as soon as one has more than ``GRAM_LIMIT``
+    columns.
     """
-    from scipy.sparse.csgraph import connected_components
-
-    m, n = x.shape
-    indptr = np.concatenate([np.zeros(n, dtype=x.indptr.dtype), x.indptr])
-    graph = sparse.csr_matrix(
-        (np.ones(x.indices.size, dtype=bool), x.indices, indptr), shape=(n + m, n + m)
-    )
-    _, labels = connected_components(graph, directed=False)
-    _, first, labels = np.unique(labels[:n], return_index=True, return_inverse=True)
-    labels = np.argsort(np.argsort(first))[labels]
-    if np.bincount(labels).max() > GRAM_LIMIT:
-        return None
-    return labels
+    n = x.shape[1]
+    parent = np.arange(n)
+    a = x.indices[np.repeat(x.indptr[:-1], np.diff(x.indptr))]  # first column of each row
+    b = x.indices
+    while True:
+        a, b = parent[a], parent[b]  # every column points at its root
+        joined = a != b
+        if not joined.any():
+            break
+        a, b = a[joined], b[joined]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        if np.bincount(parent).max() > GRAM_LIMIT:
+            return None
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def _gram_witness(x, labels: np.ndarray) -> np.ndarray:
     """Unit top eigenvector of ``x* x``, which is block diagonal over the
     column components ``labels``, each of at most ``GRAM_LIMIT`` columns."""
     n = x.shape[1]
-    gram = sparse.coo_matrix(adjoint(x) @ x)
+    gram = sparse.coo_matrix(x.conj().T @ x)  # the scatter below ignores stored order
     rows, cols, vals = gram.row, gram.col, gram.data
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
@@ -181,57 +197,124 @@ def _gram_witness(x, labels: np.ndarray) -> np.ndarray:
 
 
 def _lanczos_witness(x, seed: int) -> np.ndarray:
-    """Unit top Ritz vector of ``x* x``, for CSR ``x``, by implicitly
-    restarted Lanczos.
+    """Unit top Ritz vector of ``x* x``, for CSR ``x``, by thick-restart
+    Lanczos in real arithmetic.
 
-    One ARPACK driver, ``eigsh``, runs in real arithmetic. If ``x`` has no
-    imaginary part it solves ``x^T x`` on the n real coordinates; otherwise
-    it solves the real form of ``x* x``, which acts on ``[Re v; Im v]`` as
-    ``x* x`` acts on v, on 2n coordinates. The start vector is the real part
-    of a seeded complex draw, or its stacked parts; the seeded generator
-    also draws every restart vector, so the result does not depend on the
-    process or the thread. The Ritz vector is lifted back to complex
-    coordinates.
+    If ``x`` has no imaginary part the solve runs on ``x^T x`` on the n real
+    coordinates; otherwise on the real form of ``x* x``, which acts on
+    ``[Re v; Im v]`` as ``x* x`` acts on v, on 2n coordinates. The start
+    vector is the real part of a seeded complex draw, or its stacked parts;
+    the seeded generator also draws every vector that replaces an exhausted
+    Krylov space, so the result does not depend on the process or the
+    thread. The Ritz vector is lifted back to complex coordinates. A solve
+    that runs out of restarts warns, and returns whichever of the Ritz vector
+    and the complex draw has the larger ``||x v||``.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
     n = x.shape[1]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
-    if not np.count_nonzero(x.data):  # ARPACK cannot start on the zero operator
+    if not np.count_nonzero(x.data):  # every vector is a witness of the zero operator
         return v0
     if not np.iscomplexobj(x.data) or not np.any(x.data.imag):
         xr = x.real.astype(float, copy=False)
-        xt = xr.T.tocsr()
-        gram = LinearOperator((n, n), matvec=lambda u: xt @ (xr @ u), dtype=float)
+        xt = xr.T  # a CSC view, not a copy
+
+        def gram(u):
+            return xt @ (xr @ u)
+
         start = v0.real
 
         def lift(u):
             return u.astype(complex)
     else:
-        xh = adjoint(x)
+        xh = x.conj().T
 
         def lift(u):
             return u[:n] + 1j * u[n:]
 
-        def matvec(u):
-            z = xh @ (x @ lift(np.ravel(u)))
+        def gram(u):
+            z = xh @ (x @ lift(u))
             return np.concatenate([z.real, z.imag])
 
-        gram = LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
         start = np.concatenate([v0.real, v0.imag])
-    try:
-        _, vecs = eigsh(gram, k=1, which="LA", v0=start, tol=POWER_RTOL, rng=rng)
-    except ArpackNoConvergence as exc:
+    u, restarts, residual = _thick_restart_lanczos(gram, start, rng)
+    if residual > POWER_RTOL:
         warnings.warn(
-            f"Lanczos on a {x.shape[0]}x{n} operator did not converge ({exc}); "
-            "the bound is ||X v|| for the best Ritz vector",
+            f"Lanczos on a {x.shape[0]}x{n} operator did not converge after "
+            f"{restarts} restarts (relative Ritz residual {residual:.3g}); "
+            "the bound is ||X v|| for the better of the Ritz vector and the "
+            "start vector",
             RuntimeWarning,
             stacklevel=3,
         )
-        vecs = np.column_stack([lift(exc.eigenvectors), v0])
+        vecs = np.column_stack([lift(u), v0])
         vecs = vecs / np.linalg.norm(vecs, axis=0)
         return vecs[:, int(np.argmax(np.linalg.norm(x @ vecs, axis=0)))]
-    v = lift(vecs[:, 0])
+    v = lift(u)
     return v / np.linalg.norm(v)
+
+
+def _thick_restart_lanczos(gram, start: np.ndarray, rng) -> tuple[np.ndarray, int, float]:
+    """Top Ritz vector of the symmetric positive semidefinite map ``gram``
+    on real vectors, as ``(u, restarts, relative Ritz residual)``.
+
+    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000):
+    a basis of ``LANCZOS_BASIS`` vectors, each orthogonalised against all
+    before it in two passes. ``gram`` then acts on the basis as
+    ``V T + beta v_next e_last^T``, and the Ritz pairs are the eigenpairs of
+    the small symmetric ``T``. The solve stops when the top pair's residual,
+    ``beta |last coordinate|``, is at most ``POWER_RTOL`` times its value.
+    Otherwise it restarts from the top ``LANCZOS_KEEP`` Ritz vectors and
+    ``v_next``, at most ``LANCZOS_RESTARTS_PER_DIM`` times the dimension,
+    ARPACK's default. A vector that is numerically in the span of the basis
+    (its norm falls by more than the refinement factor of ARPACK's
+    ``dsaitr`` in the second pass) is replaced by a seeded draw orthogonal
+    to it, with a zero coupling: the space is then invariant.
+    """
+    dim = start.size
+    size = min(LANCZOS_BASIS, dim)
+    keep = min(LANCZOS_KEEP, size - 1)
+    budget = LANCZOS_RESTARTS_PER_DIM * dim
+    basis = np.empty((size + 1, dim))
+    basis[0] = start / np.linalg.norm(start)
+    t = np.zeros((size, size))
+    first, restarts = 0, 0
+    while True:
+        for j in range(first, size):
+            w = gram(basis[j])
+            h = basis[: j + 1] @ w
+            w -= basis[: j + 1].T @ h
+            once = np.linalg.norm(w)
+            h2 = basis[: j + 1] @ w
+            w -= basis[: j + 1].T @ h2
+            t[j, j] = h[j] + h2[j]
+            beta = np.linalg.norm(w)
+            if beta <= 0.717 * once:  # numerically in the span: an invariant space
+                beta = 0.0
+                if j + 1 < size:
+                    w = rng.standard_normal(dim)
+                    for _ in range(2):
+                        w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+                    w /= np.linalg.norm(w)
+            else:
+                w /= beta
+            basis[j + 1] = w
+            if j + 1 < size:
+                t[j, j + 1] = t[j + 1, j] = beta
+        theta, s = np.linalg.eigh(t)
+        # the top Ritz pair's residual; a nonzero one means gram moved some
+        # basis vector, so the top Ritz value of the semidefinite map is positive
+        bound = beta * abs(s[-1, -1])
+        residual = bound / theta[-1] if bound else 0.0
+        if residual <= POWER_RTOL or restarts == budget:
+            u = s[:, -1] @ basis[:size]
+            return u / np.linalg.norm(u), restarts, residual
+        restarts += 1
+        tail = s[:, size - keep:]
+        basis[:keep] = tail.T @ basis[:size]
+        basis[keep] = basis[size]
+        t[:] = 0.0
+        t[:keep, :keep] = np.diag(theta[size - keep:])
+        t[keep, :keep] = t[:keep, keep] = beta * tail[-1]
+        first = keep

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgam.cli import main
 from amalgam.errors import CapacityError, ConfigError, StructureError
 from amalgam.freegroup import (
     IDENTITY,
@@ -290,6 +291,29 @@ def test_haagerup_check_single_word():
     assert abs(rep.upper - 3.0) < 1e-12
     assert abs(rep.lower - 1.0) < 1e-10
     assert rep.ell2 == 1.0
+
+
+def test_haagerup_check_on_the_identity_needs_no_radius():
+    # a ball over no generators is {e}: the check solves one 1 x 1 operator at
+    # any radius, and reports the requested radius as the effective one
+    tracemalloc.start()
+    try:
+        rep = haagerup_check(GroupFunction.delta(IDENTITY, 2.0), 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rep.length, rep.radius, rep.effective_radius) == (0, 10**6, 10**6)
+    assert rep.lower == rep.ell2 == rep.upper == 2.0
+    assert peak < 2**20  # a radius-R offset table took 30.5 MB at R = 10**6
+
+
+def test_group_haagerup_on_a_word_reducing_to_the_identity(tmp_path):
+    config = tmp_path / "identity.json"
+    config.write_text('{"kind": "group-haagerup", "output": "identity",'
+                      ' "parameters": {"word": "g0 g0^-1", "R": 1000000}}')
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "identity.csv").read_bytes() == (
+        b"name,status,lower,upper,residual\nhaagerup.e.R1000000,pass,1.0,1.0,\n")
 
 
 def test_haagerup_check_rejects_inhomogeneous():

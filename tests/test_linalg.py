@@ -1,9 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -77,14 +81,12 @@ def _real(rng, rows, cols):
 
 @pytest.mark.parametrize("entries", [_complex, _real], ids=["complex", "real"])
 def test_unconverged_solve_warns_and_stays_certified(monkeypatch, entries):
-    real_eigsh = scipy.sparse.linalg.eigsh
-    monkeypatch.setattr(
-        scipy.sparse.linalg, "eigsh",
-        lambda *args, **kwargs: real_eigsh(*args, **{**kwargs, "maxiter": 1}),
-    )
+    # no restart allowed: the solve stops after its first Krylov basis
+    monkeypatch.setattr(amalgam.linalg, "LANCZOS_RESTARTS_PER_DIM", 0)
     n = 3 * GRAM_LIMIT
     x = entries(np.random.default_rng(3), 2 * n + 3, n)
-    with pytest.warns(RuntimeWarning, match=r"\d+x192 operator did not converge"):
+    with pytest.warns(RuntimeWarning, match=r"\d+x192 operator did not converge after "
+                      r"0 restarts \(relative Ritz residual [0-9.e+-]+\)"):
         sigma, v = restricted_sigma_max(x)
     assert sigma == np.linalg.norm(x @ v)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -106,23 +108,26 @@ def test_lanczos_runs_real_operators_in_real_arithmetic(monkeypatch, case, stora
     entries, factor = LANCZOS_CASES[case]
     n = 3 * GRAM_LIMIT
     x = storage(entries(np.random.default_rng(4), 2 * n + 3, n))  # dense: one component
-    sizes = []
-    real_eigsh = scipy.sparse.linalg.eigsh
+    sizes, images = [], []
+    real_lanczos = amalgam.linalg._thick_restart_lanczos
 
-    def spy(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return real_eigsh(a, *args, **kwargs)
+    def spy(gram, start, rng):
+        sizes.append(start.size)
 
-    def never(*args, **kwargs):
-        raise AssertionError("eigs ran")
+        def recorded(u):
+            image = gram(u)
+            images.append(image.dtype)
+            return image
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", never)
+        return real_lanczos(recorded, start, rng)
+
+    monkeypatch.setattr(amalgam.linalg, "_thick_restart_lanczos", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sigma, v = restricted_sigma_max(x, seed=5)
         again, v_again = restricted_sigma_max(x, seed=5)
     assert sizes == [factor * n, factor * n]
+    assert images and set(images) == {np.dtype(float)}
     assert v.dtype == complex
     _check_certified(x, sigma, v)
     assert sigma == again
@@ -255,3 +260,144 @@ def test_empty_rows_leave_the_solve_unchanged(wide, real):
     assert np.shares_memory(rows.data, x.data)
     assert np.shares_memory(rows.indices, x.indices)
     assert np.array_equal(rows.indptr, packed.indptr)
+
+
+# ---------------------------------------------------------------------------
+# component labels against scipy's csgraph, which the package does not import
+# ---------------------------------------------------------------------------
+
+
+def _csgraph_components(x):
+    from scipy.sparse.csgraph import connected_components
+
+    m, n = x.shape
+    indptr = np.concatenate([np.zeros(n, dtype=x.indptr.dtype), x.indptr])
+    graph = sparse.csr_matrix((np.ones(x.indices.size, dtype=bool), x.indices, indptr),
+                              shape=(n + m, n + m))
+    _, labels = connected_components(graph, directed=False)
+    _, first, labels = np.unique(labels[:n], return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[labels]
+    return None if np.bincount(labels).max() > GRAM_LIMIT else labels
+
+
+def _check_labels(x):
+    got, want = amalgam.linalg._column_components(x), _csgraph_components(x)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, want)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(0, 120),
+    cols=st.integers(1, 300),
+    density=st.floats(0.0, 0.05),
+    empty_rows=st.integers(0, 20),
+    empty_cols=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_components_match_csgraph(rows, cols, density, empty_rows, empty_cols, seed):
+    # sparse random patterns, with empty rows and empty columns woven in
+    rng = np.random.default_rng(seed)
+    x = sparse.random(rows, cols, density=density, format="lil", rng=rng)
+    x[rng.choice(rows, min(empty_rows, rows), replace=False)] = 0
+    x[:, rng.choice(cols, min(empty_cols, cols), replace=False)] = 0
+    _check_labels(x.tocsr())
+
+
+def _paths(count, width, rng):
+    # ``count`` paths of ``width`` columns each, row k joining two neighbours,
+    # with the columns and rows permuted
+    starts = np.arange(count)[:, None] * width + np.arange(width - 1)
+    left = starts.ravel()
+    cols = np.column_stack([left, left + 1]).ravel()
+    indptr = np.arange(0, cols.size + 1, 2)
+    x = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(left.size, count * width))
+    return x[rng.permutation(x.shape[0])][:, rng.permutation(x.shape[1])]
+
+
+@settings(max_examples=10, deadline=None)
+@given(count=st.integers(1, 6), width=st.sampled_from([GRAM_LIMIT, GRAM_LIMIT + 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_column_components_none_exactly_above_the_gram_limit(count, width, seed):
+    labels = _check_labels(_paths(count, width, np.random.default_rng(seed)))
+    assert (labels is None) == (width > GRAM_LIMIT)
+
+
+def test_column_components_on_many_permuted_paths():
+    # 512,000 columns whose labels are far from their first columns
+    x = _paths(8000, GRAM_LIMIT, np.random.default_rng(8))
+    labels = _check_labels(x)
+    assert np.array_equal(np.bincount(labels), np.full(8000, GRAM_LIMIT))
+
+
+# ---------------------------------------------------------------------------
+# Lanczos against closed forms and the SVD
+# ---------------------------------------------------------------------------
+
+
+def _lanczos_sigma(x, seed=0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = amalgam.linalg._lanczos_witness(sparse.csr_matrix(x), seed)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    return float(np.linalg.norm(x @ v))
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)], ids=["real", "complex"])
+def test_lanczos_on_the_bidiagonal_reaches_its_closed_form(phase):
+    # ones on the diagonal and the superdiagonal of a 999 x 1000 matrix; its
+    # norm 2 cos(pi / 2000) has a relative spectral gap of about 3e-6
+    n = 1000
+    x = phase * sparse.diags([np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+    exact = 2 * np.cos(np.pi / (2 * n))
+    assert abs(_lanczos_sigma(x) - exact) <= RTOL * exact
+
+
+@pytest.mark.parametrize("entries", [_complex, _real], ids=["complex", "real"])
+@pytest.mark.parametrize("cols", [1, 2, 7, 10, 20, 21])
+def test_lanczos_on_small_operators_matches_svd(entries, cols):
+    # dimensions at and below the 20-vector basis, where it spans the space
+    x = entries(np.random.default_rng(cols), 3 * cols, cols)
+    ref = _svd_top(x)
+    assert abs(_lanczos_sigma(x, seed=cols) - ref) <= RTOL * ref
+
+
+@pytest.mark.parametrize("scale", [1.0, 1j], ids=["real", "complex"])
+def test_lanczos_on_the_identity_stops_at_its_invariant_space(scale):
+    # the start vector is an eigenvector: the first step leaves nothing to add
+    assert abs(_lanczos_sigma(scale * sparse.identity(100, format="csr")) - 1.0) <= 1e-15
+
+
+def test_solver_runs_import_no_scipy_solver_modules(tmp_path):
+    # a small sweep and the group-shift preset, whose solves label components
+    # and run Lanczos, in a fresh process that counts those calls
+    script = """
+import json, sys
+import amalgam.cli, amalgam.linalg as la
+calls = {"_column_components": 0, "_lanczos_witness": 0}
+for name in calls:
+    def counted(*args, _name=name, _f=getattr(la, name)):
+        calls[_name] += 1
+        return _f(*args)
+    setattr(la, name, counted)
+codes = [amalgam.cli.main(["run", config, "--out", sys.argv[1]]) for config in sys.argv[2:]]
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy.sparse.linalg", "scipy.sparse.csgraph")))
+print(json.dumps({"codes": codes, "calls": calls, "loaded": loaded}))
+"""
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "kind": "haagerup-sweep", "output": "sweep",
+        "parameters": {"config": "two-point-6", "M": 3, "families": 2, "n_max": 1, "k_max": 6},
+    }))
+    src = Path(amalgam.linalg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(sweep), "group-shift-g0"],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert report["calls"]["_column_components"] and report["calls"]["_lanczos_witness"]
+    assert report["loaded"] == []
