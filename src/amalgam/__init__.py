@@ -25,11 +25,8 @@ from .errors import (
 from .fock import FockBasisLabel, FockContext, FockOperator, build_fock
 from .gns import GnsModule, ModuleVector, build_gns, inner_product
 from .shift import (
-    DecayCurve,
     Mixture,
     ShiftExperiment,
-    average_family,
-    cesaro_expectation,
     decay_curve,
     shift_word,
 )
@@ -53,7 +50,6 @@ __all__ = [
     "CapacityError",
     "CenteredElement",
     "ConfigError",
-    "DecayCurve",
     "FockBasisLabel",
     "FockContext",
     "FockOperator",
@@ -69,12 +65,10 @@ __all__ = [
     "Word",
     "WordFamily",
     "algebra_from_json",
-    "average_family",
     "block_decomposition",
     "build_fock",
     "build_gns",
     "center",
-    "cesaro_expectation",
     "decay_curve",
     "diagonal_base",
     "diagonal_in_matn",

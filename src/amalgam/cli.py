@@ -26,11 +26,12 @@ from .errors import AmalgamError, CapacityError, ConfigError, pointer_token
 from .fock import DEFAULT_MAX_DIM, build_fock
 from .gns import ModuleVector, inner_product, module_norm
 from .linalg import DEFAULT_SEED, restricted_sigma_max
-from .shift import ShiftExperiment, decay_curve
+from .shift import Mixture, ShiftExperiment, build_shift_context, decay_curve
 from .words import (
     Word,
     family_operator,
     haagerup_upper,
+    is_centered,
     ladder_identity_residuals,
     letter_norms,
     norm_lower,
@@ -274,19 +275,19 @@ def _kind_ergodic_decay(params, seed, max_dim):
     p, proto = params["p"], params["prototype"]
     exp = ShiftExperiment(_unit_prototype(p) if proto is None else proto,
                           n_max=params["n_max"], max_level=params["M"])
-    curve = decay_curve(
-        exp, _TWO_POINT(), alg.scalar_base(),
-        max_dim=max_dim, seed=seed,
-    )
+    ctx = build_shift_context(_TWO_POINT(), alg.scalar_base(), exp.window,
+                              exp.max_level, max_dim=max_dim)
+    points = decay_curve(ctx, Mixture(None, ((1.0, exp.prototype),)), exp.n_max,
+                         seed=seed)
     rows = []
-    for pt in curve.points:
+    for pt in points:
         rows.append(Row(f"decay.p{p}.n{pt.n}", pt.lower <= pt.decay_bound * (1 + 1e-12),
                         lower=pt.lower, upper=pt.decay_bound))
         if p == 1 and proto is None:  # the vacuum witness is exactly 1/sqrt(n)
             resid = abs(pt.ell2_vacuum - 1.0 / np.sqrt(pt.n))
             rows.append(Row(f"vacuum.p1.n{pt.n}", resid <= EXACT_TOL, residual=resid))
     return rows, {"curve.csv": _curve_csv(
-        [(pt.n, pt.lower, pt.ell2_vacuum, pt.decay_bound) for pt in curve.points])}
+        [(pt.n, pt.lower, pt.ell2_vacuum, pt.decay_bound) for pt in points])}
 
 
 def _kind_group_haagerup(params, seed, max_dim):
@@ -304,8 +305,8 @@ def _kind_group_shift(params, seed, max_dim):
     rows = []
     points = []
     for n in params["ns"]:
-        rep = fg.shift_average_group(params["word"], n, params["R"],
-                                     max_ball=params["max_ball"], seed=seed)
+        rep = fg.haagerup_check(fg.shift_average(params["word"], n), params["R"],
+                                max_ball=params["max_ball"], seed=seed)
         ok = rep.ell2 * (1 - 1e-12) <= rep.lower <= rep.upper * (1 + 1e-12)
         rows.append(Row(f"shift.n{n}.Reff{rep.effective_radius}", ok,
                         lower=rep.lower, upper=rep.upper))
@@ -534,11 +535,14 @@ def validate_config(config) -> dict:
         if proto.length != params["p"]:
             raise ConfigError(f"the prototype has {proto.length} letters, "
                               f"not p = {params['p']}", "/parameters/prototype")
-        dim = _TWO_POINT().algebra.dim  # the factor of every decay run
+        factor = _TWO_POINT()  # the factor of every decay run
         for i, letter in enumerate(proto.letters):
-            if len(letter.coords) != dim:
+            where = f"/parameters/prototype/letters/{i}"
+            if len(letter.coords) != factor.algebra.dim:
                 raise ConfigError(f"letter {i} has {len(letter.coords)} coordinates, "
-                                  f"not {dim}", f"/parameters/prototype/letters/{i}")
+                                  f"not {factor.algebra.dim}", where)
+            if not is_centered(factor, letter.coords):
+                raise ConfigError(f"letter {i} is not centered", where)
     return config
 
 

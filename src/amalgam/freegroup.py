@@ -275,27 +275,10 @@ def haagerup_check(
 
 
 def shift_average(h: ReducedWord, n: int) -> GroupFunction:
-    """(1/n) sum of the first n index-shifted copies of delta_h."""
+    """(1/n) sum of the first n index-shifted copies of delta_h, in one pass:
+    the copies of h != e are n distinct words."""
     if n < 1:
         raise StructureError("an average needs at least one term")
-    out = GroupFunction()
-    for k in range(n):
-        out = out + GroupFunction.delta(h.shifted(k), 1.0 / n)
-    return out
-
-
-def shift_average_group(
-    h: ReducedWord,
-    n: int,
-    radius: int,
-    *,
-    max_ball: int = DEFAULT_MAX_BALL,
-    seed: int = DEFAULT_SEED,
-) -> GroupNormReport:
-    """Decay-curve entry for the shift average of a single group element."""
     if not h.letters:
         raise StructureError("the identity is fixed by the shift; no decay to probe")
-    f = shift_average(h, n)
-    return haagerup_check(
-        f, radius, max_ball=max_ball, label=f"avg({h})[n={n}]", seed=seed
-    )
+    return GroupFunction({h.shifted(k): 1.0 / n for k in range(n)})

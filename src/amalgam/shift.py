@@ -3,15 +3,18 @@
 The free shift moves every factor index up by one and fixes B pointwise.
 Averaging a centered word over n shifts produces a separated family of words
 of the same length, so the (2p+1) gamma bound applies and decays like
-n^(-1/2). Only the finite window of indices actually touched by an experiment
-is instantiated.
+n^(-1/2); the averages of x = b + sum_j c_j w_j therefore tend to E_B(x) = b.
+Only the finite window of indices actually touched by an experiment is
+instantiated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -19,25 +22,12 @@ from .algebra import AlgebraWithExpectation, CenteredElement, MatrixStarAlgebra
 from .errors import CapacityError, StructureError
 from .fock import DEFAULT_MAX_DIM, FockContext, build_fock
 from .linalg import DEFAULT_SEED, frobenius
-from .words import Word, WordFamily, letter_norms, norm_lower, word_operator
+from .words import Word, letter_norms, norm_lower, word_operator
 
 
 def shift_word(w: Word, k: int) -> Word:
     """Move every letter index up by k; the letters themselves are unchanged."""
     return Word(tuple(CenteredElement(a.owner + k, a.coords) for a in w.letters))
-
-
-def average_family(w: Word, n: int, family_id: str = "shift-orbit") -> WordFamily:
-    """The family of the first n shifted copies of w.
-
-    Index translation is injective, so distinct copies automatically satisfy
-    the distinct-first/last-index hypothesis; this is asserted.
-    """
-    if n < 1:
-        raise StructureError("an average needs at least one term")
-    fam = WordFamily(tuple(shift_word(w, k) for k in range(n)), family_id)
-    assert fam.separation_clash() is None
-    return fam
 
 
 @dataclass(frozen=True)
@@ -65,17 +55,25 @@ class ShiftExperiment:
 
 
 @dataclass(frozen=True)
+class Mixture:
+    """A linear combination of an element of B and finitely many words."""
+
+    b_coords: np.ndarray | None
+    terms: tuple[tuple[complex, Word], ...]
+
+
+@dataclass(frozen=True)
 class DecayPoint:
+    """One average length n of a mixture x = b + sum_j c_j w_j: the certified
+    lowers of ``||avg_n x - E_B(x)||`` on the exact domain and on level zero,
+    the envelope ``sum_j |c_j| (2p_j+1) prod ||a|| / sqrt(n)`` above them, and
+    the Frobenius residual of the exact identity ``E_B(avg_n x) = E_B(x)``."""
+
     n: int
     lower: float
     ell2_vacuum: float
     decay_bound: float
-
-
-@dataclass(frozen=True)
-class DecayCurve:
-    experiment: ShiftExperiment
-    points: tuple[DecayPoint, ...]
+    residual: float
 
 
 def build_shift_context(
@@ -87,13 +85,20 @@ def build_shift_context(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> FockContext:
     """One Fock context whose factors are copies of the same algebra pair."""
-    factors = {i: factor for i in window}
-    return build_fock(base, factors, max_level, max_dim=max_dim)
+    factors = dict.fromkeys(window, factor)
+    try:
+        return build_fock(base, factors, max_level, max_dim=max_dim)
+    except CapacityError as exc:
+        raise CapacityError(
+            f"{exc}; shrink the window ({len(factors)} indices) or the "
+            f"truncation level {max_level}",
+            required=exc.required,
+        ) from exc
 
 
 def _orbit_sums(ctx: FockContext, w: Word, n: int):
     """Running sums of the operators of w's shifted copies: the k-th, for
-    k = 1..n, is the operator of ``average_family(w, k)``, left-folded as in
+    k = 1..n, is the sum over the first k copies, left-folded as in
     ``family_operator``, and costs one word operator more than the one before."""
     return accumulate(word_operator(ctx, shift_word(w, k)) for k in range(n))
 
@@ -104,95 +109,43 @@ def _decay_scale(ctx: FockContext, w: Word) -> float:
 
 
 def decay_curve(
-    exp: ShiftExperiment,
-    factor: AlgebraWithExpectation,
-    base: MatrixStarAlgebra,
+    ctx: FockContext,
+    x: Mixture,
+    n_max: int,
     *,
-    max_dim: int = DEFAULT_MAX_DIM,
     seed: int = DEFAULT_SEED,
-) -> DecayCurve:
-    """Certified lower bounds and the (2p+1) n^(-1/2) upper bound per n, from
-    the running orbit sum: one word operator per n."""
-    try:
-        ctx = build_shift_context(
-            factor, base, exp.window, exp.max_level, max_dim=max_dim
-        )
-    except CapacityError as exc:
-        raise CapacityError(
-            f"{exc}; shrink the window ({len(exp.window)} indices) or the "
-            f"truncation level {exp.max_level}",
-            required=exc.required,
-        ) from exc
-    scale = _decay_scale(ctx, exp.prototype)
+) -> tuple[DecayPoint, ...]:
+    """The decay point of every n <= n_max, from one running orbit sum per
+    word: a curve over k words costs k n_max word operators.
+
+    The shift fixes B pointwise and E_B kills every centered word, so
+    ``avg_n x - E_B(x)`` is the average of the word terms alone, and the
+    certified lowers are taken on it. ``E_B(avg_n x)`` is read off the
+    vacuum, with b acting through its Fock representation.
+    """
+    if n_max < 1:
+        raise StructureError("an average needs at least one term")
+    fixed = 0.0  # E_B(b) - b: the part of E_B(avg_n x) - E_B(x) that n leaves alone
+    if x.b_coords is not None:
+        fixed = ctx.vacuum_expectation(ctx.left_b_action(x.b_coords)) - x.b_coords
+    spread = max((w.length for _, w in x.terms), default=0)
+    envelope = sum(abs(c) * _decay_scale(ctx, w) for c, w in x.terms)
+    sums = [_orbit_sums(ctx, w, n_max) for _, w in x.terms]
     points = []
-    for n, total in enumerate(_orbit_sums(ctx, exp.prototype, exp.n_max), 1):
-        op = (1.0 / n) * total
+    for n in range(1, n_max + 1):
+        parts = [(c / n) * next(s) for (c, _), s in zip(x.terms, sums)]
+        op = reduce(add, parts) if parts else ctx.zero()
+        drift = fixed + ctx.vacuum_expectation(op)
         points.append(
             DecayPoint(
                 n=n,
-                lower=norm_lower(ctx, op, exp.prototype.length, seed=seed).lower,
+                lower=norm_lower(ctx, op, spread, seed=seed).lower,
                 ell2_vacuum=norm_lower(ctx, op, ctx.max_level, seed=seed).lower,
-                decay_bound=scale / math.sqrt(n),
+                decay_bound=envelope / math.sqrt(n),
+                residual=frobenius(ctx.base.alg.matrix(drift)),
             )
         )
-    return DecayCurve(exp, tuple(points))
-
-
-@dataclass(frozen=True)
-class Mixture:
-    """A linear combination of an element of B and finitely many words."""
-
-    b_coords: np.ndarray | None
-    terms: tuple[tuple[complex, Word], ...]
-
-
-@dataclass(frozen=True)
-class CesaroResult:
-    """The B-component of an n-average plus per-term decay envelopes."""
-
-    expectation: np.ndarray  # B-coordinates
-    n: int
-    term_upper: tuple[float, ...]
-    term_lower: tuple[float, ...]
-    residual: float  # distance of the numerical B-component from the exact one
-
-
-def cesaro_expectation(
-    ctx: FockContext,
-    a: Mixture,
-    n: int,
-    *,
-    seed: int = DEFAULT_SEED,
-) -> CesaroResult:
-    """B-component of the n-average of a, averaged term by term.
-
-    Elements of B are fixed by the shift, so their contribution is returned
-    exactly; each word term contributes a decaying envelope recorded in the
-    result instead of a limit claim. A term's average is the n-th orbit sum
-    of ``decay_curve`` times coeff / n.
-    """
-    if n < 1:
-        raise StructureError("an average needs at least one term")
-    db = ctx.base.db
-    exact = np.zeros(db, dtype=complex)
-    if a.b_coords is not None:
-        exact = exact + np.asarray(a.b_coords, dtype=complex)
-    uppers, lowers = [], []
-    numeric = exact.copy()
-    for coeff, w in a.terms:
-        *_, total = _orbit_sums(ctx, w, n)
-        op = (coeff / n) * total
-        numeric = numeric + ctx.vacuum_expectation(op)
-        uppers.append(abs(coeff) * _decay_scale(ctx, w) / math.sqrt(n))
-        lowers.append(norm_lower(ctx, op, w.length, seed=seed).lower)
-    residual = float(ctx.base.alg.norm(numeric - exact))
-    return CesaroResult(
-        expectation=exact,
-        n=n,
-        term_upper=tuple(uppers),
-        term_lower=tuple(lowers),
-        residual=residual,
-    )
+    return tuple(points)
 
 
 def shift_relabel_check(ctx: FockContext, w: Word) -> float:

@@ -21,7 +21,7 @@ from operator import add, matmul
 import numpy as np
 from scipy import sparse
 
-from .algebra import CenteredElement, center
+from .algebra import AlgebraWithExpectation, CenteredElement, center
 from .errors import (ConfigError, HypothesisError, StructureError, TruncationError,
                      pointer_token)
 from .fock import FockContext, FockOperator, LetterParts
@@ -95,13 +95,17 @@ class NormReport:
     seconds: float = 0.0
 
 
+def is_centered(spec: AlgebraWithExpectation, coords) -> bool:
+    """Whether E(a) vanishes, to CENTERING_TOL times max(||a||, 1)."""
+    resid = spec.subalgebra.norm(spec.apply(coords))
+    return resid <= CENTERING_TOL or resid <= CENTERING_TOL * spec.algebra.norm(coords)
+
+
 def _check_letters(ctx: FockContext, w: Word):
     for a in w.letters:
         if a.owner not in ctx.factors:
             raise StructureError(f"letter index {a.owner} outside the context window")
-        fk = ctx.factors[a.owner]
-        resid = fk.spec.subalgebra.norm(fk.spec.apply(a.coords))
-        if resid > CENTERING_TOL and resid > CENTERING_TOL * fk.spec.algebra.norm(a.coords):
+        if not is_centered(ctx.factors[a.owner].spec, a.coords):
             raise StructureError(f"letter with owner {a.owner} is not centered")
 
 

@@ -11,13 +11,12 @@ import pytest
 
 import amalgam as am
 from amalgam.cli import _factor_context, run_config
-from amalgam.freegroup import parse_word, shift_average_group
+from amalgam.freegroup import haagerup_check, parse_word, shift_average
 from amalgam.gns import ModuleVector, inner_product, module_norm
 from amalgam.shift import (
     Mixture,
     ShiftExperiment,
     build_shift_context,
-    cesaro_expectation,
     decay_curve,
 )
 from amalgam.words import (
@@ -135,8 +134,9 @@ def test_criterion_4_shift_decay():
     for p in (1, 2):
         proto = am.Word(tuple(sign_letter(i) for i in range(p)))
         exp = ShiftExperiment(proto, n_max=16, max_level=2)
-        curve = decay_curve(exp, two_point, base, seed=SEED)
-        for pt in curve.points:
+        ctx = build_shift_context(two_point, base, exp.window, exp.max_level)
+        curve = decay_curve(ctx, Mixture(None, ((1.0, proto),)), exp.n_max, seed=SEED)
+        for pt in curve:
             assert pt.lower <= (2 * p + 1) / np.sqrt(pt.n) * (1 + 1e-12)
             if p == 1:
                 assert abs(pt.ell2_vacuum - 1.0 / np.sqrt(pt.n)) < 1e-12
@@ -151,7 +151,7 @@ def test_criterion_5_group_shift_sandwich():
     t0 = time.perf_counter()
     g0 = parse_word("g0")
     for n in (1, 4, 9, 16):
-        rep = shift_average_group(g0, n, 8, seed=SEED)
+        rep = haagerup_check(shift_average(g0, n), 8, seed=SEED)
         ell2 = 1.0 / np.sqrt(n)
         assert abs(rep.ell2 - ell2) < 1e-12
         assert rep.lower >= ell2 * (1 - 1e-12)
@@ -202,15 +202,12 @@ def test_criterion_7_cesaro():
         two_point, am.scalar_base(), range(0, 16), 2
     )
     b = np.array([0.3 + 0.8j])
-    for n in (1, 2, 5, 9, 16):
-        res = cesaro_expectation(ctx, Mixture(b, ()), n)
-        np.testing.assert_allclose(res.expectation, b, atol=0)
-        assert res.residual < 1e-12
+    for pt in decay_curve(ctx, Mixture(b, ()), 16):
+        assert pt.residual < 1e-12
     word = am.Word((sign_letter(0),))
-    mix = Mixture(None, ((1.0, word),))
-    res4 = cesaro_expectation(ctx, mix, 4)
-    res16 = cesaro_expectation(ctx, mix, 16)
-    assert abs(res4.term_upper[0] / res16.term_upper[0] - 2.0) < 1e-12
+    curve = decay_curve(ctx, Mixture(b, ((1.0, word),)), 16)
+    assert all(pt.residual < 1e-12 for pt in curve)
+    assert abs(curve[3].decay_bound / curve[15].decay_bound - 2.0) < 1e-12
     _report(7, "B fixed exactly; word envelope halves from n to 4n", time.perf_counter() - t0)
 
 

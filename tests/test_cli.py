@@ -558,6 +558,23 @@ def test_decay_kind_accepts_explicit_prototype(tmp_path):
     assert run_config(config, out_dir=tmp_path) == 0
 
 
+@pytest.mark.parametrize("letter", [[[1, 0], [1, 0]], [[1.0, 0.0], [-1.0, 1e-6]]])
+def test_uncentered_prototype_letter_exits_2_with_pointer(tmp_path, capsys, letter):
+    # the unit, and a sign letter whose state value 5e-7i is above the
+    # centering tolerance 1e-9: the run used to stop with no pointer
+    config = {"kind": "ergodic-decay",
+              "parameters": {"p": 2, "M": 2, "n_max": 3,
+                             "prototype": {"indices": [0, 1],
+                                           "letters": [[[1, 0], [-1, 0]], letter]}}}
+    with pytest.raises(ConfigError, match="letter 1 is not centered") as err:
+        validate_config(config)
+    assert err.value.pointer == "/parameters/prototype/letters/1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert "/parameters/prototype/letters/1" in capsys.readouterr().err
+
+
 def test_seed_override_changes_sampled_words(tmp_path):
     config = {
         "kind": "lemma-check",

@@ -21,7 +21,6 @@ from amalgam.freegroup import (
     rd_norm,
     reduce_word,
     shift_average,
-    shift_average_group,
     word_length,
 )
 from amalgam.linalg import restricted_sigma_max
@@ -326,27 +325,37 @@ def test_shift_average_values():
     f = shift_average(parse_word("g0"), 4)
     assert len(f.terms) == 4
     assert abs(f.ell2() - 0.5) < 1e-12
-    rep = shift_average_group(parse_word("g0"), 4, 6)
+    rep = haagerup_check(f, 6)
     assert abs(rep.upper - 1.0) < 1e-12
     assert rep.ell2 - 1e-12 <= rep.lower <= rep.upper + 1e-12
 
 
 def test_shift_average_p2_bounds():
-    rep = shift_average_group(parse_word("g0 g1"), 9, 5, max_ball=60000)
+    rep = haagerup_check(shift_average(parse_word("g0 g1"), 9), 5, max_ball=60000)
     assert abs(rep.upper - 1.0) < 1e-12
     assert rep.lower >= 1.0 / 3.0 - 1e-12
 
 
 def test_identity_average_rejected():
-    with pytest.raises(StructureError):
-        shift_average_group(IDENTITY, 4, 4)
+    # the shifted copies of e coincide: the shift fixes it
+    with pytest.raises(StructureError, match="identity is fixed by the shift"):
+        shift_average(IDENTITY, 4)
+
+
+def test_shift_average_is_its_terms_built_one_by_one():
+    h, n = parse_word("g0 g1"), 20000
+    f = shift_average(h, n)
+    expected = {}
+    for k in range(n):
+        expected[h.shifted(k)] = complex(1.0 / n)
+    assert list(f.terms.items()) == list(expected.items())
 
 
 def test_lower_bounds_nondecreasing_in_radius():
     word = parse_word("g0")
     lowers = []
     for radius in (2, 3, 4, 5):
-        rep = shift_average_group(word, 3, radius)
+        rep = haagerup_check(shift_average(word, 3), radius)
         lowers.append(rep.lower)
     for a, b in zip(lowers, lowers[1:]):
         assert b >= a - 1e-12
@@ -356,12 +365,12 @@ def test_certified_lower_never_exceeds_kesten_value():
     # the true norm of the averaged generators is 2 sqrt(n-1)/n; any certified
     # lower bound that crossed it would expose a broken restriction argument
     for n in (4, 9):
-        rep = shift_average_group(parse_word("g0"), n, 8)
+        rep = haagerup_check(shift_average(parse_word("g0"), n), 8)
         assert rep.lower <= 2.0 * np.sqrt(n - 1) / n + 1e-9
 
 
 def test_capacity_reduces_effective_radius():
-    rep = shift_average_group(parse_word("g0"), 9, 8, max_ball=10000)
+    rep = haagerup_check(shift_average(parse_word("g0"), 9), 8, max_ball=10000)
     assert rep.effective_radius < 8
     assert rep.radius == 8
     assert rep.ell2 - 1e-12 <= rep.lower <= rep.upper + 1e-12

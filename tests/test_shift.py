@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 import amalgam as am
 import amalgam.shift
 import amalgam.words
-from amalgam.errors import StructureError
+from amalgam.errors import CapacityError, StructureError
+from amalgam.linalg import DEFAULT_SEED, frobenius
 from amalgam.shift import (
-    CesaroResult,
     DecayPoint,
     Mixture,
     ShiftExperiment,
-    average_family,
     build_shift_context,
-    cesaro_expectation,
     decay_curve,
     shift_relabel_check,
     shift_word,
@@ -24,6 +22,7 @@ from amalgam.shift import (
 from amalgam.fock import build_fock
 from amalgam.words import (
     Word,
+    WordFamily,
     family_operator,
     haagerup_upper,
     letter_norms,
@@ -36,6 +35,17 @@ TWO_POINT = am.function_algebra_with_state(2)
 BASE = am.scalar_base()
 
 
+def orbit(w, n):
+    """The first n shifted copies of w, as a family summed with coefficient one."""
+    return WordFamily(tuple(shift_word(w, k) for k in range(n)))
+
+
+def unit_curve(exp, factor=TWO_POINT, base=BASE, seed=DEFAULT_SEED):
+    """The decay curve of the prototype alone, on the experiment's window."""
+    ctx = build_shift_context(factor, base, exp.window, exp.max_level)
+    return decay_curve(ctx, Mixture(None, ((1.0, exp.prototype),)), exp.n_max, seed=seed)
+
+
 def test_shift_translates_indices():
     w = Word((sign_letter(0), sign_letter(1)))
     assert shift_word(w, 0).indices == (0, 1)
@@ -46,14 +56,21 @@ def test_shift_translates_indices():
     )
 
 
-def test_average_family_is_orbit():
+def test_average_family_is_orbit(monkeypatch):
+    # the words a curve averages are the shifted copies of the prototype, a
+    # separated family; a curve needs at least one term
+    built = []
+    real = amalgam.words.word_operator
+    monkeypatch.setattr(amalgam.shift, "word_operator",
+                        lambda ctx, w: built.append(w) or real(ctx, w))
     w = Word((sign_letter(0),))
-    fam = average_family(w, 3)
-    assert [v.indices for v in fam.words] == [(0,), (1,), (2,)]
-    assert fam.separation_clash() is None
-    assert len(average_family(w, 1).words) == 1
+    ctx = build_shift_context(TWO_POINT, BASE, range(0, 3), 2)
+    decay_curve(ctx, Mixture(None, ((1.0, w),)), 3)
+    assert [v.indices for v in built] == [(0,), (1,), (2,)]
+    assert WordFamily(tuple(built)).separation_clash() is None
+    assert len(decay_curve(ctx, Mixture(None, ((1.0, w),)), 1)) == 1
     with pytest.raises(StructureError):
-        average_family(w, 0)
+        decay_curve(ctx, Mixture(None, ((1.0, w),)), 0)
 
 
 def test_orbit_upper_bound_matches_decay_formula():
@@ -61,9 +78,10 @@ def test_orbit_upper_bound_matches_decay_formula():
     w = Word((sign_letter(0), sign_letter(1)))
     n = 9
     ctx = build_shift_context(TWO_POINT, BASE, range(0, 11), 2)
-    fam = average_family(w, n)
-    got = haagerup_upper(fam, ctx) / n
+    got = haagerup_upper(orbit(w, n), ctx) / n
     assert abs(got - (2 * 2 + 1) / np.sqrt(n)) < 1e-12
+    [*_, point] = decay_curve(ctx, Mixture(None, ((1.0, w),)), n)
+    assert abs(point.decay_bound - got) < 1e-12
 
 
 def test_experiment_window_covers_all_shifts():
@@ -73,22 +91,28 @@ def test_experiment_window_covers_all_shifts():
         ShiftExperiment(Word((sign_letter(0),)), n_max=4, max_level=0)
 
 
+def test_shift_context_refusal_names_the_window():
+    with pytest.raises(CapacityError, match=r"shrink the window \(6 indices\) or the "
+                                            r"truncation level 3"):
+        build_shift_context(TWO_POINT, BASE, range(0, 6), 3, max_dim=100)
+
+
 def test_decay_curve_p1():
     exp = ShiftExperiment(Word((sign_letter(0),)), n_max=6, max_level=2)
-    curve = decay_curve(exp, TWO_POINT, BASE)
-    bounds = [p.decay_bound for p in curve.points]
+    curve = unit_curve(exp)
+    bounds = [p.decay_bound for p in curve]
     assert bounds == sorted(bounds, reverse=True)
-    for pt in curve.points:
+    for pt in curve:
         assert abs(pt.decay_bound - 3.0 / np.sqrt(pt.n)) < 1e-12
         assert pt.lower <= pt.decay_bound * (1 + 1e-12)
         assert abs(pt.ell2_vacuum - 1.0 / np.sqrt(pt.n)) < 1e-12
         assert pt.ell2_vacuum <= pt.lower + 1e-12
+        assert pt.residual < 1e-12
 
 
 def test_decay_bound_p1_n4_is_three_halves():
     exp = ShiftExperiment(Word((sign_letter(0),)), n_max=4, max_level=2)
-    curve = decay_curve(exp, TWO_POINT, BASE)
-    assert abs(curve.points[-1].decay_bound - 1.5) < 1e-12
+    assert abs(unit_curve(exp)[-1].decay_bound - 1.5) < 1e-12
 
 
 def test_decay_lower_never_exceeds_kesten_value():
@@ -97,8 +121,7 @@ def test_decay_lower_never_exceeds_kesten_value():
     # below it at every truncation
     for max_level in (2, 3):
         exp = ShiftExperiment(Word((sign_letter(0),)), n_max=8, max_level=max_level)
-        curve = decay_curve(exp, TWO_POINT, BASE)
-        for pt in curve.points:
+        for pt in unit_curve(exp):
             true_norm = 1.0 if pt.n == 1 else 2.0 * np.sqrt(pt.n - 1) / pt.n
             assert pt.lower <= true_norm + 1e-9
 
@@ -106,9 +129,7 @@ def test_decay_lower_never_exceeds_kesten_value():
 def test_decay_curve_lower_monotone_in_truncation():
     exp2 = ShiftExperiment(Word((sign_letter(0),)), n_max=4, max_level=2)
     exp3 = ShiftExperiment(Word((sign_letter(0),)), n_max=4, max_level=3)
-    c2 = decay_curve(exp2, TWO_POINT, BASE)
-    c3 = decay_curve(exp3, TWO_POINT, BASE)
-    for p2, p3 in zip(c2.points, c3.points):
+    for p2, p3 in zip(unit_curve(exp2), unit_curve(exp3)):
         assert p3.lower >= p2.lower - 1e-10
 
 
@@ -118,11 +139,12 @@ def reference_decay_points(exp, factor, base, seed):
     p = exp.prototype.length
     points = []
     for n in range(1, exp.n_max + 1):
-        op = (1.0 / n) * family_operator(ctx, average_family(exp.prototype, n))
+        op = (1.0 / n) * family_operator(ctx, orbit(exp.prototype, n))
         bound = (2 * p + 1) * math.prod(letter_norms(ctx, exp.prototype)) / np.sqrt(n)
+        drift = base.matrix(ctx.vacuum_expectation(op))
         points.append(DecayPoint(n, norm_lower(ctx, op, p, seed=seed).lower,
                                  norm_lower(ctx, op, ctx.max_level, seed=seed).lower,
-                                 float(bound)))
+                                 float(bound), frobenius(drift)))
     return tuple(points)
 
 
@@ -136,26 +158,26 @@ def test_decay_curve_equals_fresh_family_operators(two_point, m2_diag, seed):
         p = int(rng.integers(1, 3))
         proto = Word(tuple(random_centered(factor, i, rng) for i in range(p)))
         exp = ShiftExperiment(proto, n_max=int(rng.integers(2, 6)), max_level=2)
-        curve = decay_curve(exp, factor, base, seed=seed)
-        assert curve.points == reference_decay_points(exp, factor, base, seed)
+        curve = unit_curve(exp, factor, base, seed=seed)
+        assert curve == reference_decay_points(exp, factor, base, seed)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_cesaro_term_equals_decay_point(two_point, m2_diag, p):
-    # a one-word mixture with coefficient 1 averages the same orbit sum as the
-    # decay curve on the same window, so its envelope is equal, not close
+    # B is fixed by the shift, so avg_n x - E_B(x) is the word term's average
+    # alone: the curve of b + w has the operator of the curve of w, and its
+    # lowers and envelope are equal, not close
     rng = np.random.default_rng(p)
     for factor, base in ((two_point, BASE), (m2_diag, am.diagonal_base(2))):
         proto = Word(tuple(random_centered(factor, i, rng) for i in range(p)))
         exp = ShiftExperiment(proto, n_max=5, max_level=2)
         ctx = build_shift_context(factor, base, exp.window, exp.max_level)
-        mix = Mixture(None, ((1.0, proto),))
-        for pt in decay_curve(exp, factor, base, seed=3).points:
-            res = cesaro_expectation(ctx, mix, pt.n, seed=3)
-            assert res.term_lower == (pt.lower,)
-            assert res.term_upper == (pt.decay_bound,)
-        with pytest.raises(StructureError):
-            cesaro_expectation(ctx, mix, 0)
+        b = rng.standard_normal(base.dim) + 1j * rng.standard_normal(base.dim)
+        mixed = decay_curve(ctx, Mixture(b, ((1.0, proto),)), exp.n_max, seed=3)
+        for pt, ref in zip(mixed, unit_curve(exp, factor, base, seed=3), strict=True):
+            assert (pt.n, pt.lower, pt.ell2_vacuum, pt.decay_bound) == (
+                ref.n, ref.lower, ref.ell2_vacuum, ref.decay_bound)
+            assert pt.residual < 1e-12
 
 
 def test_decay_curve_builds_one_word_operator_per_n(monkeypatch):
@@ -168,9 +190,12 @@ def test_decay_curve_builds_one_word_operator_per_n(monkeypatch):
 
     for module in (amalgam.shift, amalgam.words):
         monkeypatch.setattr(module, "word_operator", counting)
-    exp = ShiftExperiment(Word((sign_letter(0), sign_letter(1))), n_max=5, max_level=2)
-    decay_curve(exp, TWO_POINT, BASE)
-    assert calls == [(k, k + 1) for k in range(5)]
+    # a two-word mixture: one running orbit sum each, advanced once per n
+    mix = Mixture(None, ((1.0, Word((sign_letter(0), sign_letter(1)))),
+                         (-0.5j, Word((sign_letter(3),)))))
+    ctx = build_shift_context(TWO_POINT, BASE, range(0, 8), 2)
+    assert len(decay_curve(ctx, mix, 5)) == 5
+    assert calls == [w for k in range(5) for w in ((k, k + 1), (k + 3,))]
 
 
 def test_vacuum_value_is_analytic_for_unit_letters():
@@ -179,8 +204,7 @@ def test_vacuum_value_is_analytic_for_unit_letters():
     ctx = build_shift_context(TWO_POINT, BASE, range(0, 8), 2)
     w = Word((sign_letter(0),))
     for n in (2, 4, 8):
-        fam = average_family(w, n)
-        op = (1.0 / n) * family_operator(ctx, fam)
+        op = (1.0 / n) * family_operator(ctx, orbit(w, n))
         assert abs(norm_lower(ctx, op, ctx.max_level).lower - 1.0 / np.sqrt(n)) < 1e-12
 
 
@@ -220,33 +244,53 @@ def test_shift_residual_bounds_the_norm_of_its_difference(weights, far):
 
 
 def test_cesaro_on_subalgebra_is_exact():
+    # an element of B is its own average: nothing is left to decay
     ctx = build_shift_context(TWO_POINT, BASE, range(0, 6), 2)
-    b = np.array([0.7 - 0.2j])
-    for n in (1, 3, 7):
-        res = cesaro_expectation(ctx, Mixture(b, ()), n)
-        np.testing.assert_allclose(res.expectation, b)
-        assert res.residual < 1e-12
+    for pt in decay_curve(ctx, Mixture(np.array([0.7 - 0.2j]), ()), 7):
+        assert pt.residual < 1e-12
+        assert pt.lower == pt.ell2_vacuum == pt.decay_bound == 0.0
 
 
 def test_cesaro_word_decays():
     ctx = build_shift_context(TWO_POINT, BASE, range(0, 17), 2)
     w = Word((sign_letter(0),))
-    mix = Mixture(None, ((1.0, w),))
-    res4 = cesaro_expectation(ctx, mix, 4)
-    res16 = cesaro_expectation(ctx, mix, 16)
-    assert np.linalg.norm(res4.expectation) < 1e-12
-    assert abs(res4.term_upper[0] / res16.term_upper[0] - 2.0) < 1e-12
-    assert res4.term_lower[0] <= res4.term_upper[0] * (1 + 1e-12)
+    curve = decay_curve(ctx, Mixture(None, ((1.0, w),)), 16)
+    at4, at16 = curve[3], curve[15]
+    assert at4.residual < 1e-12  # E_B of the word's average is 0
+    assert abs(at4.decay_bound / at16.decay_bound - 2.0) < 1e-12
+    assert at4.lower <= at4.decay_bound * (1 + 1e-12)
 
 
 def test_cesaro_mixture_returns_b_component():
+    # E_B(avg_n x) = b at every n; the envelope scales with |c|
     ctx = build_shift_context(TWO_POINT, BASE, range(0, 6), 2)
     b = np.array([1.5 + 0.5j])
     mix = Mixture(b, ((0.5, Word((sign_letter(0),))),))
-    res = cesaro_expectation(ctx, mix, 4)
-    np.testing.assert_allclose(res.expectation, b)
-    assert isinstance(res, CesaroResult)
-    assert res.term_upper[0] == pytest.approx(0.5 * 3.0 / 2.0)
+    curve = decay_curve(ctx, mix, 4)
+    assert all(pt.residual < 1e-12 for pt in curve)
+    assert curve[3].decay_bound == pytest.approx(0.5 * 3.0 / 2.0)
+
+
+def test_decay_curve_over_a_nontrivial_base(m2_diag):
+    # relative ergodicity over B = D_2: b != 0 and words of lengths 1 and 2
+    # on M_2 factors; E_B(avg_n x) = E_B(x) holds exactly, and each lower
+    # stays below the envelope sum_j |c_j| (2p_j+1) prod ||a|| / sqrt(n)
+    rng = np.random.default_rng(11)
+    base = am.diagonal_base(2)
+    ctx = build_shift_context(m2_diag, base, range(0, 9), 3)
+    words = [Word((random_centered(m2_diag, 0, rng),)),
+             Word((random_centered(m2_diag, 0, rng), random_centered(m2_diag, 1, rng)))]
+    b = np.array([0.8 - 0.3j, -1.1 + 0.4j])
+    mix = Mixture(b, ((0.7, words[0]), (-1.2 + 0.5j, words[1])))
+    envelope = sum(abs(c) * (2 * w.length + 1) * math.prod(letter_norms(ctx, w))
+                   for c, w in mix.terms)
+    curve = decay_curve(ctx, mix, 8)
+    assert [pt.n for pt in curve] == list(range(1, 9))
+    for pt in curve:
+        assert pt.residual <= 1e-12
+        assert pt.decay_bound == pytest.approx(envelope / math.sqrt(pt.n), rel=1e-14)
+        assert 0.0 < pt.lower <= pt.decay_bound * (1 + 1e-12)
+        assert pt.ell2_vacuum <= pt.lower * (1 + 1e-12)
 
 
 def test_lambda_of_b_is_shift_invariant():
