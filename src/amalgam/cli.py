@@ -151,6 +151,9 @@ def _loaded(loader, check=_object):
             raise ConfigError(f"missing field {exc}", f"{pointer}/{exc.args[0]}") from exc
         except (AmalgamError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc), pointer) from exc
+        except MemoryError as exc:  # numpy's names the size; a bare one is empty
+            detail = f" ({exc})" if str(exc) else ""
+            raise ConfigError("needs more memory than is available" + detail, pointer) from exc
     return parse
 
 

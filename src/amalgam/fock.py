@@ -10,13 +10,16 @@ degeneracies are quotiented with the package-wide rank cutoff.
 The layout is kept per level: the level's sequences as an integer array in
 lexicographic order, one Gram quotient per distinct sequence of factor specs
 (one per level when all factors share a spec), and the offset of each summand.
-Operators are sparse CSR matrices: level projections, first-slot projections,
-creation operators (prepend a vector of E_k deg), first-slot diagonal actions,
-and the letter representation of each factor algebra. The letter parts are
-left folds of their coefficients over letter templates, built once per factor
-in one pass: the operators of the basis coefficients (e_s, e_s e_t*, b_j) on
-the union of their CSR patterns, each block computed once per level and pair
-of quotients and placed at every pair of summands by array arithmetic;
+Coordinate maps are arithmetic on these tables: ``summand`` and the
+relabelling map ``permutation`` share one mixed-radix row formula, and the
+vacuum is read from level zero, the first block of coordinates. Operators are
+sparse CSR matrices: level projections, first-slot projections, creation
+operators (prepend a vector of E_k deg), first-slot diagonal actions, and the
+letter representation of each factor algebra. The letter parts are left folds
+of their coefficients over letter templates, built once per factor in one
+pass: the operators of the basis coefficients (e_s, e_s e_t*, b_j) on the
+union of their CSR patterns, each block computed once per level and pair of
+quotients and placed at every pair of summands by array arithmetic;
 annihilation folds over the creation template's adjoint. Any term that would
 raise above the truncation level maps to zero; identities involving creation
 at the top level therefore hold only below it.
@@ -89,9 +92,6 @@ class FockOperator:
 
     def __rmul__(self, scalar: complex) -> "FockOperator":
         return FockOperator(self.context, scalar * self.matrix)
-
-    def __neg__(self) -> "FockOperator":
-        return (-1.0) * self
 
     def frobenius(self) -> float:
         """Frobenius norm: an upper bound for the operator norm, not the norm."""
@@ -347,6 +347,14 @@ class FockContext:
         """Mask of the sequences (rows of pos) whose first index has position p."""
         return pos[:, 0] == p if pos.shape[1] else np.zeros(len(pos), dtype=bool)
 
+    def _rows(self, pos: np.ndarray) -> np.ndarray:
+        """The row in its level of each sequence of positions (a row of pos):
+        its digits in the mixed radix (k, k-1, ..., k-1), where a later digit
+        counts the positions other than the one before it."""
+        digits = pos.copy()
+        digits[:, 1:] -= pos[:, 1:] > pos[:, :-1]
+        return digits @ (len(self.order) - 1) ** np.arange(pos.shape[1])[::-1]
+
     def _summand(self, m: int, j: int) -> Summand:
         lev = self._levels[m]
         return lev.quotients[lev.quot[j]]._replace(
@@ -377,13 +385,27 @@ class FockContext:
         if (len(seq) > self.max_level or any(i not in self._pos for i in seq)
                 or any(a == b for a, b in zip(seq, seq[1:]))):
             raise ConfigError(f"{seq} is not a summand of this context")
-        # its row in the level: its digits in the mixed radix (k, k-1, ..., k-1),
-        # where a later digit counts the positions other than the one before it
-        pos = [self._pos[i] for i in seq]
-        row = pos[0] if pos else 0
-        for prev, p in zip(pos, pos[1:]):
-            row = row * (len(self.order) - 1) + p - (p > prev)
-        return self._summand(len(seq), row)
+        pos = np.array([[self._pos[i] for i in seq]], dtype=np.int64)
+        return self._summand(len(seq), int(self._rows(pos)[0]))
+
+    def permutation(self, mapping) -> np.ndarray:
+        """The coordinate map perm of a relabelling of the factors, mapping a
+        bijection of ``order``: each summand goes to the summand of its
+        relabelled sequence, coordinate for coordinate. Where the relabelling
+        matches equal factors, the operator Y of a relabelled word and the
+        operator X of the word satisfy ``Y[perm][:, perm] == X``."""
+        if sorted(mapping) != list(self.order) or sorted(mapping.values()) != list(self.order):
+            raise ConfigError(f"{dict(mapping)} is not a bijection of the factor "
+                              f"indices {list(self.order)}")
+        image = np.array([self._pos[mapping[i]] for i in self.order])
+        perm = []
+        for lev in self._levels:
+            rows, ranks = self._rows(image[lev.pos]), np.diff(lev.offset)
+            if (ranks[rows] != ranks).any():
+                raise StructureError("the shift changes the rank of a summand")
+            perm.append(np.arange(lev.offset[0], lev.offset[-1])
+                        + np.repeat(lev.offset[rows] - lev.offset[:-1], ranks))
+        return np.concatenate(perm)
 
     def summands(self) -> tuple[Summand, ...]:
         return tuple(self._summand(m, j) for m, lev in enumerate(self._levels)
@@ -593,19 +615,12 @@ class FockContext:
         ``letter_parts``."""
         return self.letter_parts(i, a_coords).total()
 
-    def vacuum_isometry(self) -> np.ndarray:
-        """Columns embed the sigma-space through the unit of B at level zero."""
-        nb = self.base.nb
-        s0 = self.summand(())
-        c = np.kron(self.base.alg.unit_coords.reshape(-1, 1), np.eye(nb))
-        v = np.zeros((self.total_dim, nb), dtype=complex)
-        v[s0.offset:s0.offset + s0.rank, :] = s0.cmap @ c
-        return v
-
     def vacuum_expectation(self, x: FockOperator) -> np.ndarray:
-        """B-coordinates of the compression of x to the unit at level zero."""
-        v = self.vacuum_isometry()
-        f = v.conj().T @ (x.matrix @ v)
+        """B-coordinates of the compression of x to the unit at level zero;
+        level zero is the first block of coordinates, and only it enters."""
+        s0 = self._levels[0].quotients[0]
+        u = s0.cmap @ np.kron(self.base.alg.unit_coords.reshape(-1, 1), np.eye(self.base.nb))
+        f = u.conj().T @ (x.matrix[:s0.rank, :s0.rank] @ u)
         return self.base.alg.expand(np.asarray(f))
 
 

@@ -5,7 +5,10 @@ Averaging a centered word over n shifts produces a separated family of words
 of the same length, so the (2p+1) gamma bound applies and decays like
 n^(-1/2); the averages of x = b + sum_j c_j w_j therefore tend to E_B(x) = b.
 Only the finite window of indices actually touched by an experiment is
-instantiated.
+instantiated. On it the shift of a word by k is a cyclic relabelling of
+identical factors, and ``FockContext.permutation`` carries it to the Fock
+coordinates exactly: the operator of the shifted word is the permuted
+operator of the word.
 """
 
 from __future__ import annotations
@@ -147,25 +150,3 @@ def decay_curve(
         )
     return tuple(points)
 
-
-def shift_relabel_check(ctx: FockContext, w: Word) -> float:
-    """Residual of shift equivariance at the matrix level.
-
-    Compares the operator of the shifted word with the operator of the word
-    itself under the relabeling that moves every index sequence up by one,
-    over all summands where both are defined. The residual is the Frobenius
-    norm of the difference, an upper bound for the operator norm of each of
-    its summand blocks.
-    """
-    ws = shift_word(w, 1)
-    if any(i not in ctx.factors for i in ws.indices):
-        raise StructureError("shifted word leaves the context window")
-    op = word_operator(ctx, w).matrix
-    ops = word_operator(ctx, ws).matrix
-    pairs = [(s, ctx.summand(tuple(i + 1 for i in s.seq))) for s in ctx.summands()
-             if all(i + 1 in ctx.factors for i in s.seq)]
-    if any(s.rank != t.rank for s, t in pairs):
-        raise StructureError("the shift changes the rank of a summand")
-    coords = [np.concatenate([np.arange(s.offset, s.offset + s.rank) for s in side])
-              for side in zip(*pairs)]
-    return frobenius(op[coords[0]][:, coords[0]] - ops[coords[1]][:, coords[1]])

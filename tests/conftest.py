@@ -66,6 +66,28 @@ def sign_letter(owner):
     return am.CenteredElement(owner, np.asarray(coords, dtype=complex))
 
 
+def cyclic(ctx, k):
+    """The relabelling that moves each factor index k places along ctx.order,
+    cyclically."""
+    n = len(ctx.order)
+    return {i: ctx.order[(p + k) % n] for p, i in enumerate(ctx.order)}
+
+
+def pulled_back(ctx, y, mapping):
+    """Y[perm][:, perm] for the coordinate map perm of a relabelling: the
+    operator of the word whose relabelled copy has operator y, when the
+    relabelling is a symmetry of the context."""
+    perm = ctx.permutation(mapping)
+    return y.matrix[perm][:, perm]
+
+
+def assert_same_csr(a, b):
+    """The same CSR arrays after sorting the indices: equal bit for bit."""
+    a, b = a.sorted_indices(), b.sorted_indices()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def spectral_norm(x) -> float:
     """Exact operator norm by a dense SVD, an oracle for norm values; residual
     checks use the Frobenius upper bound instead."""

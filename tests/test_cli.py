@@ -558,6 +558,32 @@ def test_decay_kind_accepts_explicit_prototype(tmp_path):
     assert run_config(config, out_dir=tmp_path) == 0
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError  # bare, as Python's own allocator raises it
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("config, patched, pointer", [
+    ({"kind": "validate-algebra", "parameters": {"algebras": [
+        {"preset": "function_algebra_with_state", "points": 10 ** 6}]}},
+     (amalgam.cli.alg.PRESETS, "function_algebra_with_state"), "/parameters/algebras/0"),
+    ({"kind": "group-haagerup", "parameters": {"word": "g0^99999999999", "R": 2}},
+     (vars(amalgam.cli.fg), "reduce_word"), "/parameters/word"),
+], ids=["algebra", "word"])
+def test_loader_out_of_memory_exits_2_with_pointer(tmp_path, capsys, monkeypatch,
+                                                   command, config, patched, pointer):
+    # such a config used to exit 1 with a traceback; the loader is patched so
+    # that the test does not depend on how much memory the host grants
+    monkeypatch.setitem(*patched, _out_of_memory)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    args = ["--out", str(tmp_path)] if command == "run" else []
+    assert main([command, str(bad), *args]) == 2
+    err = capsys.readouterr().err
+    assert "needs more memory than is available" in err and pointer in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("letter", [[[1, 0], [1, 0]], [[1.0, 0.0], [-1.0, 1e-6]]])
 def test_uncentered_prototype_letter_exits_2_with_pointer(tmp_path, capsys, letter):
     # the unit, and a sign letter whose state value 5e-7i is above the

@@ -12,10 +12,10 @@ from amalgam.cli import _factor_context
 from amalgam.errors import CapacityError, ConfigError, StructureError
 from amalgam.fock import DEFAULT_MAX_DIM, FockContext, build_fock
 from amalgam.gns import ModuleVector, inner_product, module_norm
-from amalgam.linalg import adjoint, as_complex
-from amalgam.shift import shift_relabel_check
-from amalgam.words import Word
-from conftest import load_bench_tracer, random_centered, spectral_norm
+from amalgam.linalg import adjoint, as_complex, frobenius
+from amalgam.shift import shift_word
+from amalgam.words import Word, word_operator
+from conftest import cyclic, load_bench_tracer, pulled_back, random_centered, spectral_norm
 
 
 def lambda_direct(ctx, i, a_coords):
@@ -180,9 +180,10 @@ def test_mixed_specs(name, rng, monkeypatch):
         a = random_centered(factors[i], i, rng)
         got = ctx.represent(i, a.coords).matrix.toarray()
         assert np.linalg.norm(got - lambda_direct(ctx, i, a.coords), 2) < 1e-10
-    if name == "equal":  # the shift maps each factor to an equal one
+    if name == "equal":  # the cyclic relabelling maps each factor to an equal one
         w = Word((random_centered(uniform, 0, rng), random_centered(uniform, 1, rng)))
-        assert shift_relabel_check(ctx, w) < 1e-12
+        y = word_operator(ctx, shift_word(w, 1))
+        assert frobenius(pulled_back(ctx, y, cyclic(ctx, 1)) - word_operator(ctx, w).matrix) < 1e-12
 
 
 def test_summand_lookup_refuses_non_summands(ctx_two2):
@@ -190,6 +191,29 @@ def test_summand_lookup_refuses_non_summands(ctx_two2):
         with pytest.raises(ConfigError):
             ctx_two2.summand(seq)
     assert ctx_two2.summand([2, 1]).seq == (2, 1)
+
+
+@pytest.mark.parametrize("config", ["two-point-3", "two-point-6", "m2-diag"])
+def test_rows_number_each_level_in_listing_order(config):
+    ctx = _factor_context(config, 4, DEFAULT_MAX_DIM)
+    for lev in ctx._levels:
+        np.testing.assert_array_equal(ctx._rows(lev.pos), np.arange(len(lev.pos)))
+
+
+def test_permutation_refuses_a_map_that_is_no_bijection(ctx_two3):
+    assert np.array_equal(ctx_two3.permutation(cyclic(ctx_two3, 0)), np.arange(ctx_two3.total_dim))
+    for mapping in [{0: 1, 1: 1, 2: 2}, {0: 1, 1: 0}, {0: 1, 1: 2, 2: 3},
+                    {0: 1, 1: 2, 2: 0, 3: 3}]:
+        with pytest.raises(ConfigError, match="not a bijection"):
+            ctx_two3.permutation(mapping)
+
+
+def test_permutation_refuses_a_map_that_changes_a_rank():
+    # E_deg has dimension 1 in the two-point factor and 2 in the three-point one
+    ctx = build_fock(am.scalar_base(), {0: am.function_algebra_with_state(2),
+                                        1: am.function_algebra_with_state(3)}, 2)
+    with pytest.raises(StructureError, match="changes the rank of a summand"):
+        ctx.permutation({0: 1, 1: 0})
 
 
 def test_tracer_counts_every_summand(ctx_two3):
@@ -482,13 +506,6 @@ def test_vacuum_expectation_recovers_phi(ctx_m2diag, rng):
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         got = ctx_m2diag.vacuum_expectation(ctx_m2diag.represent(1, a))
         np.testing.assert_allclose(got, spec.apply(a), atol=1e-10)
-
-
-def test_vacuum_isometry(ctx_m2diag):
-    v = ctx_m2diag.vacuum_isometry()
-    np.testing.assert_allclose(
-        v.conj().T @ v, np.eye(ctx_m2diag.base.nb), atol=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from amalgam.shift import (
     ShiftExperiment,
     build_shift_context,
     decay_curve,
-    shift_relabel_check,
     shift_word,
 )
 from amalgam.fock import build_fock
@@ -29,7 +28,14 @@ from amalgam.words import (
     norm_lower,
     word_operator,
 )
-from conftest import random_centered, sign_letter, spectral_norm
+from conftest import (
+    assert_same_csr,
+    cyclic,
+    pulled_back,
+    random_centered,
+    sign_letter,
+    spectral_norm,
+)
 
 TWO_POINT = am.function_algebra_with_state(2)
 BASE = am.scalar_base()
@@ -209,36 +215,34 @@ def test_vacuum_value_is_analytic_for_unit_letters():
 
 
 def test_shift_equivariance_at_matrix_level():
-    ctx = build_shift_context(TWO_POINT, BASE, range(0, 4), 3)
+    # on a window of copies of one factor, shifting a word by k is the cyclic
+    # relabelling by k, array for array, while the shifted word stays inside
     rng = np.random.default_rng(3)
-    w = Word(
-        (random_centered(TWO_POINT, 0, rng), random_centered(TWO_POINT, 1, rng))
-    )
-    assert shift_relabel_check(ctx, w) < 1e-12
+    for ctx in (build_shift_context(TWO_POINT, BASE, range(0, 6), 4),
+                build_shift_context(am.diagonal_in_matn(2), am.diagonal_base(2),
+                                    range(0, 4), 3)):
+        for p in (1, 2, 3):
+            spec = ctx.factors[0].spec
+            w = Word(tuple(random_centered(spec, j % 2, rng) for j in range(p)))
+            for k in range(1, len(ctx.order) - max(w.indices)):
+                y = word_operator(ctx, shift_word(w, k))
+                assert_same_csr(pulled_back(ctx, y, cyclic(ctx, k)), word_operator(ctx, w).matrix)
 
 
 @pytest.mark.parametrize("weights, far", [([0.2, 0.3, 0.5], False),
                                          ([0.6, 0.1, 0.3], True)])
 def test_shift_residual_bounds_the_norm_of_its_difference(weights, far):
     # (1, 6, -4) is centered under both states; where the copy at index 1
-    # carries another state, the shift is no symmetry and the relabelled
-    # difference is far from zero
+    # carries another state, the cyclic relabelling is no symmetry and the
+    # relabelled difference is far from zero
     first = am.function_algebra_with_state(3, weights=[0.2, 0.3, 0.5])
     factors = {0: first, 1: am.function_algebra_with_state(3, weights=weights), 2: first}
     ctx = build_fock(BASE, factors, 3)
     f = np.array([1.0, 6.0, -4.0], dtype=complex)
     w = Word((am.CenteredElement(0, f), am.CenteredElement(1, f)))
-    src, dst = [], []
-    for s in ctx.summands():
-        if all(i + 1 in factors for i in s.seq):
-            t = ctx.summand(tuple(i + 1 for i in s.seq))
-            src += range(s.offset, s.offset + s.rank)
-            dst += range(t.offset, t.offset + t.rank)
-    op = word_operator(ctx, w).matrix.toarray()
-    ops = word_operator(ctx, shift_word(w, 1)).matrix.toarray()
-    diff = op[np.ix_(src, src)] - ops[np.ix_(dst, dst)]
-    resid = shift_relabel_check(ctx, w)
-    assert resid == pytest.approx(np.linalg.norm(diff), rel=1e-12, abs=1e-15)
+    y = word_operator(ctx, shift_word(w, 1))
+    diff = pulled_back(ctx, y, cyclic(ctx, 1)) - word_operator(ctx, w).matrix
+    resid = frobenius(diff)
     assert resid >= spectral_norm(diff)
     assert (resid > 0.1) is far
 
