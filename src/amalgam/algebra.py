@@ -2,15 +2,19 @@
 
 An algebra is given concretely: an ambient size ``n`` and a list of complex
 ``n x n`` matrices spanning a subspace closed under products and adjoints and
-containing the identity. A conditional expectation onto a distinguished unital
-subalgebra is a linear map written as a matrix in the chosen bases. Every
-structural axiom is checked numerically at construction or on demand.
+containing the identity. Everything built on an algebra reads its
+multiplication table: the coordinates of each adjoint ``adj`` and of each
+product ``mult`` of basis elements, from one expansion that also decides
+closure. A conditional expectation onto a distinguished unital subalgebra is
+a linear map written as a matrix in the chosen bases. Every structural axiom
+is checked numerically at construction or on demand.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,16 +27,24 @@ WITNESS_SAMPLES = 100
 
 @dataclass(frozen=True)
 class MatrixStarAlgebra:
-    """A *-subalgebra of the n x n complex matrices, given by an ordered basis."""
+    """A *-subalgebra of the n x n complex matrices, given by an ordered basis,
+    with its structure constants: ``adj`` holds the coordinates of basis[j]*
+    in column j, and ``mult[j, k]`` those of basis[j] @ basis[k]."""
 
     ambient_dim: int
     basis: np.ndarray  # (dim, n, n)
     unit_coords: np.ndarray  # (dim,)
+    adj: np.ndarray  # (dim, dim)
     _pinv: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @cached_property
+    def mult(self) -> np.ndarray:
+        """(dim, dim, dim), built on first use: it has dim^3 entries."""
+        return np.stack([self._products(j)[0] for j in range(self.dim)])
 
     def matrix(self, coords) -> np.ndarray:
         """Ambient matrix of the element with the given basis coordinates."""
@@ -51,15 +63,8 @@ class MatrixStarAlgebra:
             )
         return coords
 
-    def in_span(self, mat, rtol: float = 1e-8) -> bool:
-        try:
-            self.expand(mat, rtol)
-            return True
-        except StructureError:
-            return False
-
     def adjoint_coords(self, coords) -> np.ndarray:
-        return self.expand(self.matrix(coords).conj().T)
+        return self.adj @ np.conj(coords)
 
     def norm(self, coords) -> float:
         """Operator norm of the element in its ambient representation."""
@@ -69,12 +74,25 @@ class MatrixStarAlgebra:
     def _flat(self) -> np.ndarray:
         return self.basis.reshape(self.dim, -1)
 
+    def _expand_all(self, mats, rtol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates (m, dim) of a stack of m ambient matrices, and which of
+        them lie outside the span by the tolerance of ``expand``."""
+        vecs = mats.reshape(len(mats), -1)
+        coords = (self._pinv @ vecs.T).T
+        resid = np.linalg.norm(coords @ self._flat() - vecs, axis=1)
+        return coords, resid > rtol * np.maximum(np.linalg.norm(vecs, axis=1), 1.0)
+
+    def _products(self, j: int, rtol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+        """Row j of ``mult``, and which of its products lie outside the span."""
+        return self._expand_all(self.basis[j] @ self.basis, rtol)
+
 
 def star_algebra(basis_mats, rtol: float = 1e-9) -> MatrixStarAlgebra:
     """Build and validate a MatrixStarAlgebra from a list of ambient matrices.
 
     Checks linear independence of the basis, membership of the identity, and
-    closure under products and adjoints.
+    closure under products and adjoints, from the residuals of expanding
+    each adjoint and, row by row of ``mult``, each product.
     """
     basis = as_complex(np.stack([as_complex(m) for m in basis_mats]))
     if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
@@ -86,19 +104,19 @@ def star_algebra(basis_mats, rtol: float = 1e-9) -> MatrixStarAlgebra:
     if rank_from_spectrum(svals) < dim:
         raise StructureError("algebra basis is linearly dependent")
     pinv = np.linalg.pinv(flat.T, rcond=RANK_RTOL)
-    alg = MatrixStarAlgebra(n, basis, np.zeros(dim), pinv)
+    alg = MatrixStarAlgebra(n, basis, np.zeros(dim), np.zeros((dim, dim)), pinv)
     try:
         unit = alg.expand(np.eye(n))
     except StructureError as exc:
         raise StructureError("identity matrix is not in the algebra span") from exc
-    alg = MatrixStarAlgebra(n, basis, unit, pinv)
     scale = max(np.linalg.norm(basis[j], 2) for j in range(dim))
+    adj, adj_outside = alg._expand_all(basis.conj().transpose(0, 2, 1), rtol * scale)
+    alg = MatrixStarAlgebra(n, basis, unit, adj.T, pinv)
     for j in range(dim):
-        if not alg.in_span(basis[j].conj().T, rtol * scale):
+        if adj_outside[j]:
             raise StructureError("algebra span is not closed under adjoints")
-        for k in range(dim):
-            if not alg.in_span(basis[j] @ basis[k], rtol * scale * scale):
-                raise StructureError("algebra span is not closed under products")
+        if alg._products(j, rtol * scale * scale)[1].any():
+            raise StructureError("algebra span is not closed under products")
     return alg
 
 
@@ -361,7 +379,9 @@ def algebra_from_json(obj) -> AlgebraWithExpectation:
         params = {k: v for k, v in obj.items() if k != "preset"}
         return PRESETS[name](**params)
     try:
-        n = int(obj["ambient_dim"])
+        n = obj["ambient_dim"]
+        if type(n) is not int or n < 1:
+            raise ConfigError(f"expected a positive integer, got {n!r}", "/ambient_dim")
         alg_mats = [_mat_from_pairs(p, n, n) for p in obj["algebra_basis"]]
         sub_mats = [_mat_from_pairs(p, n, n) for p in obj["subalgebra_basis"]]
     except KeyError as exc:

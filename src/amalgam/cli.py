@@ -305,11 +305,16 @@ def _kind_group_haagerup(params, seed, max_dim):
 
 
 def _kind_group_shift(params, seed, max_dim):
+    word, cap = params["word"], params["max_ball"]
+    p = fg.word_length(word)
     rows = []
     points = []
     for n in params["ns"]:
-        rep = fg.haagerup_check(fg.shift_average(params["word"], n), params["R"],
-                                max_ball=params["max_ball"], seed=seed)
+        size = fg.shift_window_size(word, n)  # refused before the average is built
+        if fg.ball_size(size, p) > cap:
+            raise fg.no_ball_fits(size, p, cap)
+        rep = fg.haagerup_check(fg.shift_average(word, n), params["R"],
+                                max_ball=cap, seed=seed)
         ok = rep.ell2 * (1 - 1e-12) <= rep.lower <= rep.upper * (1 + 1e-12)
         rows.append(Row(f"shift.n{n}.Reff{rep.effective_radius}", ok,
                         lower=rep.lower, upper=rep.upper))

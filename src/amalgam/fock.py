@@ -5,7 +5,10 @@ with m up to a truncation level, of internal tensor products
 E_{i_1}deg (x)_B ... (x)_B E_{i_m}deg, plus a copy of B at level zero. It is
 turned into an honest Hilbert space by tensoring with the identity
 representation of B on its own ambient matrix space. Tensor-level Gram
-degeneracies are quotiented with the package-wide rank cutoff.
+degeneracies are quotiented with the package-wide rank cutoff, by the same
+``gram_quotient`` that separates each factor's GNS module. The base algebra B
+enters through its multiplication table only: the level-zero Gram, the left
+B-action, and the check that each factor's subalgebra has B's unit and table.
 
 The layout is kept per level: the level's sequences as an integer array in
 lexicographic order, one Gram quotient per distinct sequence of factor specs
@@ -41,8 +44,8 @@ from .linalg import (
     as_complex,
     adjoint,
     frobenius,
+    gram_quotient,
     hermitian_part,
-    rank_from_spectrum,
 )
 
 DEFAULT_MAX_DIM = 20000
@@ -103,36 +106,6 @@ class FockOperator:
 
 
 @dataclass
-class _BaseData:
-    alg: MatrixStarAlgebra
-    mult: np.ndarray  # (db, db, db): coords of b_j b_k
-    bip: np.ndarray  # (db, db, db): coords of b_j* b_k
-    adj: np.ndarray  # (db, db): coords of b_j* in column j
-    sig: np.ndarray  # (db, nb, nb)
-
-    @property
-    def nb(self) -> int:
-        return self.alg.ambient_dim
-
-    @property
-    def db(self) -> int:
-        return self.alg.dim
-
-
-def _base_data(alg: MatrixStarAlgebra) -> _BaseData:
-    db = alg.dim
-    mult = np.empty((db, db, db), dtype=complex)
-    bip = np.empty((db, db, db), dtype=complex)
-    adj = np.empty((db, db), dtype=complex)
-    for j in range(db):
-        adj[:, j] = alg.expand(alg.basis[j].conj().T)
-        for k in range(db):
-            mult[j, k] = alg.expand(alg.basis[j] @ alg.basis[k])
-            bip[j, k] = alg.expand(alg.basis[j].conj().T @ alg.basis[k])
-    return _BaseData(alg, mult, bip, adj, alg.basis.copy())
-
-
-@dataclass
 class _FactorData:
     spec: AlgebraWithExpectation
     mod: GnsModule
@@ -158,11 +131,11 @@ class _FactorData:
         return self.e_basis.conj().T @ self.mod.left_action(a_coords) @ self.e_basis
 
 
-def _factor_data(spec: AlgebraWithExpectation, base: _BaseData) -> _FactorData:
+def _factor_data(spec: AlgebraWithExpectation, base: MatrixStarAlgebra) -> _FactorData:
     mod = build_gns(spec)
     e_basis = mod.e_basis
     e = e_basis.shape[1]
-    db = base.db
+    db = base.dim
     bip_e = np.einsum("us,vt,uvd->std", e_basis.conj(), e_basis, mod.bip_full)
     left_b = np.empty((db, e, e), dtype=complex)
     right_b = np.empty((db, e, e), dtype=complex)
@@ -180,25 +153,23 @@ def _factor_data(spec: AlgebraWithExpectation, base: _BaseData) -> _FactorData:
     return _FactorData(spec, mod, e_basis, bip_e, left_b, right_b, kmat)
 
 
-def _check_same_subalgebra(base: _BaseData, spec: AlgebraWithExpectation, idx):
-    """The factor's subalgebra must match the base B through the basis-aligned map."""
+def _check_same_subalgebra(base: MatrixStarAlgebra, spec: AlgebraWithExpectation, idx):
+    """The factor's subalgebra must match the base B through the basis-aligned
+    map: the same unit and the same structure constants."""
     b = spec.subalgebra
-    if b.dim != base.db:
+    if b.dim != base.dim:
         raise ConfigError(
-            f"factor {idx}: subalgebra dimension {b.dim} != base dimension {base.db}"
+            f"factor {idx}: subalgebra dimension {b.dim} != base dimension {base.dim}"
         )
     tol = 1e-9
-    if np.linalg.norm(b.unit_coords - base.alg.unit_coords) > tol:
+    if np.linalg.norm(b.unit_coords - base.unit_coords) > tol:
         raise ConfigError(f"factor {idx}: subalgebra unit differs from the base")
-    for j in range(base.db):
-        if np.linalg.norm(b.expand(b.basis[j].conj().T) - base.adj[:, j]) > tol:
-            raise ConfigError(f"factor {idx}: subalgebra adjoints differ from the base")
-        for k in range(base.db):
-            got = b.expand(b.basis[j] @ b.basis[k])
-            if np.linalg.norm(got - base.mult[j, k]) > tol:
-                raise ConfigError(
-                    f"factor {idx}: subalgebra products differ from the base"
-                )
+    # the first basis element j whose adjoint, or a product b_j b_k, differs
+    bad_adj = np.linalg.norm(b.adj - base.adj, axis=0) > tol
+    bad = bad_adj | (np.linalg.norm(b.mult - base.mult, axis=2) > tol).any(axis=1)
+    if bad.any():
+        what = "adjoints" if bad_adj[np.argmax(bad)] else "products"
+        raise ConfigError(f"factor {idx}: subalgebra {what} differ from the base")
 
 
 class _Template(NamedTuple):
@@ -262,7 +233,7 @@ class _Level:
 class FockContext:
     """Immutable realization of the truncated Fock module. Build via build_fock."""
 
-    def __init__(self, base: _BaseData, factors: dict[int, _FactorData],
+    def __init__(self, base: MatrixStarAlgebra, factors: dict[int, _FactorData],
                  max_level: int, max_dim: int):
         self.base = base
         self.factors = factors
@@ -279,38 +250,33 @@ class FockContext:
 
     def _seq_gram(self, seq) -> np.ndarray:
         base = self.base
-        if not seq:
-            r = base.bip
+        if not seq:  # coords of b_j* b_k
+            r = np.tensordot(base.adj, base.mult, axes=(0, 0))
         else:
             r = self.factors[seq[0]].bip_e
             for i in seq[1:]:
                 k = self.factors[i].kmat
                 r = np.einsum("stdc,pqc->psqtd", k, r)
                 p = r.shape[0] * r.shape[1]
-                r = r.reshape(p, p, base.db)
-        g = np.einsum("pqd,dtu->ptqu", r, base.sig)
-        p = r.shape[0] * base.nb
+                r = r.reshape(p, p, base.dim)
+        g = np.einsum("pqd,dtu->ptqu", r, base.basis)
+        p = r.shape[0] * base.ambient_dim
         return hermitian_part(g.reshape(p, p))
 
     def _quotient(self, seq) -> Summand:
         g = self._seq_gram(seq)
-        evals, evecs = np.linalg.eigh(g)
-        ordering = np.argsort(evals)[::-1]
-        evals, evecs = evals[ordering], evecs[:, ordering]
-        evals = np.clip(evals, 0.0, None)
-        rank = rank_from_spectrum(evals)
-        w = evecs[:, :rank] / np.sqrt(evals[:rank]) if rank else evecs[:, :0]
-        return Summand(seq, 0, rank, len(g), w, w.conj().T @ g)
+        w, cmap = gram_quotient(g)
+        return Summand(seq, 0, w.shape[1], len(g), w, cmap)
 
     def _build_levels(self) -> list[_Level]:
-        nb, data = self.base.nb, [self.factors[i] for i in self.order]
+        nb, data = self.base.ambient_dim, [self.factors[i] for i in self.order]
         e = np.array([f.e_dim for f in data], dtype=object)
         # spec[p]: the first position with the factor data of p; summands whose
         # sequences agree in spec slot by slot share one Gram
         spec = np.array([[d is f for d in data].index(True) for f in data])
         # led[p]: product dims summed over the level's sequences led by p,
         # so that a level is refused before its sequences are listed
-        estimate, led = self.base.db * nb, e
+        estimate, led = self.base.dim * nb, e
         pos, levels = np.zeros((1, 0), dtype=np.int64), []
         for m in range(self.max_level + 1):
             if m:
@@ -417,9 +383,9 @@ class FockContext:
             raise ConfigError(f"coordinate {idx} out of range")
         m = int(self.level_of(idx))
         s = self._summand(m, int(np.searchsorted(self._levels[m].offset, idx, "right")) - 1)
-        dims = [self.factors[i].e_dim for i in s.seq] if s.seq else [self.base.db]
+        dims = [self.factors[i].e_dim for i in s.seq] if s.seq else [self.base.dim]
         rep = np.abs(s.w[:, idx - s.offset])
-        *comps, b_slot = np.unravel_index(int(np.argmax(rep)), dims + [self.base.nb])
+        *comps, b_slot = np.unravel_index(int(np.argmax(rep)), dims + [self.base.ambient_dim])
         return FockBasisLabel(m, s.seq, tuple(map(int, comps)), int(b_slot))
 
     def summary(self) -> dict:
@@ -619,9 +585,10 @@ class FockContext:
         """B-coordinates of the compression of x to the unit at level zero;
         level zero is the first block of coordinates, and only it enters."""
         s0 = self._levels[0].quotients[0]
-        u = s0.cmap @ np.kron(self.base.alg.unit_coords.reshape(-1, 1), np.eye(self.base.nb))
+        base = self.base
+        u = s0.cmap @ np.kron(base.unit_coords.reshape(-1, 1), np.eye(base.ambient_dim))
         f = u.conj().T @ (x.matrix[:s0.rank, :s0.rank] @ u)
-        return self.base.alg.expand(np.asarray(f))
+        return base.expand(np.asarray(f))
 
 
 def build_fock(
@@ -646,12 +613,11 @@ def build_fock(
         raise ConfigError("an amalgamated free product needs at least two factors")
     if max_level < 0:
         raise ConfigError("the truncation level must be nonnegative")
-    bd = _base_data(base_alg)
     by_spec: dict[int, _FactorData] = {}  # built once per spec object
     for idx in sorted(factors):
         if id(factors[idx]) not in by_spec:
-            _check_same_subalgebra(bd, factors[idx], idx)
-            by_spec[id(factors[idx])] = _factor_data(factors[idx], bd)
+            _check_same_subalgebra(base_alg, factors[idx], idx)
+            by_spec[id(factors[idx])] = _factor_data(factors[idx], base_alg)
     fd = {idx: by_spec[id(spec)] for idx, spec in factors.items()}
-    return FockContext(bd, fd, max_level, max_dim)
+    return FockContext(base_alg, fd, max_level, max_dim)
 

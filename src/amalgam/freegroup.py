@@ -135,8 +135,19 @@ def _level_sizes(num_generators: int, radius: int) -> list[int]:
 
 
 def ball_size(num_generators: int, radius: int) -> int:
-    """Number of reduced words of length at most radius over d generators."""
-    return sum(_level_sizes(num_generators, radius))
+    """Number of reduced words of length at most radius over d generators:
+    the sum of the level sizes, in closed form, so that a long radius costs
+    one power."""
+    a = 2 * num_generators
+    if a <= 2:
+        return 1 + a * radius
+    return 1 + a * ((a - 1) ** radius - 1) // (a - 2)
+
+
+def no_ball_fits(num_generators: int, p: int, max_ball: int) -> CapacityError:
+    """The refusal of a function of length p whose ball does not fit."""
+    return CapacityError(f"no ball of radius >= {p} over {num_generators} generators "
+                         f"fits under the cap {max_ball}")
 
 
 @dataclass(frozen=True)
@@ -262,16 +273,21 @@ def haagerup_check(
     window = f.touched_generators()
     eff = largest_feasible_radius(window, radius, max_ball)
     if eff < p:
-        raise CapacityError(
-            f"no ball of radius >= {p} over {len(window)} generators fits "
-            f"under the cap {max_ball}"
-        )
+        raise no_ball_fits(len(window), p, max_ball)
     # a ball over no generators is {e} at every radius, so radius p = 0 holds it
     basis = build_ball(window, eff if window else p, max_ball)
     mat, _, _ = convolution_operator(f, basis)
     sigma, _ = restricted_sigma_max(mat, seed=seed)
     return GroupNormReport(label=label, length=p, radius=radius, effective_radius=eff,
                            lower=float(sigma), ell2=f.ell2(), upper=(p + 1) * f.ell2())
+
+
+def shift_window_size(h: ReducedWord, n: int) -> int:
+    """Number of generators the first n shifts of h touch: the size of the
+    union of [g, g + n) over the generators g of h."""
+    gens = sorted({g for g, _ in h.letters})
+    # each interval adds what it covers before the next one starts
+    return sum(min(b - a, n) for a, b in zip(gens, gens[1:])) + (n if gens else 0)
 
 
 def shift_average(h: ReducedWord, n: int) -> GroupFunction:

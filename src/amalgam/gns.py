@@ -4,7 +4,8 @@ The B-valued inner product is <x, y> = phi(x* y). Separation quotients A by
 the null space of the scalar form obtained by composing with the faithful
 state "normalized trace on the ambient matrices of B"; completion is vacuous
 at finite dimension. The module splits as B (+) E_deg, where E_deg is the
-orthogonal complement of the image of B under the hat map.
+orthogonal complement of the image of B under the hat map. The Gram and every
+action are contractions of the multiplication table of A with the carrier.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraWithExpectation
 from .errors import StructureError
-from .linalg import as_complex, orthonormal_columns, rank_from_spectrum
+from .linalg import as_complex, gram_quotient, hermitian_part, orthonormal_columns
 
 
 @dataclass(frozen=True)
@@ -48,24 +49,16 @@ class GnsModule:
         """Carrier coordinates of the image of a under the canonical map."""
         return self.hat_matrix @ as_complex(a_coords)
 
-    def lift(self, carrier_coords) -> np.ndarray:
-        """A-coordinates of a representative of a carrier vector."""
-        return self.carrier_basis @ as_complex(carrier_coords)
-
     def left_action(self, a_coords) -> np.ndarray:
         """Matrix on the carrier of left multiplication by a."""
         return np.tensordot(as_complex(a_coords), self.left_action_basis, axes=(0, 0))
 
     def right_action(self, b_coords) -> np.ndarray:
-        """Matrix on the carrier of the right action of b in B."""
-        a = self.source
-        full = a.sub_to_full(b_coords)
-        mat = a.algebra.matrix(full)
-        cols = []
-        for j in range(self.carrier_dim):
-            rep = a.algebra.matrix(self.lift(np.eye(self.carrier_dim)[j]))
-            cols.append(self.hat(a.algebra.expand(rep @ mat)))
-        return np.stack(cols, axis=1)
+        """Matrix on the carrier of the right action of b in B: column j is
+        hat(x_j b) for the representative x_j of carrier vector j."""
+        full = self.source.sub_to_full(b_coords)
+        prods = np.tensordot(self.source.algebra.mult, full, axes=(1, 0))  # a_l b
+        return self.hat_matrix @ (prods.T @ self.carrier_basis)
 
 
 @dataclass(frozen=True)
@@ -79,51 +72,28 @@ class ModuleVector:
 
 def build_gns(spec: AlgebraWithExpectation) -> GnsModule:
     """Separate A with respect to <x, y> = phi(x* y) and assemble the module."""
-    a = spec.algebra
-    nb = spec.subalgebra.ambient_dim
-    dim = a.dim
+    a, b = spec.algebra, spec.subalgebra
 
+    # phi(a_j* a_k) in B-coordinates, from the structure constants of A
+    phi_bip = np.tensordot(a.adj, a.mult, axes=(0, 0)) @ spec.expectation.T
     # Scalar form: the normalized ambient trace of B applied to phi(x* y).
-    gram = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        for k in range(dim):
-            val = spec.apply_matrix(a.basis[j].conj().T @ a.basis[k])
-            gram[j, k] = np.trace(val) / nb
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = np.trace(np.tensordot(phi_bip, b.basis, axes=(2, 0)), axis1=2, axis2=3)
+    gram = hermitian_part(gram / b.ambient_dim)
 
-    evals, evecs = np.linalg.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    rank = rank_from_spectrum(np.clip(evals, 0.0, None))
+    carrier, hat_matrix = gram_quotient(gram)
+    rank = carrier.shape[1]
     if rank == 0:
         raise StructureError("the expectation is degenerate: the module collapses")
-    carrier = evecs[:, :rank] / np.sqrt(evals[:rank])
-    hat_matrix = carrier.conj().T @ gram
+    # column c of left[j] is hat(a_j x_c) for the representative x_c of c
+    left = hat_matrix @ (a.mult.transpose(0, 2, 1) @ carrier)
 
-    left = np.empty((dim, rank, rank), dtype=complex)
-    for j in range(dim):
-        for c in range(rank):
-            rep = a.matrix(carrier[:, c])
-            left[j, :, c] = hat_matrix @ a.expand(a.basis[j] @ rep)
-
-    b_image = np.stack(
-        [hat_matrix @ spec.sub_to_full(np.eye(spec.subalgebra.dim)[j])
-         for j in range(spec.subalgebra.dim)],
-        axis=1,
-    )
-    b_summand = orthonormal_columns(b_image)
+    b_summand = orthonormal_columns(hat_matrix @ spec.inclusion)
     complement = np.eye(rank) - b_summand @ b_summand.conj().T
     e_basis = orthonormal_columns(complement)
     if b_summand.shape[1] + e_basis.shape[1] != rank:
         raise StructureError("unit splitting failed to span the carrier")
 
-    db = spec.subalgebra.dim
-    bip = np.empty((rank, rank, db), dtype=complex)
-    for u in range(rank):
-        mu = a.matrix(carrier[:, u])
-        for v in range(rank):
-            mv = a.matrix(carrier[:, v])
-            bip[u, v] = spec.apply(a.expand(mu.conj().T @ mv))
+    bip = np.einsum("lu,mv,lmd->uvd", carrier.conj(), carrier, phi_bip)
 
     return GnsModule(
         source=spec,

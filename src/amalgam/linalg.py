@@ -73,6 +73,18 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     return u[:, : rank_from_spectrum(s)]
 
 
+def gram_quotient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quotient of a space by the null space of its PSD Gram matrix g:
+    representatives w (n, rank) of an orthonormal basis, top eigenvalue
+    first, with w* g w = 1, and the coordinate map w* g."""
+    evals, evecs = np.linalg.eigh(gram)
+    order = np.argsort(evals)[::-1]
+    evals, evecs = np.clip(evals[order], 0.0, None), evecs[:, order]
+    rank = rank_from_spectrum(evals)
+    w = evecs[:, :rank] / np.sqrt(evals[:rank])
+    return w, w.conj().T @ gram
+
+
 def frobenius(x) -> float:
     """Frobenius norm, an upper bound for the operator norm, in one pass over
     the stored entries. Sparse input is read as canonical CSR: a duplicated

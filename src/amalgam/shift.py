@@ -145,7 +145,7 @@ def decay_curve(
                 lower=norm_lower(ctx, op, spread, seed=seed).lower,
                 ell2_vacuum=norm_lower(ctx, op, ctx.max_level, seed=seed).lower,
                 decay_bound=envelope / math.sqrt(n),
-                residual=frobenius(ctx.base.alg.matrix(drift)),
+                residual=frobenius(ctx.base.matrix(drift)),
             )
         )
     return tuple(points)

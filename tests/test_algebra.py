@@ -138,8 +138,67 @@ def test_not_closed_under_product_rejected():
     # self-adjoint span of {1, Z, X}: the product XZ falls outside
     x = unit(0, 1) + unit(1, 0)
     z = np.diag([1.0, -1.0])
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="not closed under products"):
         am.star_algebra([np.eye(2), z, x])
+
+
+def test_not_closed_under_adjoints_rejected():
+    # the upper triangular matrices are closed under products, but E12* = E21
+    # falls outside
+    with pytest.raises(StructureError, match="not closed under adjoints"):
+        am.star_algebra([np.eye(2), unit(0, 0), unit(0, 1)])
+
+
+def _shipped_algebras():
+    specs = {
+        "scalars2": am.scalars_in_matn(2),
+        "scalars3": am.scalars_in_matn(3),
+        "diagonal2": am.diagonal_in_matn(2),
+        "diagonal3": am.diagonal_in_matn(3),
+        "points2": am.function_algebra_with_state(2),
+        "points3": am.function_algebra_with_state(3, [0.2, 0.3, 0.5]),
+    }
+    algebras = {"scalar_base": am.scalar_base(), "diagonal_base2": am.diagonal_base(2)}
+    for name, spec in specs.items():
+        algebras[f"{name}-A"] = spec.algebra
+        algebras[f"{name}-B"] = spec.subalgebra
+    return algebras
+
+
+SHIPPED_ALGEBRAS = _shipped_algebras()
+
+
+def expanded_tables(alg):
+    """The structure constants, one expand per product and per adjoint."""
+    mult = np.array([[alg.expand(x @ y) for y in alg.basis] for x in alg.basis])
+    adj = np.stack([alg.expand(x.conj().T) for x in alg.basis], axis=1)
+    return mult, adj
+
+
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
+def test_tables_are_the_expanded_products(name):
+    alg = SHIPPED_ALGEBRAS[name]
+    mult, adj = expanded_tables(alg)
+    assert np.array_equal(alg.mult, mult)
+    assert np.array_equal(alg.adj, adj)
+
+
+@pytest.mark.parametrize("basis, j, k, product, adjoint", [
+    # Pauli: XY = iZ, and Y* = Y
+    ([np.eye(2), unit(0, 1) + unit(1, 0), -1j * unit(0, 1) + 1j * unit(1, 0),
+      np.diag([1.0, -1.0])], 1, 2, [0, 0, 0, 1j], [0, 0, 1, 0]),
+    # {1, E11, X, E12}: E11 E12 = E12, and E12* = X - E12
+    ([np.eye(2), unit(0, 0), unit(0, 1) + unit(1, 0), unit(0, 1)],
+     1, 3, [0, 0, 0, 1], [0, 0, 1, -1]),
+], ids=["pauli", "triangular"])
+def test_tables_of_a_basis_closed_only_as_a_span(basis, j, k, product, adjoint):
+    # products and adjoints of basis elements are combinations of several
+    alg = am.star_algebra(basis)
+    mult, adj = expanded_tables(alg)
+    assert np.linalg.norm(alg.mult - mult) <= 1e-12 * np.linalg.norm(mult)
+    assert np.linalg.norm(alg.adj - adj) <= 1e-12 * np.linalg.norm(adj)
+    np.testing.assert_allclose(alg.mult[j, k], product, atol=1e-12)
+    np.testing.assert_allclose(alg.adj[:, k], adjoint, atol=1e-12)
 
 
 def test_json_round_trip(m2_diag):
@@ -171,3 +230,13 @@ def test_json_preset_loading():
 def test_json_missing_field_pointer():
     with pytest.raises(ConfigError):
         algebra_from_json({"ambient_dim": 2})
+
+
+@pytest.mark.parametrize("value", [2.7, "2", True, 0])
+def test_json_ambient_dim_must_be_a_positive_integer(value):
+    identity = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    obj = {"ambient_dim": value, "algebra_basis": [identity],
+           "subalgebra_basis": [identity], "expectation_matrix": [[1.0, 0.0]]}
+    with pytest.raises(ConfigError, match="positive integer") as err:
+        algebra_from_json(obj)
+    assert err.value.pointer == "/ambient_dim"

@@ -311,14 +311,22 @@ def test_rd_report_overflowing_s_exits_2(tmp_path, capsys, s):
     ({"kind": "group-haagerup",
       "parameters": {"word": "g0 g1 g2 g3 g4 g5", "R": 6, "max_ball": 10}},
      "/parameters/max_ball"),
+    # the average of 300000 shifts of g0 touches 300000 generators
+    ({"kind": "group-shift", "parameters": {"word": "g0", "ns": [300000], "R": 2}},
+     "/parameters/max_ball"),
 ])
-def test_capacity_refusal_exits_2_with_the_cap_pointer(tmp_path, capsys, config, pointer):
+def test_capacity_refusal_exits_2_with_the_cap_pointer(tmp_path, capsys, monkeypatch,
+                                                       config, pointer):
+    # a run is refused before it builds what the cap is there to bound
+    calls = []
+    monkeypatch.setattr(amalgam.cli.fg, "shift_average", lambda *args: calls.append(args))
     bad = tmp_path / "big.json"
     bad.write_text(json.dumps(config))
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"(at {pointer})" in err
     assert "Traceback" not in err
+    assert calls == []
 
 
 @pytest.mark.parametrize("s", [-600, -1e308])

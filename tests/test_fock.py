@@ -29,7 +29,7 @@ def lambda_direct(ctx, i, a_coords):
     base = ctx.base
     fi = ctx.factors[i]
     spec = fi.spec
-    nb, db = base.nb, base.db
+    nb, db = base.ambient_dim, base.dim
     a_coords = np.asarray(a_coords, dtype=complex)
     a_mat = spec.algebra.matrix(a_coords)
     blocks = []
@@ -244,6 +244,26 @@ def test_mismatched_base_rejected(two_point, m2_diag):
         build_fock(am.diagonal_base(2), {0: two_point, 1: two_point}, 2)
     with pytest.raises(ConfigError):
         build_fock(am.scalar_base(), {0: two_point, 1: m2_diag}, 2)
+
+
+_P = np.diag([1.0, 0.0])
+
+
+@pytest.mark.parametrize("sub_basis, message", [
+    ([np.eye(2)], "subalgebra dimension 1 != base dimension 2"),
+    ([np.eye(2), _P], "subalgebra unit differs from the base"),
+    ([1j * _P, np.eye(2) - 1j * _P], "subalgebra adjoints differ from the base"),
+    ([2 * _P, np.eye(2) - 2 * _P], "subalgebra products differ from the base"),
+], ids=["dimension", "unit", "adjoints", "products"])
+def test_factor_subalgebra_must_match_the_base(sub_basis, message):
+    # each basis spans the diagonal of M_2, but reads it in other coordinates
+    # than diagonal_base(2) does
+    m2 = am.star_algebra([np.outer(np.eye(2)[i], np.eye(2)[j])
+                          for i in range(2) for j in range(2)])
+    sub = am.star_algebra(sub_basis)
+    spec = am.AlgebraWithExpectation(m2, sub, np.zeros((sub.dim, 4)))
+    with pytest.raises(ConfigError, match=f"factor 0: {message}"):
+        build_fock(am.diagonal_base(2), {0: spec, 1: spec}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +517,7 @@ def test_centered_lambda_on_vacuum_is_creation(ctx_two2, rng):
 
 def test_vacuum_expectation_of_identity(ctx_m2diag):
     out = ctx_m2diag.vacuum_expectation(ctx_m2diag.identity())
-    np.testing.assert_allclose(out, ctx_m2diag.base.alg.unit_coords, atol=1e-12)
+    np.testing.assert_allclose(out, ctx_m2diag.base.unit_coords, atol=1e-12)
 
 
 def test_vacuum_expectation_recovers_phi(ctx_m2diag, rng):
@@ -506,6 +526,28 @@ def test_vacuum_expectation_recovers_phi(ctx_m2diag, rng):
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         got = ctx_m2diag.vacuum_expectation(ctx_m2diag.represent(1, a))
         np.testing.assert_allclose(got, spec.apply(a), atol=1e-10)
+
+
+def test_context_over_a_base_basis_that_is_not_self_adjoint(ctx_m2diag, rng):
+    # B = D_2 in the basis (1, v), v = p + i(1 - p), where v* = (1 - i) 1 + i v:
+    # B's adjoint table is not symmetric. M_2 over it is m2-diag in other
+    # coordinates of B, so the levels keep their dimensions.
+    p = np.diag([1.0, 0.0])
+    base = am.star_algebra([np.eye(2), p + 1j * (np.eye(2) - p)])
+    np.testing.assert_allclose(base.adj, [[1, 1 - 1j], [0, 1j]], atol=1e-12)
+    m2 = ctx_m2diag.factors[1].spec.algebra
+    diag_part = np.stack([base.expand(np.diag(np.diag(m))) for m in m2.basis], axis=1)
+    spec = am.AlgebraWithExpectation(m2, base, diag_part)
+    ctx = build_fock(base, {1: spec, 2: spec}, ctx_m2diag.max_level)
+    assert [lev["dim"] for lev in ctx.summary()["levels"]] == [
+        lev["dim"] for lev in ctx_m2diag.summary()["levels"]]
+    np.testing.assert_allclose(ctx.vacuum_expectation(ctx.identity()), base.unit_coords,
+                               atol=1e-12)
+    for _ in range(10):  # freeness: E_B(a1 a2) = E_B(a1) E_B(a2)
+        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        got = ctx.vacuum_expectation(ctx.represent(1, a) @ ctx.represent(2, a))
+        e = base.matrix(spec.apply(a))
+        np.testing.assert_allclose(got, base.expand(e @ e), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +612,7 @@ def test_embedded_vector_norm_matches_module_norm(ctx_m2diag, rng):
     y = _module_vector(ctx_m2diag, 1, rng)
     s1 = ctx_m2diag.summand((1,))
     e_coords = fk.e_basis.conj().T @ y.coords
-    embed = s1.cmap @ np.kron(e_coords.reshape(-1, 1), np.eye(ctx_m2diag.base.nb))
+    embed = s1.cmap @ np.kron(e_coords.reshape(-1, 1), np.eye(ctx_m2diag.base.ambient_dim))
     sigma = np.linalg.svd(embed, compute_uv=False)[0]
     assert abs(sigma - module_norm(fk.mod, y)) < 1e-10
 
@@ -680,7 +722,7 @@ def test_letter_templates(fixture, rng, request):
     # scaled terms entry for entry, in canonical CSR: the solver splits an
     # operator by its sparsity pattern, so a stray stored zero would matter
     ctx = request.getfixturevalue(fixture)
-    db = ctx.base.db
+    db = ctx.base.dim
     units_b = [ctx.left_b_action(np.eye(db)[j]).matrix for j in range(db)]
     for i in ctx.order:
         fk = ctx.factors[i]

@@ -21,6 +21,7 @@ from amalgam.freegroup import (
     rd_norm,
     reduce_word,
     shift_average,
+    shift_window_size,
     word_length,
 )
 from amalgam.linalg import restricted_sigma_max
@@ -328,6 +329,13 @@ def test_shift_average_values():
     rep = haagerup_check(f, 6)
     assert abs(rep.upper - 1.0) < 1e-12
     assert rep.ell2 - 1e-12 <= rep.lower <= rep.upper + 1e-12
+
+
+@pytest.mark.parametrize("word", ["g0", "g0 g1", "g2 g0^-1 g2", "g5 g2 g9 g2^-1"])
+def test_shift_window_size_counts_the_touched_generators(word):
+    h = parse_word(word)
+    for n in (1, 2, 3, 4, 7, 20):
+        assert shift_window_size(h, n) == len(shift_average(h, n).touched_generators())
 
 
 def test_shift_average_p2_bounds():

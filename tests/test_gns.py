@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,49 @@ def a11_expectation():
     )
     b = am.star_algebra([np.eye(2)])
     return am.AlgebraWithExpectation(a, b, np.array([[1.0, 0, 0, 0]], dtype=complex))
+
+
+def complex_state():
+    """M_2 over the scalars with the state tr(rho a), where rho has complex
+    off-diagonal entries: the scalar Gram and the carrier are complex."""
+    rho = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+    spec = am.scalars_in_matn(2)
+    exp = np.array([[np.trace(rho @ m) for m in spec.algebra.basis]])
+    return am.AlgebraWithExpectation(spec.algebra, spec.subalgebra, exp)
+
+
+def skew_basis():
+    """M_2 over its diagonal in the basis (E11, E22, X, E12): E12* = X - E12,
+    so neither adjoints nor products permute the basis."""
+    E = np.eye(2)
+    x, e12 = np.outer(E[0], E[1]) + np.outer(E[1], E[0]), np.outer(E[0], E[1])
+    a = am.star_algebra([np.diag(E[0]), np.diag(E[1]), x, e12])
+    b = am.diagonal_base(2)
+    return am.AlgebraWithExpectation(a, b, np.eye(2, 4, dtype=complex))
+
+
+@pytest.mark.parametrize("make", [
+    partial(am.function_algebra_with_state, 2), partial(am.diagonal_in_matn, 2),
+    a11_expectation, complex_state, skew_basis,
+], ids=["two_point", "m2_diag", "a11", "complex_state", "skew_basis"])
+def test_actions_and_inner_products_of_hats_are_products(make, rng):
+    # oracles from ambient matrix products: left_action(a) hat(x) = hat(a x),
+    # right_action(b) hat(x) = hat(x b) and <hat x, hat y> = phi(x* y)
+    spec = make()
+    mod, alg, db = build_gns(spec), spec.algebra, spec.subalgebra.dim
+    for _ in range(10):
+        a, x, y = (rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+                   for _ in range(3))
+        b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
+        ma, mx, my = alg.matrix(a), alg.matrix(x), alg.matrix(y)
+        mb = alg.matrix(spec.sub_to_full(b))
+        np.testing.assert_allclose(mod.left_action(a) @ mod.hat(x),
+                                   mod.hat(alg.expand(ma @ mx)), atol=1e-10)
+        np.testing.assert_allclose(mod.right_action(b) @ mod.hat(x),
+                                   mod.hat(alg.expand(mx @ mb)), atol=1e-10)
+        hx, hy = ModuleVector(mod, mod.hat(x)), ModuleVector(mod, mod.hat(y))
+        np.testing.assert_allclose(inner_product(mod, hx, hy),
+                                   spec.apply(alg.expand(mx.conj().T @ my)), atol=1e-10)
 
 
 def test_faithful_trace_has_no_separation(m2_trace):
