@@ -4,7 +4,6 @@ from .algebra import (
     AlgebraWithExpectation,
     CenteredElement,
     MatrixStarAlgebra,
-    algebra_from_json,
     center,
     diagonal_base,
     diagonal_in_matn,
@@ -64,7 +63,6 @@ __all__ = [
     "TruncationError",
     "Word",
     "WordFamily",
-    "algebra_from_json",
     "block_decomposition",
     "build_fock",
     "build_gns",

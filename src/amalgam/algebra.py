@@ -12,7 +12,6 @@ is checked numerically at construction or on demand.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -294,15 +293,8 @@ def validate_expectation(
 
 
 # ---------------------------------------------------------------------------
-# JSON configuration and presets
+# presets
 # ---------------------------------------------------------------------------
-
-
-def _mat_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
-    data = as_complex([complex(re, im) for re, im in pairs])
-    if data.size != rows * cols:
-        raise ConfigError(f"expected {rows * cols} complex pairs, got {data.size}")
-    return data.reshape(rows, cols)
 
 
 def scalars_in_matn(n: int) -> AlgebraWithExpectation:
@@ -343,7 +335,7 @@ def function_algebra_with_state(
         weights = np.full(points, 1.0 / points)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (points,):
-        raise ConfigError("weights must have one entry per point")
+        raise ConfigError("weights must have one entry per point", "/weights")
     basis = [np.diag(np.eye(points)[i]) for i in range(points)]
     a = star_algebra(basis)
     b = star_algebra([np.eye(points)])
@@ -359,35 +351,4 @@ def scalar_base() -> MatrixStarAlgebra:
 def diagonal_base(n: int) -> MatrixStarAlgebra:
     """Diagonal n x n matrices as their own base algebra."""
     return star_algebra([np.diag(np.eye(n)[i]) for i in range(n)])
-
-
-PRESETS = {
-    "scalars_in_matn": scalars_in_matn,
-    "diagonal_in_matn": diagonal_in_matn,
-    "function_algebra_with_state": function_algebra_with_state,
-}
-
-
-def algebra_from_json(obj) -> AlgebraWithExpectation:
-    """Load an AlgebraWithExpectation from its JSON form or a named preset."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if "preset" in obj:
-        name = obj["preset"]
-        if name not in PRESETS:
-            raise ConfigError(f"unknown algebra preset {name!r}", "/preset")
-        params = {k: v for k, v in obj.items() if k != "preset"}
-        return PRESETS[name](**params)
-    try:
-        n = obj["ambient_dim"]
-        if type(n) is not int or n < 1:
-            raise ConfigError(f"expected a positive integer, got {n!r}", "/ambient_dim")
-        alg_mats = [_mat_from_pairs(p, n, n) for p in obj["algebra_basis"]]
-        sub_mats = [_mat_from_pairs(p, n, n) for p in obj["subalgebra_basis"]]
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc}", f"/{exc.args[0]}") from exc
-    a = star_algebra(alg_mats)
-    b = star_algebra(sub_mats)
-    exp = _mat_from_pairs(obj["expectation_matrix"], b.dim, a.dim)
-    return AlgebraWithExpectation(a, b, exp)
 

@@ -37,7 +37,6 @@ from .words import (
     norm_lower,
     random_separated_family,
     random_word,
-    word_from_json,
     worst_block_lower,
 )
 
@@ -117,11 +116,17 @@ def _accept(ok, what, cast=None):
     return parse
 
 
+def _finite(v) -> bool:  # type(), since JSON true is no number; NaN is refused
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 # type(), not isinstance(): JSON true is an int to isinstance; 4.0 is no integer
 _integer = _accept(lambda v: type(v) is int and v >= 1, "an integer >= 1")
 _seed = _accept(lambda v: type(v) is int and v >= 0, "an integer >= 0")
-_number = _accept(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-                  "a finite number", float)  # s = 2 still names its rows s2.0
+_index = _accept(lambda v: type(v) is int, "an integer")
+_number = _accept(_finite, "a finite number", float)  # s = 2 still names its rows s2.0
+_pair = _accept(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v)),
+                "a pair [re, im] of finite numbers", lambda v: complex(*v))
 _text = _accept(lambda v: isinstance(v, str) and v != "", "a non-empty string")
 _file_name = _accept(lambda v: isinstance(v, str) and v != "" and "/" not in v
                      and os.sep not in v, "a file name without path separators")
@@ -139,22 +144,31 @@ def _list_of(item):
                                    in enumerate(_nonempty(value, pointer))]
 
 
-def _loaded(loader, check=_object):
-    """Run a nested JSON loader; what it raises points below the field."""
+_matrix = _list_of(_pair)  # its entries row by row
+
+
+def _loaded(build, check):
+    """A parser: build applied to what check types; its errors point at the value or below."""
     def parse(value, pointer):
         value = check(value, pointer)
         try:
-            return loader(value)
+            with np.errstate(over="raise", invalid="raise"):  # raise, not warn
+                return build(value)
         except ConfigError as exc:
             raise ConfigError(exc.message, pointer + (exc.pointer or "")) from exc
-        except KeyError as exc:
-            raise ConfigError(f"missing field {exc}", f"{pointer}/{exc.args[0]}") from exc
-        except (AmalgamError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        # ValueError holds numpy's LinAlgError and "array is too big";
+        # OverflowError is a word power beyond an index
+        except (AmalgamError, ValueError, OverflowError, FloatingPointError) as exc:
             raise ConfigError(str(exc), pointer) from exc
         except MemoryError as exc:  # numpy's names the size; a bare one is empty
             detail = f" ({exc})" if str(exc) else ""
             raise ConfigError("needs more memory than is available" + detail, pointer) from exc
     return parse
+
+
+def _table(build, table):
+    """A parser: build called with the fields of a JSON object, typed by table."""
+    return _loaded(lambda f: build(**f), lambda v, p: _fields(_object(v, p), table, p))
 
 
 def _fields(obj, table, root):
@@ -175,12 +189,9 @@ def _fields(obj, table, root):
 
 
 def _kind_validate_algebra(params, seed, max_dim):
-    rows = []
-    for j, spec in enumerate(params["algebras"]):
-        for check in alg.validate_expectation(spec, seed=seed).checks:
-            rows.append(Row(f"alg{j}.{check.name}", check.passed,
-                            residual=check.residual))
-    return rows
+    return [Row(f"alg{j}.{check.name}", check.passed, residual=check.residual)
+            for j, spec in enumerate(params["algebras"])
+            for check in alg.validate_expectation(spec, seed=seed).checks]
 
 
 def _kind_fock_report(params, seed, max_dim):
@@ -338,19 +349,66 @@ def _kind_rd_report(params, seed, max_dim):
     return rows
 
 
+def _explicit_algebra(ambient_dim, algebra_basis, subalgebra_basis, expectation_matrix):
+    def matrix(pairs, shape, pointer):
+        if len(pairs) != math.prod(shape):
+            raise ConfigError(f"expected {math.prod(shape)} complex pairs, got {len(pairs)}",
+                              pointer)
+        return np.reshape(pairs, shape)
+    a, b = (alg.star_algebra([matrix(m, (ambient_dim,) * 2, f"/{key}/{i}")
+                              for i, m in enumerate(basis)])
+            for key, basis in (("algebra_basis", algebra_basis),
+                               ("subalgebra_basis", subalgebra_basis)))
+    return alg.AlgebraWithExpectation(
+        a, b, matrix(expectation_matrix, (b.dim, a.dim), "/expectation_matrix"))
+
+
+def _prototype_word(indices, letters):
+    if len(letters) != len(indices):
+        raise ConfigError(f"{len(letters)} letters, {len(indices)} indices", "/letters")
+    return Word(tuple(alg.CenteredElement(i, np.array(a)) for i, a in zip(indices, letters)))
+
+
+# preset name -> (constructor, parameter table)
+ALGEBRA_PRESETS = {
+    "scalars_in_matn": (alg.scalars_in_matn, {"n": (_integer, REQUIRED)}),
+    "diagonal_in_matn": (alg.diagonal_in_matn, {"n": (_integer, REQUIRED)}),
+    "function_algebra_with_state": (alg.function_algebra_with_state, {
+        "points": (_integer, REQUIRED), "weights": (_list_of(_number), None)}),
+}
+# an algebra written out, its matrices as lists of [re, im] pairs, row by row
+ALGEBRA = {"ambient_dim": (_integer, REQUIRED), "algebra_basis": (_list_of(_matrix), REQUIRED),
+           "subalgebra_basis": (_list_of(_matrix), REQUIRED),
+           "expectation_matrix": (_matrix, REQUIRED)}
+# a word: the factor index of each letter, and its coordinates as [re, im] pairs
+PROTOTYPE = {"indices": (_list_of(_index), REQUIRED), "letters": (_list_of(_matrix), REQUIRED)}
+
+
+def _algebra(value, pointer):
+    """An `algebras` entry: a preset by name with its parameters, or written out."""
+    obj = dict(_object(value, pointer))
+    build, table = _explicit_algebra, ALGEBRA
+    if "preset" in obj:
+        build, table = ALGEBRA_PRESETS[_one_of(ALGEBRA_PRESETS)(obj.pop("preset"),
+                                                                 f"{pointer}/preset")]
+    return _table(build, table)(obj, pointer)
+
+
 # parameters that several kinds share
 _CONFIG = (_one_of(FACTOR_CONFIGS), REQUIRED)
 _M = _R = (_integer, REQUIRED)
 _WORD = (_loaded(fg.parse_word, _text), REQUIRED)
-_NS = (_list_of(_integer), REQUIRED)
 _MAX_BALL = (_integer, fg.DEFAULT_MAX_BALL)
+# an average of n shifts holds n words: at most as many as a ball may
+_shifts = _accept(lambda v: type(v) is int and 1 <= v <= fg.DEFAULT_MAX_BALL,
+                  f"a shift count from 1 to the ball cap {fg.DEFAULT_MAX_BALL}")
 
 # kind -> (function, parameter table, the parameter whose level spread may
 # not exceed the truncation level M); a table maps a parameter's name to
 # (parser, default or REQUIRED)
 KINDS = {
     "validate-algebra": (_kind_validate_algebra, {
-        "algebras": (_list_of(_loaded(alg.algebra_from_json)), REQUIRED)}, None),
+        "algebras": (_list_of(_algebra), REQUIRED)}, None),
     "fock-report": (_kind_fock_report, {"config": _CONFIG, "M": _M}, None),
     "lemma-check": (_kind_lemma_check, {
         "config": _CONFIG, "M": _M, "words": (_integer, 20), "n_max": (_integer, 4),
@@ -360,13 +418,13 @@ KINDS = {
         "n_max": (_integer, 3), "k_max": (_integer, 6)}, "n_max"),
     "ergodic-decay": (_kind_ergodic_decay, {
         "p": (_integer, REQUIRED), "M": _M, "n_max": (_integer, 16),
-        "prototype": (_loaded(word_from_json), None)}, "p"),
+        "prototype": (_table(_prototype_word, PROTOTYPE), None)}, "p"),
     "group-haagerup": (_kind_group_haagerup,
                        {"word": _WORD, "R": _R, "max_ball": _MAX_BALL}, None),
-    "group-shift": (_kind_group_shift,
-                    {"word": _WORD, "ns": _NS, "R": _R, "max_ball": _MAX_BALL}, None),
-    "rd-report": (_kind_rd_report,
-                  {"word": _WORD, "s": (_number, REQUIRED), "ns": _NS}, None),
+    "group-shift": (_kind_group_shift, {"word": _WORD, "ns": (_list_of(_integer), REQUIRED),
+                                        "R": _R, "max_ball": _MAX_BALL}, None),
+    "rd-report": (_kind_rd_report, {"word": _WORD, "s": (_number, REQUIRED),
+                                    "ns": (_list_of(_shifts), REQUIRED)}, None),
 }
 
 # the top-level fields of a config; `output` defaults to the kind's name
@@ -544,6 +602,7 @@ def validate_config(config) -> dict:
             raise ConfigError(f"the prototype has {proto.length} letters, "
                               f"not p = {params['p']}", "/parameters/prototype")
         factor = _TWO_POINT()  # the factor of every decay run
+        bound = 2 * proto.length + 1  # (2p + 1) prod ||a_i|| bounds ||X||
         for i, letter in enumerate(proto.letters):
             where = f"/parameters/prototype/letters/{i}"
             if len(letter.coords) != factor.algebra.dim:
@@ -551,6 +610,10 @@ def validate_config(config) -> dict:
                                   f"not {factor.algebra.dim}", where)
             if not is_centered(factor, letter.coords):
                 raise ConfigError(f"letter {i} is not centered", where)
+            bound *= factor.algebra.norm(letter.coords)
+        if not math.isfinite(bound * bound):  # the solver forms X* X
+            raise ConfigError(f"(2p + 1) prod ||a_i|| = {bound!r} overflows when squared",
+                              "/parameters/prototype")
     return config
 
 
@@ -638,13 +701,8 @@ def main(argv=None) -> int:
         if args.jobs != 1:
             raise ConfigError(f"--jobs: checks run serially, so only 1 is accepted; "
                               f"got {args.jobs}")
-        config = load_config(args.config)
-        return run_config(
-            config,
-            out_dir=args.out,
-            seed=args.seed,
-            max_dim=args.max_dim,
-        )
+        return run_config(load_config(args.config), out_dir=args.out, seed=args.seed,
+                          max_dim=args.max_dim)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .algebra import AlgebraWithExpectation, CenteredElement, center
-from .errors import (ConfigError, HypothesisError, StructureError, TruncationError,
-                     pointer_token)
+from .errors import HypothesisError, StructureError, TruncationError
 from .fock import FockContext, FockOperator, LetterParts
 from .linalg import DEFAULT_SEED, frobenius, restricted_sigma_max
 
@@ -406,21 +405,4 @@ def random_separated_family(ctx: FockContext, n: int, k: int, rng,
         idx.append(l)
         words.append(Word(tuple(_random_letter(ctx, i, rng) for i in idx)))
     return WordFamily(tuple(words), family_id)
-
-
-def word_from_json(obj) -> Word:
-    """Load a word from its factor indices and its letters, each a list of
-    [re, im] algebra-basis coordinates; a ConfigError points inside it."""
-    for key in obj:
-        if key not in ("indices", "letters"):
-            raise ConfigError(f"unknown field {key!r}", f"/{pointer_token(key)}")
-    indices, letters = obj["indices"], obj["letters"]
-    for i, owner in enumerate(indices):
-        if type(owner) is not int:  # JSON true and 0.7 are no factor index
-            raise ConfigError(f"expected an integer, got {owner!r}", f"/indices/{i}")
-    if len(letters) != len(indices):
-        raise ConfigError(f"{len(letters)} letters, {len(indices)} indices", "/letters")
-    return Word(tuple(
-        CenteredElement(owner, np.array([complex(re, im) for re, im in pairs]))
-        for owner, pairs in zip(indices, letters)))
 

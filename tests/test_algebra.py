@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam as am
-from amalgam.algebra import algebra_from_json
+from amalgam.cli import ALGEBRA_PRESETS, validate_config
 from amalgam.errors import ConfigError, StructureError
 
 E = np.eye(2)
@@ -201,6 +201,12 @@ def test_tables_of_a_basis_closed_only_as_a_span(basis, j, k, product, adjoint):
     np.testing.assert_allclose(alg.adj[:, k], adjoint, atol=1e-12)
 
 
+def _load_algebras(*algebras):
+    """The algebras of a validate-algebra config, as the CLI loads them."""
+    config = {"kind": "validate-algebra", "parameters": {"algebras": list(algebras)}}
+    return validate_config(config)["parameters"]["algebras"]
+
+
 def test_json_round_trip(m2_diag):
     # M_2 over its diagonal written out by hand: matrices as row-major lists
     # of [re, im] pairs, loaded into the same spec as the preset
@@ -213,7 +219,7 @@ def test_json_round_trip(m2_diag):
         "subalgebra_basis": [pairs(unit(0, 0)), pairs(unit(1, 1))],
         "expectation_matrix": pairs([[1, 0, 0, 0], [0, 0, 0, 1]]),
     }
-    spec = algebra_from_json(obj)
+    spec, = _load_algebras(obj)
     assert am.validate_expectation(spec).passed
     np.testing.assert_allclose(spec.algebra.basis, m2_diag.algebra.basis)
     np.testing.assert_allclose(spec.subalgebra.basis, m2_diag.subalgebra.basis)
@@ -221,15 +227,19 @@ def test_json_round_trip(m2_diag):
 
 
 def test_json_preset_loading():
-    spec = algebra_from_json({"preset": "scalars_in_matn", "n": 3})
+    spec, = _load_algebras({"preset": "scalars_in_matn", "n": 3})
     assert spec.algebra.dim == 9
-    with pytest.raises(ConfigError):
-        algebra_from_json({"preset": "nope"})
+    with pytest.raises(ConfigError) as err:
+        _load_algebras({"preset": "nope"})
+    assert err.value.pointer == "/parameters/algebras/0/preset"
+    assert set(ALGEBRA_PRESETS) == {"scalars_in_matn", "diagonal_in_matn",
+                                    "function_algebra_with_state"}
 
 
 def test_json_missing_field_pointer():
-    with pytest.raises(ConfigError):
-        algebra_from_json({"ambient_dim": 2})
+    with pytest.raises(ConfigError, match="missing field 'algebra_basis'") as err:
+        _load_algebras({"ambient_dim": 2})
+    assert err.value.pointer == "/parameters/algebras/0/algebra_basis"
 
 
 @pytest.mark.parametrize("value", [2.7, "2", True, 0])
@@ -237,6 +247,6 @@ def test_json_ambient_dim_must_be_a_positive_integer(value):
     identity = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
     obj = {"ambient_dim": value, "algebra_basis": [identity],
            "subalgebra_basis": [identity], "expectation_matrix": [[1.0, 0.0]]}
-    with pytest.raises(ConfigError, match="positive integer") as err:
-        algebra_from_json(obj)
-    assert err.value.pointer == "/ambient_dim"
+    with pytest.raises(ConfigError, match="an integer >= 1") as err:
+        _load_algebras(obj)
+    assert err.value.pointer == "/parameters/algebras/0/ambient_dim"

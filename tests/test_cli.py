@@ -1,8 +1,12 @@
+import copy
 import csv
 import importlib.util
 import json
 import math
+from functools import reduce
+from operator import getitem
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from hypothesis import strategies as st
 import amalgam.cli
 import amalgam.fock
 import amalgam.words
-from amalgam.cli import KINDS, PRESETS, load_config, main, run_config, validate_config
+from amalgam.cli import (ALGEBRA_PRESETS, KINDS, PRESETS, load_config, main, run_config,
+                         validate_config)
 from amalgam.errors import ConfigError
 from amalgam.linalg import DEFAULT_SEED
 
@@ -87,6 +92,11 @@ def test_main_reports_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"kind": "lemma-check", "parameters": {}}))
     assert main(["validate", str(bad)]) == 2
     assert "/parameters/" in capsys.readouterr().err
+
+
+# M_1 over itself, written out
+M1 = {"ambient_dim": 1, "algebra_basis": [[[1, 0]]], "subalgebra_basis": [[[1, 0]]],
+      "expectation_matrix": [[1, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -243,6 +253,62 @@ def test_main_reports_config_errors(tmp_path, capsys):
                          "prototype": {"indices": [0], "letters": [[[1, 0], [-1, 0]]],
                                        "extra": 1}}},
          "/parameters/prototype/extra"),
+        # nested values are typed by field tables: coordinates and weights are
+        # finite numbers and no bools, a coordinate is a pair, fields are known
+        ({"kind": "ergodic-decay",
+          "parameters": {"p": 1, "M": 2,
+                         "prototype": {"indices": [0],
+                                       "letters": [[[float("nan"), 0], [1, 0]]]}}},
+         "/parameters/prototype/letters/0/0"),
+        ({"kind": "ergodic-decay",
+          "parameters": {"p": 1, "M": 2,
+                         "prototype": {"indices": [0], "letters": [[[True, 0], [-1, 0]]]}}},
+         "/parameters/prototype/letters/0/0"),
+        ({"kind": "ergodic-decay",
+          "parameters": {"p": 1, "M": 2,
+                         "prototype": {"indices": [0], "letters": [[[1, 0, 0], [-1, 0]]]}}},
+         "/parameters/prototype/letters/0/0"),
+        ({"kind": "validate-algebra", "parameters": {"algebras": [
+            {"preset": "function_algebra_with_state", "points": 2,
+             "weights": [True, False]}]}},
+         "/parameters/algebras/0/weights/0"),
+        ({"kind": "validate-algebra", "parameters": {"algebras": [
+            {"preset": "function_algebra_with_state", "points": 2,
+             "weights": [float("nan"), 0.5]}]}},
+         "/parameters/algebras/0/weights/0"),
+        ({"kind": "validate-algebra", "parameters": {"algebras": [
+            {"preset": "function_algebra_with_state", "points": 2, "weights": [1.0]}]}},
+         "/parameters/algebras/0/weights"),
+        ({"kind": "validate-algebra", "parameters": {"algebras": [dict(M1, extra=1)]}},
+         "/parameters/algebras/0/extra"),
+        ({"kind": "validate-algebra",
+          "parameters": {"algebras": [dict(M1, algebra_basis=[[[1, 0, 0]]])]}},
+         "/parameters/algebras/0/algebra_basis/0/0"),
+        ({"kind": "validate-algebra",
+          "parameters": {"algebras": [{"preset": "scalars_in_matn", "n": 2, "junk": 1}]}},
+         "/parameters/algebras/0/junk"),
+        ({"kind": "validate-algebra",
+          "parameters": {"algebras": [{"preset": "scalars_in_matn"}]}},
+         "/parameters/algebras/0/n"),
+        # the cross-field counts of a written-out algebra point at the matrix
+        ({"kind": "validate-algebra",
+          "parameters": {"algebras": [dict(M1, ambient_dim=2)]}},
+         "/parameters/algebras/0/algebra_basis/0"),
+        ({"kind": "validate-algebra",
+          "parameters": {"algebras": [dict(M1, expectation_matrix=[[1, 0], [0, 0]])]}},
+         "/parameters/algebras/0/expectation_matrix"),
+        # what a builder still raises points at the value it builds: a float
+        # overflow, numpy's refusal of an array too big to index, and a word
+        # power beyond an index
+        ({"kind": "validate-algebra",
+          "parameters": {"algebras": [dict(M1, algebra_basis=[[[1e200, 0]]])]}},
+         "/parameters/algebras/0"),
+        ({"kind": "validate-algebra",
+          "parameters": {"algebras": [{"preset": "scalars_in_matn", "n": 2 ** 64}]}},
+         "/parameters/algebras/0"),
+        ({"kind": "group-haagerup",
+          "parameters": {"word": "g0^99999999999999999999", "R": 2}},
+         "/parameters/word"),
     ],
 )
 def test_bad_integer_types_exit_2_with_pointer(tmp_path, capsys, config, pointer):
@@ -314,6 +380,9 @@ def test_rd_report_overflowing_s_exits_2(tmp_path, capsys, s):
     # the average of 300000 shifts of g0 touches 300000 generators
     ({"kind": "group-shift", "parameters": {"word": "g0", "ns": [300000], "R": 2}},
      "/parameters/max_ball"),
+    # and holds 300000 words, above the cap on the words of a ball
+    ({"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [1, 300000]}},
+     "/parameters/ns/1"),
 ])
 def test_capacity_refusal_exits_2_with_the_cap_pointer(tmp_path, capsys, monkeypatch,
                                                        config, pointer):
@@ -329,6 +398,37 @@ def test_capacity_refusal_exits_2_with_the_cap_pointer(tmp_path, capsys, monkeyp
     assert calls == []
 
 
+def test_rd_report_shift_counts_reach_the_ball_cap():
+    # validation only: the average at the cap holds 200000 words
+    cap = amalgam.cli.fg.DEFAULT_MAX_BALL
+    config = {"kind": "rd-report", "parameters": {"word": "g0", "s": 1.0, "ns": [cap]}}
+    validate_config(config)
+    config["parameters"]["ns"] = [1, cap + 1]
+    with pytest.raises(ConfigError, match="from 1 to the ball cap") as err:
+        validate_config(config)
+    assert err.value.pointer == "/parameters/ns/1"
+
+
+@pytest.mark.parametrize("scale, p, refused", [(1e200, 1, True), (1e154, 1, True),
+                                                (1e77, 2, True), (1e150, 1, False),
+                                                (4e153, 1, False), (1e76, 2, False)])
+def test_decay_prototype_envelope_must_square_finitely(tmp_path, capsys, scale, p, refused):
+    # ((2p + 1) prod ||a_i||)^2 bounds the ||X* X|| that the solver forms: the
+    # refused scales used to overflow there and exit 2 with no pointer, or 1
+    # under -W error::RuntimeWarning
+    sign = [[scale, 0.0], [-scale, 0.0]]
+    config = {"kind": "ergodic-decay",
+              "parameters": {"p": p, "M": 2, "n_max": 3,
+                             "prototype": {"indices": list(range(p)), "letters": [sign] * p}}}
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(config))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+        assert main(argv) == (2 if refused else 0)
+        err = capsys.readouterr().err
+        assert ("(at /parameters/prototype)" in err) == refused
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("s", [-600, -1e308])
 def test_rd_report_accepts_large_negative_s(tmp_path, s):
     # (1 + p)^(2s) underflows to 0, and every row still checks exactly
@@ -339,7 +439,10 @@ def test_rd_report_accepts_large_negative_s(tmp_path, s):
 # one valid parameter set per kind, every level spread at its least, so that
 # a value in one slot can only break that slot
 BASES = {
-    "validate-algebra": {"algebras": [{"preset": "diagonal_in_matn", "n": 2}]},
+    "validate-algebra": {"algebras": [
+        {"preset": "diagonal_in_matn", "n": 2},
+        {"preset": "function_algebra_with_state", "points": 2, "weights": [0.5, 0.5]},
+        M1]},
     "fock-report": {"config": "two-point-2", "M": 2},
     "lemma-check": {"config": "two-point-2", "M": 2, "n_max": 1},
     "haagerup-sweep": {"config": "two-point-2", "M": 2, "n_max": 1},
@@ -348,9 +451,23 @@ BASES = {
     "group-shift": {"word": "g0", "ns": [1], "R": 2},
     "rd-report": {"word": "g0", "s": 1.0, "ns": [1]},
 }
-SLOTS = [(kind, f"/parameters/{name}") for kind, (_, table, _) in KINDS.items()
-         for name in table]
-SLOTS += [("rd-report", f"/{name}") for name in ("output", "seed", "max_dim")]
+# the decay base with its one letter written out
+PROTOTYPE_BASE = {"p": 1, "M": 2,
+                  "prototype": {"indices": [0], "letters": [[[1.0, 0.0], [-1.0, 0.0]]]}}
+# (kind, slot, the pointer an error must fall in): a value inside a nested
+# object may also break a cross-field rule of that object, which points at
+# the object or at another of its fields (a letter stops being centered, a
+# basis stops matching ambient_dim or being closed)
+SLOTS = [(kind, f"/parameters/{name}", f"/parameters/{name}")
+         for kind, (_, table, _) in KINDS.items() for name in table]
+SLOTS += [("rd-report", f"/{name}", f"/{name}") for name in ("output", "seed", "max_dim")]
+SLOTS += [("ergodic-decay", f"/parameters/prototype/{rest}", "/parameters/prototype")
+          for rest in ("indices", "indices/0", "letters", "letters/0", "letters/0/0/0")]
+SLOTS += [("validate-algebra", f"/parameters/algebras/{j}/{rest}", f"/parameters/algebras/{j}")
+          for j, rest in ((0, "n"), (1, "weights"), (1, "weights/1"), (2, "ambient_dim"),
+                          (2, "algebra_basis"), (2, "algebra_basis/0/0"),
+                          (2, "subalgebra_basis/0"), (2, "expectation_matrix"),
+                          (2, "expectation_matrix/0/1"))]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4)
@@ -363,19 +480,31 @@ def test_bases_validate():
     assert set(BASES) == set(KINDS)
     for kind, params in BASES.items():
         validate_config({"kind": kind, "parameters": params})
+    validate_config({"kind": "ergodic-decay", "parameters": PROTOTYPE_BASE})
 
 
-@pytest.mark.parametrize("kind, pointer", SLOTS)
+def _cheap_diagonal(n):
+    return None
+
+
+@pytest.mark.parametrize("kind, pointer, scope", SLOTS,
+                         ids=[f"{kind}-{pointer}" for kind, pointer, _ in SLOTS])
 @settings(max_examples=40, deadline=None)
 @given(value=JSON_VALUES)
-def test_any_value_in_a_slot_validates_or_points_into_it(kind, pointer, value):
-    config = {"kind": kind, "parameters": dict(BASES[kind])}
-    *parent, name = pointer.split("/")[1:]
-    (config["parameters"] if parent else config)[name] = value
-    try:
-        validate_config(config)
-    except ConfigError as exc:
-        assert exc.pointer == pointer or exc.pointer.startswith(pointer + "/")
+def test_any_value_in_a_slot_validates_or_points_into_it(kind, pointer, scope, value):
+    nested = pointer.startswith("/parameters/prototype/")
+    config = {"kind": kind, "parameters": copy.deepcopy(PROTOTYPE_BASE if nested
+                                                        else BASES[kind])}
+    *path, name = [int(t) if t.isdigit() else t for t in pointer.split("/")[1:]]
+    reduce(getitem, path, config)[name] = value
+    # M_n holds n^4 numbers, so a drawn n of thousands would exhaust memory;
+    # the slot is about the parse of n, so the preset is not built
+    presets = {"diagonal_in_matn": (_cheap_diagonal, ALGEBRA_PRESETS["diagonal_in_matn"][1])}
+    with mock.patch.dict(ALGEBRA_PRESETS, presets):
+        try:
+            validate_config(config)
+        except ConfigError as exc:
+            assert exc.pointer == scope or exc.pointer.startswith(scope + "/")
 
 
 @pytest.mark.parametrize("config, seed", [
@@ -574,15 +703,17 @@ def _out_of_memory(*args, **kwargs):
 @pytest.mark.parametrize("config, patched, pointer", [
     ({"kind": "validate-algebra", "parameters": {"algebras": [
         {"preset": "function_algebra_with_state", "points": 10 ** 6}]}},
-     (amalgam.cli.alg.PRESETS, "function_algebra_with_state"), "/parameters/algebras/0"),
+     (ALGEBRA_PRESETS, "function_algebra_with_state",
+      (_out_of_memory, ALGEBRA_PRESETS["function_algebra_with_state"][1])),
+     "/parameters/algebras/0"),
     ({"kind": "group-haagerup", "parameters": {"word": "g0^99999999999", "R": 2}},
-     (vars(amalgam.cli.fg), "reduce_word"), "/parameters/word"),
+     (vars(amalgam.cli.fg), "reduce_word", _out_of_memory), "/parameters/word"),
 ], ids=["algebra", "word"])
 def test_loader_out_of_memory_exits_2_with_pointer(tmp_path, capsys, monkeypatch,
                                                    command, config, patched, pointer):
     # such a config used to exit 1 with a traceback; the loader is patched so
     # that the test does not depend on how much memory the host grants
-    monkeypatch.setitem(*patched, _out_of_memory)
+    monkeypatch.setitem(*patched)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
     args = ["--out", str(tmp_path)] if command == "run" else []
