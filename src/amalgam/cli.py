@@ -359,8 +359,13 @@ def _explicit_algebra(ambient_dim, algebra_basis, subalgebra_basis, expectation_
                               for i, m in enumerate(basis)])
             for key, basis in (("algebra_basis", algebra_basis),
                                ("subalgebra_basis", subalgebra_basis)))
-    return alg.AlgebraWithExpectation(
+    spec = alg.AlgebraWithExpectation(
         a, b, matrix(expectation_matrix, (b.dim, a.dim), "/expectation_matrix"))
+    try:  # the idempotence product that validate_expectation forms, under errstate
+        spec.expectation @ spec.inclusion @ spec.expectation
+    except FloatingPointError as exc:
+        raise ConfigError(str(exc), "/expectation_matrix") from exc
+    return spec
 
 
 def _prototype_word(indices, letters):

@@ -16,14 +16,16 @@ lexicographic order, one Gram quotient per distinct sequence of factor specs
 Coordinate maps are arithmetic on these tables: ``summand`` and the
 relabelling map ``permutation`` share one mixed-radix row formula, and the
 vacuum is read from level zero, the first block of coordinates. Operators are
-sparse CSR matrices: level projections, first-slot projections, creation
+``linalg.CSR`` matrices: level projections, first-slot projections, creation
 operators (prepend a vector of E_k deg), first-slot diagonal actions, and the
 letter representation of each factor algebra. The letter parts are left folds
 of their coefficients over letter templates, built once per factor in one
 pass: the operators of the basis coefficients (e_s, e_s e_t*, b_j) on the
 union of their CSR patterns, each block computed once per level and pair of
 quotients and placed at every pair of summands by array arithmetic;
-annihilation folds over the creation template's adjoint. Any term that would
+annihilation folds over the creation template's adjoint. A letter's
+representation folds its four parts on the union of their templates and adds
+them entrywise, so it forms no sparse sum. Any term that would
 raise above the truncation level maps to zero; identities involving creation
 at the top level therefore hold only below it.
 """
@@ -35,17 +37,19 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .algebra import AlgebraWithExpectation, MatrixStarAlgebra
 from .errors import CapacityError, ConfigError, StructureError
 from .gns import GnsModule, ModuleVector, build_gns
 from .linalg import (
+    CSR,
     as_complex,
     adjoint,
+    folded_sum,
     frobenius,
     gram_quotient,
     hermitian_part,
+    union_pattern,
 )
 
 DEFAULT_MAX_DIM = 20000
@@ -72,10 +76,10 @@ class FockBasisLabel:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """A matrix on a FockContext; ``matrix`` is always a ``scipy.sparse.csr_matrix``."""
+    """A matrix on a FockContext; ``matrix`` is always a ``linalg.CSR``."""
 
     context: "FockContext"
-    matrix: sparse.csr_matrix
+    matrix: CSR
 
     @property
     def H(self) -> "FockOperator":
@@ -182,15 +186,27 @@ class _Template(NamedTuple):
 
     @staticmethod
     def from_coo(rows, cols, coef, n: int) -> "_Template":
-        """Entries coef[:, i] at (rows[i], cols[i]), no position twice; scipy's
+        """Entries coef[:, i] at (rows[i], cols[i]), no position twice; the
         CSR of the data 1, 2, ... records where each went."""
-        order = sparse.csr_matrix((np.arange(1, len(rows) + 1), (rows, cols)), shape=(n, n))
+        order = CSR.from_coo(rows, cols, np.arange(1, len(rows) + 1), (n, n))
         return _Template(order.indptr, order.indices, coef[:, order.data - 1])
 
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
     def adjoint(self) -> "_Template":  # of the adjoints theta_j*
-        n = len(self.indptr) - 1
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        return _Template.from_coo(self.indices, rows, self.coef.conj(), n)
+        return _Template.from_coo(self.indices, self.rows(), self.coef.conj(),
+                                  len(self.indptr) - 1)
+
+
+class _Letter(NamedTuple):
+    """A factor's letter templates (creation, diagonal, annihilation, left
+    B) on the canonical CSR pattern of the union of their patterns:
+    slots[p][i] is where entry i of template p sits in it."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: tuple[np.ndarray, ...]
 
 
 class LetterParts(NamedTuple):
@@ -201,7 +217,7 @@ class LetterParts(NamedTuple):
     creation: FockOperator
     diagonal: FockOperator
     annihilation: FockOperator
-    left_b: FockOperator | None
+    left_b: FockOperator | None = None
 
     def total(self) -> FockOperator:
         """The letter representation, summed in this order."""
@@ -415,7 +431,7 @@ class FockContext:
         terms, empty = len(slots(self._levels[0].quotients[0])), np.zeros(0, dtype=np.int64)
         coo = [(np.zeros((terms, 0), dtype=complex), empty, empty)]
         for tgt, tgt_rows, src, src_rows in parts:
-            for q in np.unique(src.quot[src_rows]):
+            for q in np.flatnonzero(np.bincount(src.quot[src_rows])):
                 sel = src.quot[src_rows] == q
                 tq, sq = tgt.quotients[tgt.quot[tgt_rows[sel][0]]], src.quotients[q]
                 blk = np.stack([tq.cmap @ np.kron(a, np.eye(sq.prod_dim // a.shape[1])) @ sq.w
@@ -430,8 +446,7 @@ class FockContext:
     def _diag_operator(self, mask: np.ndarray, key: str) -> FockOperator:
         """Diagonal operator with the given diagonal, built once per key."""
         return self._structure(("diag", key), lambda: FockOperator(
-            self, sparse.diags(mask.astype(complex), format="csr")
-        ))
+            self, CSR.diagonal(mask.astype(complex))))
 
     def _structure(self, key, builder):
         cached = self._struct_cache.get(key)
@@ -481,20 +496,39 @@ class FockContext:
             lambda pos: np.ones(len(pos), dtype=bool),
             lambda q: self.factors[q.seq[0]].left_b if q.seq else lmats))
 
-    def _fold(self, template: _Template, coeffs) -> FockOperator:
-        """sum_j coeffs[j] theta_j in canonical CSR, left-folded over the nonzero
-        coeffs with exact zeros dropped: entry for entry a sum of sparse matrices."""
+    def _letter(self, k: int) -> "_Letter":
+        """Factor k's letter templates on the union of their patterns."""
+
+        def build():
+            templates = (self._creation_template(k), self._diagonal_template(k),
+                         self._annihilation_template(k), self._leftb_template())
+            n = self.total_dim
+            rows, cols, slots = union_pattern([(t.rows(), t.indices) for t in templates], n)
+            pattern = CSR.from_sorted(rows, cols, np.ones(cols.size), (n, n))
+            return _Letter(pattern.indptr, pattern.indices, tuple(slots))
+
+        return self._structure(("letter", k), build)
+
+    @staticmethod
+    def _folded(template: _Template, coeffs) -> np.ndarray | None:
+        """sum_j coeffs[j] theta_j on the template's pattern, left-folded over
+        the nonzero coeffs; None when every coeff is 0."""
         terms = [(c, t) for c, t in zip(coeffs, template.coef) if c != 0.0]
         if not terms:
-            return self.zero()
+            return None
         data = terms[0][1] * terms[0][0]
         for c, t in terms[1:]:
             data = data + t * c
-        matrix = sparse.csr_matrix((data, template.indices, template.indptr),
-                                   shape=(self.total_dim,) * 2, copy=True)
-        if not data.all():
-            matrix.eliminate_zeros()
-        return FockOperator(self, matrix)
+        return data
+
+    def _fold(self, template: _Template, coeffs) -> FockOperator:
+        """sum_j coeffs[j] theta_j in canonical CSR with exact zeros dropped:
+        entry for entry a sum of sparse matrices."""
+        data = self._folded(template, coeffs)
+        if data is None:
+            return self.zero()
+        shape = (self.total_dim,) * 2
+        return FockOperator(self, CSR(data, template.indices, template.indptr, shape).pruned())
 
     # -- public operators ----------------------------------------------------
 
@@ -556,8 +590,9 @@ class FockContext:
     def left_b_action(self, b_coords) -> FockOperator:
         return self._fold(self._leftb_template(), as_complex(b_coords))
 
-    def letter_parts(self, i: int, a_coords) -> LetterParts:
-        """The terms of the letter representation of a in the i-th factor.
+    def _letter_terms(self, i: int, a_coords) -> list[tuple[_Template, np.ndarray]]:
+        """The templates and fold coefficients of the letter parts of a in the
+        i-th factor, in ``LetterParts`` order; left B only when phi(a) != 0.
 
         Decomposes a = phi(a) + a0: the centered part a0 acts by creation of
         hat(a0), first-slot diagonal action and annihilation by hat(a0*); the
@@ -572,14 +607,32 @@ class FockContext:
         resid = max(resid_up, resid_dn)  # tolerance STRUCT_TOL max(||a||, 1) >= STRUCT_TOL
         if resid > STRUCT_TOL and resid > STRUCT_TOL * fi.spec.algebra.norm(a_coords):
             raise StructureError("centered part of the letter leaks into the B-summand")
-        left_b = self.left_b_action(b_part) if np.linalg.norm(b_part) > 0.0 else None
-        return LetterParts(self.creation(i, h_up), self.diagonal_action(i, a0),
-                           self._fold(self._annihilation_template(i), g.conj()), left_b)
+        terms = [(self._creation_template(i), h_up),
+                 (self._diagonal_template(i), fi.rho_slot(a0).reshape(-1)),
+                 (self._annihilation_template(i), g.conj())]
+        if np.linalg.norm(b_part) > 0.0:
+            terms.append((self._leftb_template(), b_part))
+        return terms
+
+    def letter_parts(self, i: int, a_coords) -> LetterParts:
+        """The terms of the letter representation of a in the i-th factor."""
+        return LetterParts(*(self._fold(t, c) for t, c in self._letter_terms(i, a_coords)))
 
     def represent(self, i: int, a_coords) -> FockOperator:
         """The letter representation of a in the i-th factor: the sum of its
-        ``letter_parts``."""
-        return self.letter_parts(i, a_coords).total()
+        ``letter_parts``, in their order, value for value, formed by
+        ``folded_sum`` on the union of their templates. Each part is folded on
+        its own template."""
+        letter = self._letter(i)
+        parts = []
+        for (template, coeffs), place in zip(self._letter_terms(i, a_coords), letter.slots):
+            values = self._folded(template, coeffs)
+            values = np.zeros(len(place), dtype=complex) if values is None else values
+            values[values == 0] = 0  # an entry folded to 0 is dropped: +0
+            parts.append((values, place))
+        shape = (self.total_dim,) * 2
+        total = folded_sum(parts, len(letter.indices))
+        return FockOperator(self, CSR(total, letter.indices, letter.indptr, shape).pruned())
 
     def vacuum_expectation(self, x: FockOperator) -> np.ndarray:
         """B-coordinates of the compression of x to the unit at level zero;

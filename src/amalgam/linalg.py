@@ -18,7 +18,9 @@ Conventions used across the package:
   thick-restart Lanczos on ``X* X`` applied as an operator, in real
   arithmetic: on n coordinates for a real ``X``, on the 2n of
   ``[Re v; Im v]`` for a complex one. The labelling and both solves need
-  numpy and the ``scipy.sparse`` matrix types only;
+  numpy only;
+* sparse operators are ``CSR`` matrices, canonical by construction, whose
+  kernels compute scipy.sparse's values entry for entry;
 * every upper bound on an operator norm, and so every residual checked
   against a tolerance, is the Frobenius norm from ``frobenius``.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import sparse
+from numpy.random import default_rng
 
 RANK_RTOL = 1e-10
 GRAM_LIMIT = 64
@@ -43,9 +45,268 @@ def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def adjoint(x):
-    """Conjugate transpose of a sparse matrix, as CSR."""
-    return x.conj().T.tocsr()
+def adjoint(x: "CSR") -> "CSR":
+    """Conjugate transpose of a sparse matrix."""
+    return x.conj().T
+
+
+def _times(a: np.ndarray, b) -> np.ndarray:
+    """a * b entrywise. A complex product is formed as
+    ``(ar br - ai bi, ar bi + ai br)`` with a real operand promoted to
+    complex, as scipy.sparse's kernels form it; numpy's own complex product
+    may fuse a multiply and an add, and then differs in the last bit."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a * b
+    a, b = a.astype(complex, copy=False), np.asarray(b).astype(complex, copy=False)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    np.multiply(a.real, b.real, out=out.real)
+    out.real -= a.imag * b.imag
+    np.multiply(a.real, b.imag, out=out.imag)
+    out.imag += a.imag * b.real
+    return out
+
+
+def _summed(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = 0 plus the values of index i, added one at a time in the
+    order given: the sums of scipy.sparse's row loops."""
+    if not np.iscomplexobj(values):  # bincount gives ints when index is empty
+        return np.bincount(index, values, n).astype(values.dtype, copy=False)
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(index, values.real, n)
+    out.imag = np.bincount(index, values.imag, n)
+    return out
+
+
+def _groups(rows: np.ndarray, cols: np.ndarray, ncols: int):
+    """The order of a stable sort of entries by (row, column), and a mask of
+    the sorted entries that open a position: equal positions stay in the
+    order given. The sort merges runs of sorted keys in linear time, so
+    entries given run by run sort fast."""
+    keys = rows * ncols + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return order, first
+
+
+def union_pattern(patterns, ncols: int):
+    """The union of entry patterns, each a pair (rows, cols) that holds no
+    position twice: its entries (rows, cols) in row-major order, and the
+    place of each pattern's entries among them."""
+    rows = np.concatenate([r for r, _ in patterns])
+    cols = np.concatenate([c for _, c in patterns])
+    order, first = _groups(rows, cols, ncols)
+    place = np.empty(order.size, dtype=np.intp)
+    place[order] = np.cumsum(first) - 1
+    keep = order[first]
+    return rows[keep], cols[keep], np.split(place, np.cumsum([len(c) for _, c in patterns])[:-1])
+
+
+def folded_sum(parts, size: int, dtype=complex) -> np.ndarray:
+    """The values of the sum ``((p1 + p2) + p3) + ...`` on a pattern of
+    ``size`` entries, each part a pair (values, place) of its values, none
+    of them 0, and their places in the pattern. Each sum is formed as a
+    merge of canonical sparse matrices forms it: ``a + b`` where both hold
+    the entry, ``a + 0`` or ``0 + b`` where one does, and an exact zero
+    dropped, so read as +0, before the next part."""
+    total = np.zeros(size, dtype=dtype)
+    for j, (values, place) in enumerate(parts):
+        if j:
+            values = total[place] + values
+            values[values == 0] = 0
+            total += 0.0
+        total[place] = values
+    return total
+
+
+def csr_sum(matrices: list["CSR"]) -> "CSR":
+    """The left-folded sum of the matrices, value for value that of ``+``,
+    with one sort for all of them."""
+    if len(matrices) == 1:
+        return matrices[0]
+    shape = matrices[0].shape
+    if any(m.shape != shape for m in matrices):
+        raise ValueError(f"shapes {[m.shape for m in matrices]} differ")
+    rows, cols, places = union_pattern([(m.rows, m.indices) for m in matrices], shape[1])
+    values = folded_sum(zip((m.data for m in matrices), places), cols.size,
+                        np.result_type(*(m.data for m in matrices)))
+    return CSR.from_sorted(rows, cols, values, shape)
+
+
+class CSR:
+    """A sparse matrix in compressed sparse row form, canonical by
+    construction: each row's columns are sorted, no position is stored
+    twice and no stored value is 0.
+
+    Its arithmetic is that of scipy.sparse's kernels on canonical operands,
+    value for value: a complex product is formed by ``_times``, every sum
+    starts from 0 and adds its terms in stored order, and a product's terms
+    in the order of its left factor's entries. The constructor takes
+    canonical arrays as they are, neither copied nor checked; ``pruned``
+    drops stored zeros.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape", "_rows")
+    __array_ufunc__ = None  # numpy defers: ``2.0 * x`` calls ``x.__rmul__``
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._rows = None
+
+    @classmethod
+    def from_coo(cls, rows, cols, values, shape) -> "CSR":
+        """The matrix with values[i] at (rows[i], cols[i]); the values of a
+        position given more than once are added to 0 in the order given, and
+        zero entries are dropped."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        order, first = _groups(rows, cols, shape[1])
+        values = np.asarray(values)[order]
+        if not first.all():
+            values = _summed(np.cumsum(first) - 1, values, np.count_nonzero(first))
+        keep = order[first]
+        return cls.from_sorted(rows[keep], cols[keep], values, shape)
+
+    @classmethod
+    def from_sorted(cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape) -> "CSR":
+        """From entries in row-major order, no position twice; zeros dropped."""
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        out = cls(data, cols, indptr, shape)
+        out._rows = rows
+        return out.pruned()
+
+    @classmethod
+    def from_dense(cls, a) -> "CSR":
+        """The nonzero entries of a 2-D array, row by row."""
+        a = np.asarray(a)
+        rows, cols = np.nonzero(a)
+        return cls(a[rows, cols], cols, np.searchsorted(rows, np.arange(a.shape[0] + 1)),
+                   a.shape)
+
+    @classmethod
+    def diagonal(cls, values: np.ndarray) -> "CSR":
+        """The square matrix with the given diagonal."""
+        n = len(values)
+        return cls(values, np.arange(n), np.arange(n + 1), (n, n)).pruned()
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @property
+    def size(self) -> int:
+        """The stored entries, as scipy.sparse counts them (``np.size`` reads it)."""
+        return self.nnz
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        if self._rows is None:
+            self._rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return self._rows
+
+    def pruned(self) -> "CSR":
+        """This matrix without its stored zeros."""
+        if self.data.all():
+            return self
+        keep = self.data != 0
+        indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr]
+        return CSR(self.data[keep], self.indices[keep], indptr, self.shape)
+
+    def conj(self) -> "CSR":
+        return CSR(self.data.conj(), self.indices, self.indptr, self.shape)
+
+    @property
+    def T(self) -> "CSR":
+        # a stable sort keeps each column's entries in row order
+        order = np.argsort(self.indices, kind="stable")
+        counts = np.bincount(self.indices, minlength=self.shape[1])
+        return CSR(self.data[order], self.rows[order],
+                   np.concatenate([[0], np.cumsum(counts)]), self.shape[::-1])
+
+    def __getitem__(self, key) -> "CSR":
+        """The block of a pair of row and column ranges, ``x[r0:r1, c0:c1]``."""
+        rows, cols = key
+        if not (isinstance(rows, slice) and isinstance(cols, slice)
+                and rows.step in (None, 1) and cols.step in (None, 1)):
+            raise TypeError("a CSR block takes a pair of ranges")
+        r0, r1, _ = rows.indices(self.shape[0])
+        c0, c1, _ = cols.indices(self.shape[1])
+        r1, c1 = max(r0, r1), max(c0, c1)
+        lo, hi = self.indptr[r0], self.indptr[r1]
+        data, indices, indptr = self.data[lo:hi], self.indices[lo:hi], self.indptr[r0:r1 + 1] - lo
+        if (c0, c1) != (0, self.shape[1]):
+            keep = (indices >= c0) & (indices < c1)
+            indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+            data, indices = data[keep], indices[keep] - c0
+        return CSR(data, indices, indptr, (r1 - r0, c1 - c0))
+
+    def __mul__(self, scalar) -> "CSR":
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return CSR(self.data * scalar, self.indices, self.indptr, self.shape).pruned()
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "CSR") -> "CSR":
+        return self._merge(other, np.add)
+
+    def __sub__(self, other: "CSR") -> "CSR":
+        return self._merge(other, np.subtract)
+
+    def _merge(self, other: "CSR", op) -> "CSR":
+        """op of the entries on the union of the patterns, an absent entry
+        read as 0: ``a op b``, ``a op 0`` or ``0 op b``, as scipy's merge."""
+        if not isinstance(other, CSR):
+            return NotImplemented
+        if other.shape != self.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        rows, cols, (at_a, at_b) = union_pattern(
+            [(self.rows, self.indices), (other.rows, other.indices)], self.shape[1])
+        dtype = np.result_type(self.data, other.data)
+        a, b = np.zeros(cols.size, dtype=dtype), np.zeros(cols.size, dtype=dtype)
+        a[at_a], b[at_b] = self.data, other.data
+        return CSR.from_sorted(rows, cols, op(a, b), self.shape)
+
+    def __matmul__(self, other):
+        if isinstance(other, CSR):
+            return self._matmat(other)
+        other = np.asarray(other)
+        if other.shape[0] != self.shape[1]:
+            raise ValueError(f"shapes {self.shape} and {other.shape} do not compose")
+        if other.ndim == 1:
+            return self._matvec(other)
+        out = np.empty((self.shape[0], other.shape[1]),
+                       dtype=np.result_type(self.data, other))
+        for j in range(other.shape[1]):
+            out[:, j] = self._matvec(other[:, j])
+        return out
+
+    def _matvec(self, v: np.ndarray) -> np.ndarray:
+        return _summed(self.rows, _times(self.data, v[self.indices]), self.shape[0])
+
+    def _matmat(self, other: "CSR") -> "CSR":
+        """Row by row (Gustavson, ACM TOMS 4, 1978): every entry (i, k) of
+        self meets row k of other, and each sum adds its terms to 0 in that
+        order."""
+        if other.shape[0] != self.shape[1]:
+            raise ValueError(f"shapes {self.shape} and {other.shape} do not compose")
+        shape = (self.shape[0], other.shape[1])
+        counts = np.diff(other.indptr)[self.indices]
+        ends = np.cumsum(counts)
+        pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+            other.indptr[self.indices] - (ends - counts), counts)
+        rows, cols = np.repeat(self.rows, counts), other.indices[pos]
+        order, first = _groups(rows, cols, shape[1])
+        values = _times(np.repeat(self.data, counts), other.data[pos])[order]
+        if first.all():
+            sums = values + 0.0  # 0 + the one term
+        else:
+            sums = _summed(np.cumsum(first) - 1, values, np.count_nonzero(first))
+        keep = order[first]
+        return CSR.from_sorted(rows[keep], cols[keep], sums, shape)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -87,15 +348,9 @@ def gram_quotient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def frobenius(x) -> float:
     """Frobenius norm, an upper bound for the operator norm, in one pass over
-    the stored entries. Sparse input is read as canonical CSR: a duplicated
-    entry split in two stored parts would count for less than their sum."""
-    if not sparse.issparse(x):
-        return float(np.linalg.norm(np.ravel(x)))
-    x = x.tocsr()
-    if not x.has_canonical_format:
-        x = x.copy()
-        x.sum_duplicates()
-    return float(np.linalg.norm(x.data))
+    the stored entries of a ``CSR`` or all entries of an array."""
+    data = x.data if isinstance(x, CSR) else np.ravel(x)
+    return float(np.linalg.norm(data))
 
 
 def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray]:
@@ -119,7 +374,7 @@ def restricted_sigma_max(x, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray
     n = x.shape[1]
     if n == 0:
         return 0.0, np.zeros(0, dtype=complex)
-    xs = sparse.csr_matrix(x)
+    xs = x if isinstance(x, CSR) else CSR.from_dense(x)
     if n <= GRAM_LIMIT:
         labels = np.zeros(n, dtype=np.intp)
     else:
@@ -137,8 +392,7 @@ def _nonempty_rows(x):
     """
     ends = np.flatnonzero(np.diff(x.indptr)) + 1  # end of each nonempty row
     indptr = x.indptr[np.concatenate([[0], ends])]
-    return sparse.csr_matrix((x.data, x.indices, indptr),
-                             shape=(indptr.size - 1, x.shape[1]))
+    return CSR(x.data, x.indices, indptr, (indptr.size - 1, x.shape[1]))
 
 
 def _column_components(x) -> np.ndarray | None:
@@ -180,8 +434,8 @@ def _gram_witness(x, labels: np.ndarray) -> np.ndarray:
     """Unit top eigenvector of ``x* x``, which is block diagonal over the
     column components ``labels``, each of at most ``GRAM_LIMIT`` columns."""
     n = x.shape[1]
-    gram = sparse.coo_matrix(x.conj().T @ x)  # the scatter below ignores stored order
-    rows, cols, vals = gram.row, gram.col, gram.data
+    gram = x.conj().T @ x
+    rows, cols, vals = gram.rows, gram.indices, gram.data
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     place = np.empty(n, dtype=np.intp)  # index of each column in its component
@@ -189,7 +443,7 @@ def _gram_witness(x, labels: np.ndarray) -> np.ndarray:
     top = np.empty(sizes.size)
     slot = np.empty(sizes.size, dtype=np.intp)
     witnesses = {}  # component size -> top eigenvector of each such component
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):
         members = np.flatnonzero(sizes == size)
         slot[members] = np.arange(members.size)
         stack = np.zeros((members.size, size, size), dtype=vals.dtype)
@@ -223,31 +477,47 @@ def _lanczos_witness(x, seed: int) -> np.ndarray:
     and the complex draw has the larger ``||x v||``.
     """
     n = x.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
     if not np.count_nonzero(x.data):  # every vector is a witness of the zero operator
         return v0
+    # gram applies x* x by two scatters over the stored entries, in stored
+    # order: x @ w by rows, then x* @ y by columns, the order in which a
+    # matrix-vector product with x* would add them
+    m, rows, cols = x.shape[0], x.rows, x.indices
     if not np.iscomplexobj(x.data) or not np.any(x.data.imag):
-        xr = x.real.astype(float, copy=False)
-        xt = xr.T  # a CSC view, not a copy
+        a = np.ascontiguousarray(x.data.real, dtype=float)
 
         def gram(u):
-            return xt @ (xr @ u)
+            return np.bincount(cols, a * np.bincount(rows, a * u[cols], m)[rows], n)
 
         start = v0.real
 
         def lift(u):
             return u.astype(complex)
     else:
-        xh = x.conj().T
+        ar, ai = x.data.real.copy(), x.data.imag.copy()
+        rows2, cols2 = np.concatenate([rows, rows + m]), np.concatenate([cols, cols + n])
+        prod, tmp = np.empty((2, cols.size)), np.empty(cols.size)
 
         def lift(u):
             return u[:n] + 1j * u[n:]
 
         def gram(u):
-            z = xh @ (x @ lift(u))
-            return np.concatenate([z.real, z.imag])
+            # y = x w, then x* y; real and imaginary parts are summed by one
+            # scatter, real parts first, each in the four-multiply form
+            w = lift(u)[cols]
+            np.multiply(ar, w.real, out=prod[0])
+            prod[0] -= np.multiply(ai, w.imag, out=tmp)
+            np.multiply(ar, w.imag, out=prod[1])
+            prod[1] += np.multiply(ai, w.real, out=tmp)
+            y = np.bincount(rows2, prod.reshape(-1), 2 * m).reshape(2, m)[:, rows]
+            np.multiply(ar, y[0], out=prod[0])  # x* y: conj(a) y
+            prod[0] += np.multiply(ai, y[1], out=tmp)
+            np.multiply(ar, y[1], out=prod[1])
+            prod[1] -= np.multiply(ai, y[0], out=tmp)
+            return np.bincount(cols2, prod.reshape(-1), 2 * n)
 
         start = np.concatenate([v0.real, v0.imag])
     u, restarts, residual = _thick_restart_lanczos(gram, start, rng)

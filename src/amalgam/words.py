@@ -16,15 +16,14 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, matmul
+from operator import matmul
 
 import numpy as np
-from scipy import sparse
 
 from .algebra import AlgebraWithExpectation, CenteredElement, center
 from .errors import HypothesisError, StructureError, TruncationError
 from .fock import FockContext, FockOperator, LetterParts
-from .linalg import DEFAULT_SEED, frobenius, restricted_sigma_max
+from .linalg import CSR, DEFAULT_SEED, csr_sum, frobenius, restricted_sigma_max
 
 CENTERING_TOL = 1e-9  # times max(||a||, 1) >= 1, so ||a|| matters only above it
 
@@ -115,9 +114,10 @@ def word_operator(ctx: FockContext, w: Word) -> FockOperator:
 
 
 def family_operator(ctx: FockContext, fam: WordFamily) -> FockOperator:
+    """The sum of the word operators, left-folded in the family's order."""
     if not fam.words:
         return ctx.zero()
-    return reduce(add, (word_operator(ctx, w) for w in fam.words))
+    return FockOperator(ctx, csr_sum([word_operator(ctx, w).matrix for w in fam.words]))
 
 
 def letter_norms(ctx: FockContext, w: Word) -> list[float]:
@@ -145,7 +145,7 @@ def block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperat
     return FockOperator(ctx, chain) @ ctx.level_projection(m)
 
 
-def _direct_sum(blocks, dim: int) -> sparse.csr_matrix | None:
+def _direct_sum(blocks, dim: int) -> CSR | None:
     """Block-diagonal CSR of the dim x dim blocks, None for an empty block, or
     None when every block is. Built by concatenating the blocks' arrays with
     shifted indices, so each block keeps its stored order: a product or sum
@@ -165,8 +165,8 @@ def _direct_sum(blocks, dim: int) -> sparse.csr_matrix | None:
         indptr.append(m.indptr[1:] + nnz)
         nnz += end
     size = len(blocks) * dim
-    return sparse.csr_matrix((np.concatenate(data), np.concatenate(indices),
-                              np.concatenate(indptr)), shape=(size, size))
+    return CSR(np.concatenate(data), np.concatenate(indices), np.concatenate(indptr),
+               (size, size))
 
 
 def _ladder_factors(ctx: FockContext, words: list[Word]):
@@ -183,7 +183,7 @@ def _ladder_factors(ctx: FockContext, words: list[Word]):
     return parts, up
 
 
-def _chain(factors, d: int) -> sparse.csr_matrix:
+def _chain(factors, d: int) -> CSR:
     """The chain of level difference d, which maps level m to level m + n - d.
 
     With s = ceil(d / 2), it is the creation prefix of the first n - s letters
@@ -241,17 +241,16 @@ def _ladder_residuals(ctx: FockContext, words: list[Word]) -> list[list[float]]:
     """The residuals of one batch of words of a common length.
 
     Residual (k, m) is the Frobenius norm of the level-m columns of word k's
-    diagonal block of the difference. Sorting the difference's rows first
-    puts the entries of each such block in row-major order, the order in
-    which ``frobenius`` reads that block as a sparse slice, so the value is
-    the same.
+    diagonal block of the difference. The difference is canonical, so the
+    entries of each such block come in row-major order, the order in which
+    ``frobenius`` reads that block as a sparse slice, and the value is the
+    same.
     """
     n, top, dim = words[0].length, ctx.max_level - words[0].length, ctx.total_dim
     factors = _ladder_factors(ctx, words)
     word = reduce(matmul, (p.total() for p in factors[0]))
-    chains = reduce(add, (_chain(factors, d) for d in range(2 * min(top, n) + 1)))
+    chains = csr_sum([_chain(factors, d) for d in range(2 * min(top, n) + 1)])
     delta = word - chains
-    delta.sum_duplicates()
     copy, col = np.divmod(delta.indices, dim)  # the word and column of each entry
     level = ctx.level_of(col)
     exact = level <= top
@@ -278,7 +277,7 @@ def haagerup_upper(fam: WordFamily, ctx: FockContext) -> float:
     return (2 * fam.length + 1) * float(np.sqrt(gamma_sq))
 
 
-def _exact_domain(ctx: FockContext, x: FockOperator, spread: int) -> sparse.csr_matrix:
+def _exact_domain(ctx: FockContext, x: FockOperator, spread: int) -> CSR:
     """The columns of x on levels 0..M-spread, where a level spread of
     ``spread`` cannot reach the truncation boundary."""
     if spread > ctx.max_level:
@@ -347,12 +346,12 @@ def worst_block_lower(
     and columns, so ``||Y||`` is the largest block norm, and the solver's
     ``||Y v||`` is a certified lower for it.
     """
-    restricted = _exact_domain(ctx, x, spread).tocoo()
-    i, j = restricted.row, restricted.col
+    restricted = _exact_domain(ctx, x, spread)
+    i, j = restricted.rows, restricted.indices
     m, r = ctx.level_of(j), ctx.level_of(i)
     rows, i = np.unique(m * x.matrix.shape[0] + i, return_inverse=True)
     cols, j = np.unique(r * restricted.shape[1] + j, return_inverse=True)
-    blocks = sparse.csr_matrix((restricted.data, (i, j)), shape=(rows.size, cols.size))
+    blocks = CSR.from_coo(i, j, restricted.data, (rows.size, cols.size))
     sigma, _ = restricted_sigma_max(blocks, seed=seed)
     return float(sigma)
 

@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 
 import amalgam as am
+from amalgam.linalg import CSR
 
 
 @pytest.fixture(scope="session")
@@ -78,12 +79,36 @@ def pulled_back(ctx, y, mapping):
     operator of the word whose relabelled copy has operator y, when the
     relabelling is a symmetry of the context."""
     perm = ctx.permutation(mapping)
-    return y.matrix[perm][:, perm]
+    return csr_matrix(to_scipy(y)[perm][:, perm])
+
+
+# scipy.sparse is the tests' oracle and converter; the package does not use it
+
+
+def csr_matrix(a) -> CSR:
+    """A dense array or a scipy.sparse matrix as a canonical ``CSR``."""
+    m = sparse.csr_matrix(a)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return CSR(m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64), m.shape)
+
+
+def to_scipy(x) -> sparse.csr_matrix:
+    """A ``CSR``, or the matrix of a FockOperator, as a scipy.sparse CSR."""
+    x = getattr(x, "matrix", x)
+    return sparse.csr_matrix((x.data, x.indices, x.indptr), shape=x.shape)
+
+
+def dense(x) -> np.ndarray:
+    """A ``CSR``, a FockOperator, a scipy.sparse matrix or an array, dense."""
+    x = getattr(x, "matrix", x)
+    if isinstance(x, CSR):
+        x = to_scipy(x)
+    return x.toarray() if sparse.issparse(x) else np.asarray(x)
 
 
 def assert_same_csr(a, b):
-    """The same CSR arrays after sorting the indices: equal bit for bit."""
-    a, b = a.sorted_indices(), b.sorted_indices()
+    """The same canonical CSR arrays: equal bit for bit."""
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -91,9 +116,8 @@ def assert_same_csr(a, b):
 def spectral_norm(x) -> float:
     """Exact operator norm by a dense SVD, an oracle for norm values; residual
     checks use the Frobenius upper bound instead."""
-    matrix = getattr(x, "matrix", x)
-    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
-    return float(np.linalg.svd(dense, compute_uv=False)[0]) if dense.size else 0.0
+    d = dense(x)
+    return float(np.linalg.svd(d, compute_uv=False)[0]) if d.size else 0.0
 
 
 def load_bench_tracer():

@@ -303,6 +303,10 @@ M1 = {"ambient_dim": 1, "algebra_basis": [[[1, 0]]], "subalgebra_basis": [[[1, 0
         ({"kind": "validate-algebra",
           "parameters": {"algebras": [dict(M1, algebra_basis=[[[1e200, 0]]])]}},
          "/parameters/algebras/0"),
+        # an expectation whose idempotence product overflows points at it
+        ({"kind": "validate-algebra",
+          "parameters": {"algebras": [dict(M1, expectation_matrix=[[1e200, 0]])]}},
+         "/parameters/algebras/0/expectation_matrix"),
         ({"kind": "validate-algebra",
           "parameters": {"algebras": [{"preset": "scalars_in_matn", "n": 2 ** 64}]}},
          "/parameters/algebras/0"),

@@ -12,10 +12,11 @@ from amalgam.cli import _factor_context
 from amalgam.errors import CapacityError, ConfigError, StructureError
 from amalgam.fock import DEFAULT_MAX_DIM, FockContext, build_fock
 from amalgam.gns import ModuleVector, inner_product, module_norm
-from amalgam.linalg import adjoint, as_complex, frobenius
+from amalgam.linalg import CSR, adjoint, as_complex, frobenius
 from amalgam.shift import shift_word
 from amalgam.words import Word, word_operator
-from conftest import cyclic, load_bench_tracer, pulled_back, random_centered, spectral_norm
+from conftest import (cyclic, dense, load_bench_tracer, pulled_back, random_centered,
+                      spectral_norm)
 
 
 def lambda_direct(ctx, i, a_coords):
@@ -178,7 +179,7 @@ def test_mixed_specs(name, rng, monkeypatch):
         assert entry["dim"] == alternating_count(ctx.order, entry["level"])
     for i in ctx.order:
         a = random_centered(factors[i], i, rng)
-        got = ctx.represent(i, a.coords).matrix.toarray()
+        got = dense(ctx.represent(i, a.coords))
         assert np.linalg.norm(got - lambda_direct(ctx, i, a.coords), 2) < 1e-10
     if name == "equal":  # the cyclic relabelling maps each factor to an equal one
         w = Word((random_centered(uniform, 0, rng), random_centered(uniform, 1, rng)))
@@ -288,7 +289,7 @@ def test_level_projections_are_orthogonal(ctx_two2):
 def test_level_two_rank(two_point):
     ctx = build_fock(am.scalar_base(), {1: two_point, 2: two_point}, 2)
     p2 = ctx.level_projection(2)
-    assert round(np.trace(np.real(p2.matrix.toarray()))) == 2
+    assert round(np.trace(np.real(dense(p2)))) == 2
 
 
 def test_level_out_of_range(ctx_two2):
@@ -436,7 +437,7 @@ def test_lambda_matches_direct_formula(fixture, rng, request):
             a = rng.standard_normal(spec.algebra.dim) + 1j * rng.standard_normal(
                 spec.algebra.dim
             )
-            got = ctx.represent(i, a).matrix.toarray()
+            got = dense(ctx.represent(i, a))
             want = lambda_direct(ctx, i, a)
             assert np.linalg.norm(got - want, 2) < 1e-10
 
@@ -581,7 +582,7 @@ def test_separated_factor_lambda_oracle(ctx_a11, rng):
         spec = ctx_a11.factors[i].spec
         for _ in range(4):
             a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            got = ctx_a11.represent(i, a).matrix.toarray()
+            got = dense(ctx_a11.represent(i, a))
             want = lambda_direct(ctx_a11, i, a)
             assert np.linalg.norm(np.asarray(got) - want, 2) < 1e-10
 
@@ -598,7 +599,7 @@ def test_nonuniform_weights_context(rng):
     assert am.validate_expectation(skewed).passed
     ctx = build_fock(am.scalar_base(), {0: skewed, 1: skewed}, 4)
     a = random_centered(skewed, 0, rng)
-    got = ctx.represent(0, a.coords).matrix.toarray()
+    got = dense(ctx.represent(0, a.coords))
     want = lambda_direct(ctx, 0, a.coords)
     assert np.linalg.norm(np.asarray(got) - want, 2) < 1e-10
     out = ctx.vacuum_expectation(ctx.represent(0, a.coords))
@@ -621,7 +622,7 @@ def test_adjoint_is_conjugate_transpose(ctx_m2diag, rng):
     y = _module_vector(ctx_m2diag, 2, rng)
     psi = ctx_m2diag.creation(2, y)
     np.testing.assert_allclose(
-        psi.H.matrix.toarray(), psi.matrix.toarray().conj().T, atol=0
+        dense(psi.H), dense(psi).conj().T, atol=0
     )
 
 
@@ -638,11 +639,11 @@ def test_concurrent_operator_construction(two_point, rng):
         random_centered(two_point, i % 3, np.random.default_rng(j))
         for j, i in enumerate(range(12))
     ]
-    serial = [ctx.represent(a.owner, a.coords).matrix.toarray() for a in letters]
+    serial = [dense(ctx.represent(a.owner, a.coords)) for a in letters]
     fresh = build_fock(am.scalar_base(), {i: two_point for i in range(3)}, 4)
     with ThreadPoolExecutor(max_workers=6) as pool:
         parallel = list(
-            pool.map(lambda a: fresh.represent(a.owner, a.coords).matrix.toarray(), letters)
+            pool.map(lambda a: dense(fresh.represent(a.owner, a.coords)), letters)
         )
     for s, p in zip(serial, parallel):
         np.testing.assert_allclose(s, p, atol=0)
@@ -735,6 +736,8 @@ def test_letter_templates(fixture, rng, request):
         letters = [random_centered(spec, i, rng).coords for _ in range(3)] + [raw]
         for a in letters:
             parts = ctx.letter_parts(i, a)
+            # the fold on the union of the templates is the sum of the parts
+            assert_same_csr(ctx.represent(i, a).matrix, parts.total().matrix)
             b_part = spec.apply(a)
             assert (parts.left_b is not None) == (np.linalg.norm(b_part) > 0.0)
             assert a is not raw or parts.left_b is not None
@@ -757,13 +760,13 @@ def test_letter_templates(fixture, rng, request):
 
 
 def test_sparse_storage_kicks_in(two_point):
-    # every operator is CSR, whatever the dimension of the context
+    # every operator is a canonical CSR, whatever the dimension of the context
     ctx = build_fock(am.scalar_base(), {0: two_point, 1: two_point}, 3)
-    import scipy.sparse as sp
-
-    assert isinstance(ctx.identity().matrix, sp.csr_matrix)
+    assert isinstance(ctx.identity().matrix, CSR)
     lam = ctx.represent(0, np.array([1.0, -1.0]))
-    assert isinstance(lam.matrix, sp.csr_matrix)
-    assert isinstance((lam @ lam - ctx.identity()).matrix, sp.csr_matrix)
+    assert isinstance(lam.matrix, CSR)
+    assert isinstance((lam @ lam - ctx.identity()).matrix, CSR)
+    for op in (ctx.identity(), lam, lam @ lam - ctx.identity()):
+        assert_canonical(op.matrix)
     below = ctx.level_projection_up_to(ctx.max_level - 2)
     assert ((lam @ lam - ctx.identity()) @ below).frobenius() < 1e-12

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import amalgam.linalg
-from amalgam.linalg import GRAM_LIMIT, frobenius, restricted_sigma_max
+from amalgam.linalg import CSR, GRAM_LIMIT, frobenius, restricted_sigma_max
+from conftest import csr_matrix, dense
 
 RTOL = 1e-12
 
@@ -48,8 +49,7 @@ WIDTHS = [0, 1, 12, 3 * GRAM_LIMIT]
 
 
 def _svd_top(x) -> float:
-    dense = x.toarray() if sparse.issparse(x) else x
-    s = np.linalg.svd(dense, compute_uv=False)
+    s = np.linalg.svd(dense(x), compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 
@@ -61,7 +61,7 @@ def _check_certified(x, sigma, v):
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("storage", [np.asarray, sparse.csr_matrix])
+@pytest.mark.parametrize("storage", [np.asarray, csr_matrix])
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda f: f.__name__.strip("_"))
 def test_sigma_max_matches_svd_and_repeats_bit_for_bit(shape, width, storage):
@@ -102,7 +102,7 @@ LANCZOS_CASES = {
 }
 
 
-@pytest.mark.parametrize("storage", [np.asarray, sparse.csr_matrix])
+@pytest.mark.parametrize("storage", [np.asarray, csr_matrix])
 @pytest.mark.parametrize("case", LANCZOS_CASES)
 def test_lanczos_runs_real_operators_in_real_arithmetic(monkeypatch, case, storage):
     entries, factor = LANCZOS_CASES[case]
@@ -134,28 +134,26 @@ def test_lanczos_runs_real_operators_in_real_arithmetic(monkeypatch, case, stora
     assert np.array_equal(v, v_again)
 
 
-@pytest.mark.parametrize("storage", [np.asarray, sparse.csr_matrix])
+@pytest.mark.parametrize("storage", [np.asarray, csr_matrix])
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda f: f.__name__.strip("_"))
 def test_frobenius_is_an_upper_bound(shape, storage):
     rng = np.random.default_rng(9)
     for width in WIDTHS:
         x = storage(shape(rng, width))
-        dense = x.toarray() if sparse.issparse(x) else x
         value = frobenius(x)
-        assert abs(value - np.linalg.norm(dense)) <= RTOL * value
+        assert abs(value - np.linalg.norm(dense(x))) <= RTOL * value
         assert value >= _svd_top(x) * (1 - RTOL)
         if shape is _rank_one and width:  # one singular value: they agree
             assert abs(value - _svd_top(x)) <= RTOL * value
 
 
 def test_frobenius_sums_duplicate_entries():
-    # row 0 stores the entry (0, 1) twice: 3 + 4 = 7, not sqrt(3^2 + 4^2) = 5
-    x = sparse.csr_matrix((np.array([3.0, 4.0, 1j]), np.array([1, 1, 0]),
-                           np.array([0, 2, 3])), shape=(2, 2))
-    assert not x.has_canonical_format
-    assert frobenius(x) == np.linalg.norm(x.toarray()) == np.sqrt(50.0)
-    assert frobenius(x.tocoo()) == np.sqrt(50.0)
-    assert x.nnz == 3  # the caller's matrix is left as it was
+    # the entry (0, 1) given twice is stored once: 3 + 4 = 7, not
+    # sqrt(3^2 + 4^2) = 5; a sum of 0 is not stored
+    x = CSR.from_coo([0, 0, 1, 1, 1], [1, 1, 0, 1, 1], np.array([3.0, 4.0, 1j, 2.0, -2.0]),
+                     (2, 2))
+    assert x.nnz == 2 and np.array_equal(x.data, [7.0, 1j])
+    assert frobenius(x) == np.linalg.norm(dense(x)) == np.sqrt(50.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -170,6 +168,7 @@ def test_sparse_property(rows, cols, density, seed):
     x = sparse.random(rows, cols, density=density, format="csr", rng=rng,
                       dtype=complex)
     x.data = rng.standard_normal(x.nnz) + 1j * rng.standard_normal(x.nnz)
+    x = csr_matrix(x)
     sigma, v = restricted_sigma_max(x, seed=seed)
     _check_certified(x, sigma, v)
 
@@ -198,7 +197,7 @@ def test_split_direct_sum_property(blocks, zero_cols, tie, wide, seed):
         parts.append(_complex(rng, 3, GRAM_LIMIT + 1))
     parts.append(np.zeros((0, zero_cols)))
     x = sparse.block_diag(parts, format="csr")
-    x = x[rng.permutation(x.shape[0])][:, rng.permutation(x.shape[1])]
+    x = csr_matrix(x[rng.permutation(x.shape[0])][:, rng.permutation(x.shape[1])])
     lanczos = mock.patch.object(amalgam.linalg, "_lanczos_witness",
                                 wraps=amalgam.linalg._lanczos_witness)
     with lanczos as spy, warnings.catch_warnings():
@@ -218,7 +217,7 @@ def test_split_tie_goes_to_the_first_component():
     block = np.array([[1, 2j], [0, 1], [3, 0]])
     x = sparse.block_diag([block] * copies, format="csr")
     cols = np.arange(2 * copies).reshape(copies, 2).T.ravel()
-    x = x[np.random.default_rng(2).permutation(x.shape[0])][:, cols]
+    x = csr_matrix(x[np.random.default_rng(2).permutation(x.shape[0])][:, cols])
     sigma, v = restricted_sigma_max(x)
     _check_certified(x, sigma, v)
     assert np.array_equal(np.flatnonzero(v), [0, copies])
@@ -237,12 +236,12 @@ def test_empty_rows_leave_the_solve_unchanged(wide, real):
     parts = [draw((3, 5)) for _ in range(20)]  # 100 columns in components of 5
     if wide:
         parts.append(draw((4, GRAM_LIMIT + 1)))
-    packed = sparse.block_diag(parts, format="csr")
+    packed = csr_matrix(sparse.block_diag(parts, format="csr"))
     m, n = packed.shape
     counts = np.zeros(3 * m, dtype=packed.indptr.dtype)
     counts[np.sort(rng.choice(3 * m, m, replace=False))] = np.diff(packed.indptr)
-    x = sparse.csr_matrix((packed.data.copy(), packed.indices.copy(),
-                           np.concatenate([[0], np.cumsum(counts)])), shape=(3 * m, n))
+    x = CSR(packed.data.copy(), packed.indices.copy(), np.concatenate([[0], np.cumsum(counts)]),
+            (3 * m, n))
     before = [a.copy() for a in (x.data, x.indices, x.indptr)]
     lanczos = mock.patch.object(amalgam.linalg, "_lanczos_witness",
                                 wraps=amalgam.linalg._lanczos_witness)
@@ -260,6 +259,71 @@ def test_empty_rows_leave_the_solve_unchanged(wide, real):
     assert np.shares_memory(rows.data, x.data)
     assert np.shares_memory(rows.indices, x.indices)
     assert np.array_equal(rows.indptr, packed.indptr)
+
+
+# ---------------------------------------------------------------------------
+# the CSR type against scipy.sparse, entry for entry
+# ---------------------------------------------------------------------------
+
+
+def _draw(rng, rows, cols, density, is_complex):
+    """A dense operand with empty rows and columns woven in."""
+    a = rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < density)
+    if is_complex:
+        a = a + 1j * rng.standard_normal((rows, cols)) * (a != 0)
+    a[rng.random(rows) < 0.3] = 0.0
+    a[:, rng.random(cols) < 0.3] = 0.0
+    return a
+
+
+def _same(got, want):
+    """got (a CSR) holds scipy's canonical arrays of want."""
+    want = want.tocsr()
+    want.sum_duplicates()
+    want.eliminate_zeros()
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dims=st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+    density=st.floats(0.0, 1.0),
+    kinds=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csr_matches_scipy_bit_for_bit(dims, density, kinds, seed):
+    # products, sums, adjoints and blocks of operands of any mix of real and
+    # complex entries; scipy forms each complex product in the four-multiply
+    # form and each sum in stored order, and so does CSR
+    rng = np.random.default_rng(seed)
+    m, k, n = dims
+    a, b, c = (_draw(rng, *shape, density, is_complex)
+               for shape, is_complex in zip([(m, k), (k, n), (m, k)], kinds))
+    x, y, z = csr_matrix(a), csr_matrix(b), csr_matrix(c)
+    xs, ys, zs = (sparse.csr_matrix(d) for d in (a, b, c))
+    _same(x @ y, xs @ ys)
+    _same(x + z, xs + zs)
+    _same(x - z, xs - zs)
+    _same(amalgam.linalg.adjoint(x), xs.conj().T)
+    _same(x.conj(), xs.conj())
+    _same(2.5j * x, 2.5j * xs)
+    for v in (_draw(rng, k, 1, 1.0, kinds[1])[:, 0], _draw(rng, k, 3, 1.0, kinds[1])):
+        got, want = x @ v, xs @ v
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    r0, r1 = sorted(rng.integers(0, m + 1, 2))
+    c0, c1 = sorted(rng.integers(0, k + 1, 2))
+    _same(x[r0:r1, c0:c1], xs[r0:r1, c0:c1])
+    _same(x[:, c0:], xs[:, c0:])
+    # the COO build with positions given twice; small integers add exactly
+    # in any order, so scipy's order of duplicates does not matter
+    count = int(rng.integers(0, 3 * (m * k + 1)))
+    rows, cols = rng.integers(0, max(m, 1), count), rng.integers(0, max(k, 1), count)
+    values = rng.integers(-3, 4, count) + (1j * rng.integers(-3, 4, count) if kinds[0] else 0)
+    if m and k:
+        _same(CSR.from_coo(rows, cols, values, (m, k)),
+              sparse.coo_matrix((values, (rows, cols)), shape=(m, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +405,7 @@ def test_column_components_on_many_permuted_paths():
 def _lanczos_sigma(x, seed=0):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = amalgam.linalg._lanczos_witness(sparse.csr_matrix(x), seed)
+        v = amalgam.linalg._lanczos_witness(csr_matrix(x), seed)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     return float(np.linalg.norm(x @ v))
 
@@ -372,8 +436,9 @@ def test_lanczos_on_the_identity_stops_at_its_invariant_space(scale):
 
 
 def test_solver_runs_import_no_scipy_solver_modules(tmp_path):
-    # a small sweep and the group-shift preset, whose solves label components
-    # and run Lanczos, in a fresh process that counts those calls
+    # all 11 presets, whose solves label components and run Lanczos, in a
+    # fresh process that counts those calls; scipy is the tests' oracle and
+    # the package loads no part of it
     script = """
 import json, sys
 import amalgam.cli, amalgam.linalg as la
@@ -383,21 +448,15 @@ for name in calls:
         calls[_name] += 1
         return _f(*args)
     setattr(la, name, counted)
-codes = [amalgam.cli.main(["run", config, "--out", sys.argv[1]]) for config in sys.argv[2:]]
-loaded = sorted(m for m in sys.modules
-                if m.startswith(("scipy.sparse.linalg", "scipy.sparse.csgraph")))
+codes = [amalgam.cli.main(["run", name, "--out", sys.argv[1]]) for name in amalgam.cli.PRESETS]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "calls": calls, "loaded": loaded}))
 """
-    sweep = tmp_path / "sweep.json"
-    sweep.write_text(json.dumps({
-        "kind": "haagerup-sweep", "output": "sweep",
-        "parameters": {"config": "two-point-6", "M": 3, "families": 2, "n_max": 1, "k_max": 6},
-    }))
     src = Path(amalgam.linalg.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(sweep), "group-shift-g0"],
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=300, check=True)
     report = json.loads(done.stdout.strip().splitlines()[-1])
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0] * 11
     assert report["calls"]["_column_components"] and report["calls"]["_lanczos_witness"]
     assert report["loaded"] == []

@@ -27,7 +27,7 @@ from amalgam.words import (
     word_operator,
     worst_block_lower,
 )
-from conftest import random_centered, sign_letter, spectral_norm
+from conftest import dense, random_centered, sign_letter, spectral_norm
 
 
 def random_word(ctx, n, rng):
@@ -228,7 +228,7 @@ def test_ladder_residual_bounds_the_norm_of_its_difference(ctx_two3, ctx_m2diag,
                 total = total + block_decomposition(ctx, w, m, r)
             diff = (word_operator(ctx, w) @ ctx.level_projection(m) - total).matrix
             resid = residuals[m]
-            assert resid == pytest.approx(np.linalg.norm(diff.toarray()), rel=1e-12, abs=0)
+            assert resid == pytest.approx(np.linalg.norm(dense(diff)), rel=1e-12, abs=0)
             assert resid >= spectral_norm(diff) * (1 - 1e-12)
 
 
@@ -506,16 +506,16 @@ def test_block_and_norm_lowers_match_dense_svd(name):
     for n, k in shapes:
         fam = random_separated_family(ctx, n, k, rng, f"n{n}k{k}")
         op = family_operator(ctx, fam)
-        dense = op.matrix.toarray()
+        full = dense(op)
         worst = 0.0
-        ref = spectral_norm(dense[:, : ctx.prefix_dim(ctx.max_level - n)])
+        ref = spectral_norm(full[:, : ctx.prefix_dim(ctx.max_level - n)])
         assert abs(norm_lower(ctx, op, n).lower - ref) <= 1e-12 * ref
         for m in range(ctx.max_level - n + 1):
             start, end = ctx.level_range(m)
             widest = max(widest, end - start)
             for r in range(abs(m - n), m + n + 1):
                 rs, re = ctx.level_range(r)
-                ref = spectral_norm(dense[rs:re, start:end])
+                ref = spectral_norm(full[rs:re, start:end])
                 assert abs(block_lower(ctx, op, n, m, r) - ref) <= 1e-12 * ref
                 worst = max(worst, ref)
         assert abs(worst_block_lower(ctx, op, n) - worst) <= 1e-12 * worst
