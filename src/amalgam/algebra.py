@@ -54,6 +54,8 @@ class MatrixStarAlgebra:
         mat = as_complex(mat)
         vec = mat.reshape(-1)
         coords = self._pinv @ vec
+        # one refinement step: pinv alone is a few ulps off even on exact bases
+        coords += self._pinv @ (vec - self._flat().T @ coords)
         scale = np.linalg.norm(vec)
         resid = np.linalg.norm(self._flat().T @ coords - vec)
         if resid > rtol * max(scale, 1.0):
@@ -78,6 +80,7 @@ class MatrixStarAlgebra:
         them lie outside the span by the tolerance of ``expand``."""
         vecs = mats.reshape(len(mats), -1)
         coords = (self._pinv @ vecs.T).T
+        coords += (self._pinv @ (vecs - coords @ self._flat()).T).T  # as in ``expand``
         resid = np.linalg.norm(coords @ self._flat() - vecs, axis=1)
         return coords, resid > rtol * np.maximum(np.linalg.norm(vecs, axis=1), 1.0)
 

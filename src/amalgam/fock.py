@@ -24,10 +24,11 @@ pass: the operators of the basis coefficients (e_s, e_s e_t*, b_j) on the
 union of their CSR patterns, each block computed once per level and pair of
 quotients and placed at every pair of summands by array arithmetic;
 annihilation folds over the creation template's adjoint. A letter's
-representation folds its four parts on the union of their templates and adds
-them entrywise, so it forms no sparse sum. Any term that would
-raise above the truncation level maps to zero; identities involving creation
-at the top level therefore hold only below it.
+representation folds its four parts and adds them on the union of their
+templates, cached per factor: each entry adds the parts' values to 0 in
+their order, by the kernel of ``CSR.from_coo``, so a letter sorts nothing.
+Any term that would raise above the truncation level maps to zero;
+identities involving creation at the top level therefore hold only below it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .errors import CapacityError, ConfigError, StructureError
 from .gns import GnsModule, ModuleVector, build_gns
 from .linalg import (
     CSR,
+    _summed,
     as_complex,
     adjoint,
-    folded_sum,
     frobenius,
     gram_quotient,
     hermitian_part,
@@ -504,7 +505,7 @@ class FockContext:
                          self._annihilation_template(k), self._leftb_template())
             n = self.total_dim
             rows, cols, slots = union_pattern([(t.rows(), t.indices) for t in templates], n)
-            pattern = CSR.from_sorted(rows, cols, np.ones(cols.size), (n, n))
+            pattern = CSR.from_coo(rows, cols, np.ones(cols.size), (n, n))
             return _Letter(pattern.indptr, pattern.indices, tuple(slots))
 
         return self._structure(("letter", k), build)
@@ -620,18 +621,19 @@ class FockContext:
 
     def represent(self, i: int, a_coords) -> FockOperator:
         """The letter representation of a in the i-th factor: the sum of its
-        ``letter_parts``, in their order, value for value, formed by
-        ``folded_sum`` on the union of their templates. Each part is folded on
-        its own template."""
+        ``letter_parts``, in their order, value for value. Each part is folded
+        on its own template, and each entry of the union of the templates adds
+        the parts' values to 0 in that order, by the kernel of
+        ``CSR.from_coo``; the sort is the cached one of the union."""
         letter = self._letter(i)
-        parts = []
-        for (template, coeffs), place in zip(self._letter_terms(i, a_coords), letter.slots):
-            values = self._folded(template, coeffs)
-            values = np.zeros(len(place), dtype=complex) if values is None else values
-            values[values == 0] = 0  # an entry folded to 0 is dropped: +0
-            parts.append((values, place))
+        parts = [(values, place) for (template, coeffs), place
+                 in zip(self._letter_terms(i, a_coords), letter.slots)
+                 if (values := self._folded(template, coeffs)) is not None]
+        if not parts:
+            return self.zero()
+        values, places = (np.concatenate(a) for a in zip(*parts))
+        total = _summed(places, values, len(letter.indices))
         shape = (self.total_dim,) * 2
-        total = folded_sum(parts, len(letter.indices))
         return FockOperator(self, CSR(total, letter.indices, letter.indptr, shape).pruned())
 
     def vacuum_expectation(self, x: FockOperator) -> np.ndarray:

@@ -20,7 +20,9 @@ Conventions used across the package:
   ``[Re v; Im v]`` for a complex one. The labelling and both solves need
   numpy only;
 * sparse operators are ``CSR`` matrices, canonical by construction, whose
-  kernels compute scipy.sparse's values entry for entry;
+  kernels compute scipy.sparse's values entry for entry: every sum, product
+  and transpose is built by ``CSR.from_coo``, which adds each entry's terms
+  to 0 in the order given;
 * every upper bound on an operator norm, and so every residual checked
   against a tolerance, is the Frobenius norm from ``frobenius``.
 """
@@ -103,35 +105,17 @@ def union_pattern(patterns, ncols: int):
     return rows[keep], cols[keep], np.split(place, np.cumsum([len(c) for _, c in patterns])[:-1])
 
 
-def folded_sum(parts, size: int, dtype=complex) -> np.ndarray:
-    """The values of the sum ``((p1 + p2) + p3) + ...`` on a pattern of
-    ``size`` entries, each part a pair (values, place) of its values, none
-    of them 0, and their places in the pattern. Each sum is formed as a
-    merge of canonical sparse matrices forms it: ``a + b`` where both hold
-    the entry, ``a + 0`` or ``0 + b`` where one does, and an exact zero
-    dropped, so read as +0, before the next part."""
-    total = np.zeros(size, dtype=dtype)
-    for j, (values, place) in enumerate(parts):
-        if j:
-            values = total[place] + values
-            values[values == 0] = 0
-            total += 0.0
-        total[place] = values
-    return total
-
-
 def csr_sum(matrices: list["CSR"]) -> "CSR":
-    """The left-folded sum of the matrices, value for value that of ``+``,
-    with one sort for all of them."""
+    """The sum of the matrices, value for value the left fold of sparse
+    merges: one COO build of their entries, in list order."""
     if len(matrices) == 1:
         return matrices[0]
     shape = matrices[0].shape
     if any(m.shape != shape for m in matrices):
         raise ValueError(f"shapes {[m.shape for m in matrices]} differ")
-    rows, cols, places = union_pattern([(m.rows, m.indices) for m in matrices], shape[1])
-    values = folded_sum(zip((m.data for m in matrices), places), cols.size,
-                        np.result_type(*(m.data for m in matrices)))
-    return CSR.from_sorted(rows, cols, values, shape)
+    rows, cols, values = (np.concatenate(a) for a in zip(*(
+        (m.rows, m.indices, m.data) for m in matrices)))
+    return CSR.from_coo(rows, cols, values, shape)
 
 
 class CSR:
@@ -140,11 +124,11 @@ class CSR:
     twice and no stored value is 0.
 
     Its arithmetic is that of scipy.sparse's kernels on canonical operands,
-    value for value: a complex product is formed by ``_times``, every sum
-    starts from 0 and adds its terms in stored order, and a product's terms
-    in the order of its left factor's entries. The constructor takes
-    canonical arrays as they are, neither copied nor checked; ``pruned``
-    drops stored zeros.
+    value for value: a complex product is formed by ``_times``, and a sum,
+    product or transpose is one ``from_coo`` build of its terms, a sum's in
+    operand order and a product's (Gustavson, ACM TOMS 4, 1978) in the order
+    of its left factor's entries. The constructor takes canonical arrays as
+    they are, neither copied nor checked; ``pruned`` drops stored zeros.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape", "_rows")
@@ -165,31 +149,26 @@ class CSR:
         values = np.asarray(values)[order]
         if not first.all():
             values = _summed(np.cumsum(first) - 1, values, np.count_nonzero(first))
-        keep = order[first]
-        return cls.from_sorted(rows[keep], cols[keep], values, shape)
-
-    @classmethod
-    def from_sorted(cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape) -> "CSR":
-        """From entries in row-major order, no position twice; zeros dropped."""
+            order = order[first]
+        rows, cols = rows[order], cols[order]
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        out = cls(data, cols, indptr, shape)
+        out = cls(values, cols, indptr, shape)
         out._rows = rows
         return out.pruned()
 
     @classmethod
     def from_dense(cls, a) -> "CSR":
-        """The nonzero entries of a 2-D array, row by row."""
+        """The nonzero entries of a 2-D array."""
         a = np.asarray(a)
         rows, cols = np.nonzero(a)
-        return cls(a[rows, cols], cols, np.searchsorted(rows, np.arange(a.shape[0] + 1)),
-                   a.shape)
+        return cls.from_coo(rows, cols, a[rows, cols], a.shape)
 
     @classmethod
     def diagonal(cls, values: np.ndarray) -> "CSR":
         """The square matrix with the given diagonal."""
-        n = len(values)
-        return cls(values, np.arange(n), np.arange(n + 1), (n, n)).pruned()
+        i = np.arange(len(values))
+        return cls.from_coo(i, i, values, (i.size, i.size))
 
     @property
     def nnz(self) -> int:
@@ -220,11 +199,7 @@ class CSR:
 
     @property
     def T(self) -> "CSR":
-        # a stable sort keeps each column's entries in row order
-        order = np.argsort(self.indices, kind="stable")
-        counts = np.bincount(self.indices, minlength=self.shape[1])
-        return CSR(self.data[order], self.rows[order],
-                   np.concatenate([[0], np.cumsum(counts)]), self.shape[::-1])
+        return CSR.from_coo(self.indices, self.rows, self.data, self.shape[::-1])
 
     def __getitem__(self, key) -> "CSR":
         """The block of a pair of row and column ranges, ``x[r0:r1, c0:c1]``."""
@@ -250,25 +225,15 @@ class CSR:
 
     __rmul__ = __mul__
 
+    def __neg__(self) -> "CSR":
+        return CSR(-self.data, self.indices, self.indptr, self.shape)
+
     def __add__(self, other: "CSR") -> "CSR":
-        return self._merge(other, np.add)
+        return csr_sum([self, other]) if isinstance(other, CSR) else NotImplemented
 
     def __sub__(self, other: "CSR") -> "CSR":
-        return self._merge(other, np.subtract)
-
-    def _merge(self, other: "CSR", op) -> "CSR":
-        """op of the entries on the union of the patterns, an absent entry
-        read as 0: ``a op b``, ``a op 0`` or ``0 op b``, as scipy's merge."""
-        if not isinstance(other, CSR):
-            return NotImplemented
-        if other.shape != self.shape:
-            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
-        rows, cols, (at_a, at_b) = union_pattern(
-            [(self.rows, self.indices), (other.rows, other.indices)], self.shape[1])
-        dtype = np.result_type(self.data, other.data)
-        a, b = np.zeros(cols.size, dtype=dtype), np.zeros(cols.size, dtype=dtype)
-        a[at_a], b[at_b] = self.data, other.data
-        return CSR.from_sorted(rows, cols, op(a, b), self.shape)
+        """``a + (-b)``: the same IEEE value as ``a - b``, entry for entry."""
+        return self + -other if isinstance(other, CSR) else NotImplemented
 
     def __matmul__(self, other):
         if isinstance(other, CSR):
@@ -288,25 +253,17 @@ class CSR:
         return _summed(self.rows, _times(self.data, v[self.indices]), self.shape[0])
 
     def _matmat(self, other: "CSR") -> "CSR":
-        """Row by row (Gustavson, ACM TOMS 4, 1978): every entry (i, k) of
-        self meets row k of other, and each sum adds its terms to 0 in that
-        order."""
+        """Every entry (i, k) of self meets row k of other, and the terms
+        are built in that order."""
         if other.shape[0] != self.shape[1]:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not compose")
-        shape = (self.shape[0], other.shape[1])
         counts = np.diff(other.indptr)[self.indices]
         ends = np.cumsum(counts)
         pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(
             other.indptr[self.indices] - (ends - counts), counts)
-        rows, cols = np.repeat(self.rows, counts), other.indices[pos]
-        order, first = _groups(rows, cols, shape[1])
-        values = _times(np.repeat(self.data, counts), other.data[pos])[order]
-        if first.all():
-            sums = values + 0.0  # 0 + the one term
-        else:
-            sums = _summed(np.cumsum(first) - 1, values, np.count_nonzero(first))
-        keep = order[first]
-        return CSR.from_sorted(rows[keep], cols[keep], sums, shape)
+        return CSR.from_coo(np.repeat(self.rows, counts), other.indices[pos],
+                            _times(np.repeat(self.data, counts), other.data[pos]),
+                            (self.shape[0], other.shape[1]))
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

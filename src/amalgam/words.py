@@ -7,7 +7,8 @@ factors taken from the letters' parts (``FockContext.letter_parts``); a chain
 depends only on the level difference m + n - r. The separated-family bound
 gives the (2n+1) gamma upper estimate, and certified lower bounds come from
 restricting an operator to the prefix of levels on which truncation cannot
-alter its action.
+alter its action. The ladder identity is checked on direct sums of one
+module copy per word, each built by ``CSR.from_coo`` from shifted entries.
 """
 
 from __future__ import annotations
@@ -147,26 +148,16 @@ def block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperat
 
 def _direct_sum(blocks, dim: int) -> CSR | None:
     """Block-diagonal CSR of the dim x dim blocks, None for an empty block, or
-    None when every block is. Built by concatenating the blocks' arrays with
-    shifted indices, so each block keeps its stored order: a product or sum
-    on the direct sum then forms every block's entries in the same order as
-    on the block alone."""
-    if all(b is None for b in blocks):
+    None when every block is: the COO build of their entries, shifted along
+    the diagonal. A canonical CSR is unique, so each block keeps its stored
+    order, and a product or sum on the direct sum forms every block's
+    entries in the same order as on the block alone."""
+    shifted = [(b.matrix.rows + k * dim, b.matrix.indices + k * dim, b.matrix.data)
+               for k, b in enumerate(blocks) if b is not None]
+    if not shifted:
         return None
-    data, indices, indptr, nnz = [], [], [np.zeros(1, dtype=np.int64)], 0
-    for k, b in enumerate(blocks):
-        if b is None:
-            indptr.append(np.full(dim, nnz))
-            continue
-        m = b.matrix
-        end = m.indptr[-1]
-        data.append(m.data[:end])
-        indices.append(m.indices[:end] + k * dim)
-        indptr.append(m.indptr[1:] + nnz)
-        nnz += end
-    size = len(blocks) * dim
-    return CSR(np.concatenate(data), np.concatenate(indices), np.concatenate(indptr),
-               (size, size))
+    rows, cols, values = (np.concatenate(a) for a in zip(*shifted))
+    return CSR.from_coo(rows, cols, values, (len(blocks) * dim,) * 2)
 
 
 def _ladder_factors(ctx: FockContext, words: list[Word]):
@@ -311,24 +302,6 @@ def norm_lower(
         witness=witness,
         seconds=time.perf_counter() - t0,
     )
-
-
-def block_lower(
-    ctx: FockContext,
-    x: FockOperator,
-    spread: int,
-    m: int,
-    r: int,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Largest singular value of P_r x P_m on the exact domain of level m."""
-    if m + spread > ctx.max_level:
-        raise TruncationError("block outside the exact domain")
-    start, end = ctx.level_range(m)
-    rs, re = ctx.level_range(r)
-    restricted = x.matrix[rs:re, start:end]
-    sigma, _ = restricted_sigma_max(restricted, seed=seed)
-    return float(sigma)
 
 
 def worst_block_lower(

@@ -6,7 +6,8 @@ import pytest
 from scipy import sparse
 
 import amalgam as am
-from amalgam.linalg import CSR
+from amalgam.errors import TruncationError
+from amalgam.linalg import CSR, DEFAULT_SEED, restricted_sigma_max
 
 
 @pytest.fixture(scope="session")
@@ -118,6 +119,18 @@ def spectral_norm(x) -> float:
     checks use the Frobenius upper bound instead."""
     d = dense(x)
     return float(np.linalg.svd(d, compute_uv=False)[0]) if d.size else 0.0
+
+
+def block_lower(ctx, x, spread, m, r, seed=DEFAULT_SEED) -> float:
+    """Largest singular value of P_r x P_m on the exact domain of level m, by
+    the package's solver on that one block: the reference for the direct sum
+    of blocks that ``words.worst_block_lower`` solves at once."""
+    if m + spread > ctx.max_level:
+        raise TruncationError("block outside the exact domain")
+    start, end = ctx.level_range(m)
+    rs, re = ctx.level_range(r)
+    sigma, _ = restricted_sigma_max(x.matrix[rs:re, start:end], seed=seed)
+    return float(sigma)
 
 
 def load_bench_tracer():

@@ -20,7 +20,6 @@ from amalgam.shift import (
     decay_curve,
 )
 from amalgam.words import (
-    block_lower,
     family_operator,
     haagerup_upper,
     ladder_identity_residuals,
@@ -29,7 +28,7 @@ from amalgam.words import (
     random_separated_family,
     random_word,
 )
-from conftest import sign_letter, spectral_norm
+from conftest import block_lower, sign_letter, spectral_norm
 
 SEED = 0xC0FFEE
 

@@ -109,6 +109,23 @@ def test_adjoint_compatibility_property(re, im):
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+def test_expansion_of_an_exact_basis_is_exact():
+    # the pseudo-inverse alone reads the unit of [I_2] as 0.9999999999999997;
+    # one refinement step against the basis makes it exact
+    b = am.star_algebra([np.eye(2)])
+    assert b.unit_coords[0] == 1.0 and b.adj[0, 0] == 1.0
+    checks = {c.name: c.residual for c in am.validate_expectation(am.scalars_in_matn(2)).checks}
+    assert checks["unit_preservation"] == checks["adjoint_compatibility"] == 0.0
+
+
+def test_nearly_dependent_basis_stays_in_its_span():
+    # a basis whose Gram is ill-conditioned (about 1e8) still holds its own
+    # products and the identity
+    alg = am.star_algebra([np.eye(2), np.diag([1.0, 1.0 + 1e-4])])
+    np.testing.assert_allclose(alg.unit_coords, [1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(alg.expand(np.diag([1.0, 2.0])), [1 - 1e4, 1e4], rtol=1e-6)
+
+
 def test_outside_span_rejected(m2_diag):
     fns = am.function_algebra_with_state(2)
     with pytest.raises(StructureError):

@@ -699,6 +699,23 @@ def test_decay_kind_accepts_explicit_prototype(tmp_path):
     assert run_config(config, out_dir=tmp_path) == 0
 
 
+def test_decay_of_the_zero_letter_writes_zero_rows(tmp_path):
+    # the zero prototype letter represents as the zero operator on every window
+    config = {
+        "kind": "ergodic-decay",
+        "parameters": {"p": 1, "M": 2, "n_max": 3,
+                       "prototype": {"indices": [0], "letters": [[[0, 0], [0, 0]]]}},
+        "output": "zero",
+    }
+    assert run_config(config, out_dir=tmp_path) == 0
+    assert (tmp_path / "zero.csv").read_text().splitlines() == [
+        "name,status,lower,upper,residual",
+        *(f"decay.p1.n{n},pass,0.0,0.0," for n in (1, 2, 3))]
+    assert (tmp_path / "zero_curve.csv").read_text().splitlines() == [
+        "n,lower,ell2_vacuum,decay_bound,ratio",
+        *(f"{n},0.0,0.0,0.0,nan" for n in (1, 2, 3))]
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError  # bare, as Python's own allocator raises it
 

@@ -443,6 +443,17 @@ def test_lambda_matches_direct_formula(fixture, rng, request):
 
 
 @pytest.mark.parametrize("fixture", ["ctx_two3", "ctx_m2diag"])
+def test_represent_of_the_zero_letter_is_zero(fixture, request):
+    # every part of the zero letter folds to no entries, so there is nothing
+    # to add on the letter pattern
+    ctx = request.getfixturevalue(fixture)
+    for i in ctx.order:
+        got = ctx.represent(i, np.zeros(ctx.factors[i].spec.algebra.dim)).matrix
+        assert got.shape == ctx.zero().matrix.shape
+        assert_same_csr(got, ctx.zero().matrix)
+
+
+@pytest.mark.parametrize("fixture", ["ctx_two3", "ctx_m2diag"])
 def test_represent_is_the_sum_of_letter_parts(fixture, rng, request):
     # one letter split: represent adds the parts creation, diagonal,
     # annihilation, B-part in that order, so the CSR arrays agree exactly;

@@ -17,7 +17,6 @@ from amalgam.words import (
     Word,
     WordFamily,
     block_decomposition,
-    block_lower,
     family_operator,
     haagerup_upper,
     ladder_identity_residuals,
@@ -27,7 +26,7 @@ from amalgam.words import (
     word_operator,
     worst_block_lower,
 )
-from conftest import dense, random_centered, sign_letter, spectral_norm
+from conftest import block_lower, dense, random_centered, sign_letter, spectral_norm
 
 
 def random_word(ctx, n, rng):
