@@ -33,7 +33,6 @@ from .words import (
     NormReport,
     Word,
     WordFamily,
-    block_decomposition,
     family_operator,
     haagerup_upper,
     ladder_identity_residuals,
@@ -63,7 +62,6 @@ __all__ = [
     "TruncationError",
     "Word",
     "WordFamily",
-    "block_decomposition",
     "build_fock",
     "build_gns",
     "center",

@@ -4,35 +4,38 @@ The module is the direct sum, over alternating index sequences (i_1,...,i_m)
 with m up to a truncation level, of internal tensor products
 E_{i_1}deg (x)_B ... (x)_B E_{i_m}deg, plus a copy of B at level zero. It is
 turned into an honest Hilbert space by tensoring with the identity
-representation of B on its own ambient matrix space. Tensor-level Gram
-degeneracies are quotiented with the package-wide rank cutoff, by the same
-``gram_quotient`` that separates each factor's GNS module. The base algebra B
+representation of B on its own ambient matrix space C^nb. The base algebra B
 enters through its multiplication table only: the level-zero Gram, the left
 B-action, and the check that each factor's subalgebra has B's unit and table.
 
-The layout is kept per level: the level's sequences as an integer array in
-lexicographic order, one Gram quotient per distinct sequence of factor specs
-(one per level when all factors share a spec), and the offset of each summand.
-Coordinate maps are arithmetic on these tables: ``summand`` and the
-relabelling map ``permutation`` share one mixed-radix row formula, and the
-vacuum is read from level zero, the first block of coordinates. Operators are
-``linalg.CSR`` matrices: level projections, first-slot projections, creation
-operators (prepend a vector of E_k deg), first-slot diagonal actions, and the
-letter representation of each factor algebra. The letter parts are left folds
-of their coefficients over letter templates, built once per factor in one
-pass: the operators of the basis coefficients (e_s, e_s e_t*, b_j) on the
-union of their CSR patterns, each block computed once per level and pair of
-quotients and placed at every pair of summands by array arithmetic;
-annihilation folds over the creation template's adjoint. A letter's
-representation folds its four parts and adds them on the union of their
-templates, cached per factor: each entry adds the parts' values to 0 in
-their order, by the kernel of ``CSR.from_coo``, so a letter sorts nothing.
+Each level is built on the one below: the summand of (i_1, ..., i_m) is
+E_{i_1}deg (x)_B H for the summand H of (i_2, ..., i_m), and level zero is
+B (x)_B C^nb. The Gram <xi (x) h, xi' (x) h'> = <h, pi(<xi, xi'>_B) h'>
+(Lance, Hilbert C*-Modules, LMS Lecture Note Series 210, 1995, ch. 4) reads
+only the first factor's B-valued Gram and B's left action pi on H's quotient,
+and ``gram_quotient`` separates it as it does each factor's GNS module. One
+quotient serves each pair (spec of the first factor, quotient of the rest),
+so one a level when all factors share a spec. The layout is kept per level:
+the sequences as an integer array in lexicographic order, the quotient of
+each, and its offset. ``summand`` and the relabelling map ``permutation``
+share one mixed-radix row formula, and the vacuum is read from level zero,
+the first block of coordinates.
+
+Operators are ``linalg.CSR`` matrices: level and first-slot projections,
+creation (prepend a vector of E_k deg), first-slot diagonal actions, and the
+letter representation of each factor algebra, whose parts are left folds of
+their coefficients over templates: the operators of the basis coefficients
+(e_s, e_s e_t*, b_j), whose blocks are slices and contractions of the
+quotients' cmap, w and left, placed at every pair of summands by array
+arithmetic. A letter adds its four parts on the union of their templates,
+cached per factor, by the kernel of ``CSR.from_coo``, so it sorts nothing.
 Any term that would raise above the truncation level maps to zero;
 identities involving creation at the top level therefore hold only below it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -59,8 +62,8 @@ STRUCT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FockBasisLabel:
-    """Product-basis label: level, index sequence, one component id per slot,
-    and the slot of the representation space of B."""
+    """Product-basis label: level, index sequence, one component id per slot
+    (the E-deg slots, then B), and the slot of the representation space of B."""
 
     level: int
     indices: tuple[int, ...]
@@ -117,8 +120,6 @@ class _FactorData:
     e_basis: np.ndarray  # (d, e)
     bip_e: np.ndarray  # (e, e, db)
     left_b: np.ndarray  # (db, e, e)
-    right_b: np.ndarray  # (db, e, e)
-    kmat: np.ndarray  # (e, e, db, db)
 
     @property
     def e_dim(self) -> int:
@@ -137,25 +138,18 @@ class _FactorData:
 
 
 def _factor_data(spec: AlgebraWithExpectation, base: MatrixStarAlgebra) -> _FactorData:
-    mod = build_gns(spec)
-    e_basis = mod.e_basis
-    e = e_basis.shape[1]
-    db = base.dim
+    mod, db = build_gns(spec), base.dim
+    e_basis, e = mod.e_basis, mod.e_dim
     bip_e = np.einsum("us,vt,uvd->std", e_basis.conj(), e_basis, mod.bip_full)
     left_b = np.empty((db, e, e), dtype=complex)
-    right_b = np.empty((db, e, e), dtype=complex)
     for j in range(db):
         full = spec.sub_to_full(np.eye(db)[j])
         act = mod.left_action(full)
         left_b[j] = e_basis.conj().T @ act @ e_basis
         off = np.linalg.norm(mod.b_summand.conj().T @ act @ e_basis, 2)
         if off > STRUCT_TOL * max(np.linalg.norm(act, 2), 1.0):
-            raise StructureError(
-                "left B-action does not preserve the unit splitting"
-            )
-        right_b[j] = e_basis.conj().T @ mod.right_action(np.eye(db)[j]) @ e_basis
-    kmat = np.einsum("sud,cut->stdc", bip_e, left_b)
-    return _FactorData(spec, mod, e_basis, bip_e, left_b, right_b, kmat)
+            raise StructureError("left B-action does not preserve the unit splitting")
+    return _FactorData(spec, mod, e_basis, bip_e, left_b)
 
 
 def _check_same_subalgebra(base: MatrixStarAlgebra, spec: AlgebraWithExpectation, idx):
@@ -227,16 +221,19 @@ class LetterParts(NamedTuple):
 
 
 class Summand(NamedTuple):
-    """One summand of the module: its index sequence, the global offset and
-    rank of its quotient, its product dimension, orthonormal representatives
-    w (prod_dim, rank) and the coordinate map cmap (rank, prod_dim)."""
+    """One summand: its index sequence, the global offset and rank of its
+    quotient, orthonormal representatives w (width, rank), the coordinate map
+    cmap (rank, width) and B's left action, left[d] (rank, rank) for b_d. The
+    width is X (x) H's for the interior tensor product X (x)_B H (Lance, ch.
+    4), H's coordinate fastest: (b_j, u) of B (x) C^nb at level 0, else
+    (e_s, coordinate of the quotient of the rest)."""
 
     seq: tuple[int, ...]
     offset: int
     rank: int
-    prod_dim: int
     w: np.ndarray
     cmap: np.ndarray
+    left: np.ndarray
 
 
 @dataclass
@@ -244,7 +241,7 @@ class _Level:
     pos: np.ndarray  # (n, m) positions in ctx.order, one sequence a row, lexicographic
     quot: np.ndarray  # (n,) the quotient of each sequence
     offset: np.ndarray  # (n + 1,) sequence j spans offset[j]:offset[j + 1] globally
-    quotients: list[Summand]  # per spec sequence, for its first sequence, offset 0
+    quotients: list[Summand]  # per (first spec, rest quotient), for its first sequence
 
 
 class FockContext:
@@ -265,63 +262,60 @@ class FockContext:
 
     # -- construction -------------------------------------------------------
 
-    def _seq_gram(self, seq) -> np.ndarray:
-        base = self.base
-        if not seq:  # coords of b_j* b_k
-            r = np.tensordot(base.adj, base.mult, axes=(0, 0))
-        else:
-            r = self.factors[seq[0]].bip_e
-            for i in seq[1:]:
-                k = self.factors[i].kmat
-                r = np.einsum("stdc,pqc->psqtd", k, r)
-                p = r.shape[0] * r.shape[1]
-                r = r.reshape(p, p, base.dim)
-        g = np.einsum("pqd,dtu->ptqu", r, base.basis)
-        p = r.shape[0] * base.ambient_dim
-        return hermitian_part(g.reshape(p, p))
+    def _quotient(self, seq, bip, left_x, left_h) -> Summand:
+        """The quotient of X (x)_B H, where X has the B-valued Gram bip
+        (x, x, db) and left B-action left_x (db, x, x), and B acts on H by
+        left_h (db, h, h) in orthonormal coordinates."""
+        width = bip.shape[0] * left_h.shape[1]
+        self._refuse_above_cap(width, f"a level-{len(seq)} Gram is {width} wide")
+        gram = np.einsum("std,dab->satb", bip, left_h).reshape(width, width)
+        w, cmap = gram_quotient(hermitian_part(gram))
+        rank = w.shape[1]
+        # left[d] = cmap kron(left_x[d], I_h) w: left_x[d] on the first index of w
+        acted = np.tensordot(left_x, w.reshape(len(bip), width // len(bip) * rank),
+                             axes=(2, 0))
+        left = cmap @ acted.reshape(len(left_x), width, rank)
+        return Summand(seq, 0, rank, w, cmap, left)
 
-    def _quotient(self, seq) -> Summand:
-        g = self._seq_gram(seq)
-        w, cmap = gram_quotient(g)
-        return Summand(seq, 0, w.shape[1], len(g), w, cmap)
+    def _refuse_above_cap(self, required: int, what: str):
+        if required > self.max_dim:
+            raise CapacityError(f"{what}, above the cap {self.max_dim}", required=required)
 
     def _build_levels(self) -> list[_Level]:
-        nb, data = self.base.ambient_dim, [self.factors[i] for i in self.order]
-        e = np.array([f.e_dim for f in data], dtype=object)
+        base, data = self.base, [self.factors[i] for i in self.order]
         # spec[p]: the first position with the factor data of p; summands whose
-        # sequences agree in spec slot by slot share one Gram
+        # sequences agree in spec slot by slot share one quotient
         spec = np.array([[d is f for d in data].index(True) for f in data])
-        # led[p]: product dims summed over the level's sequences led by p,
-        # so that a level is refused before its sequences are listed
-        estimate, led = self.base.dim * nb, e
-        pos, levels = np.zeros((1, 0), dtype=np.int64), []
-        for m in range(self.max_level + 1):
-            if m:
-                estimate += nb * led.sum()
-                led = e * (led.sum() - led)
-            if estimate > self.max_dim:
-                raise CapacityError(
-                    f"Fock dimension estimate {estimate} exceeds the cap "
-                    f"{self.max_dim} at level {m}",
-                    required=estimate,
-                )
-            key = np.zeros(1, dtype=np.int64)
-            if m:  # prepend each index to the sequences it does not lead
-                rests = [np.flatnonzero(~self._led_by(pos, p))
-                         for p in range(len(self.order))]
-                # a sequence's spec row sorts as (spec of its first index,
-                # quotient of the rest), and quotients are numbered in
-                # spec-row order, so the key orders like the rows
-                key = np.concatenate([spec[p] * len(first) + quot[rest]
-                                      for p, rest in enumerate(rests)])
-                pos = np.concatenate([np.column_stack([np.full(len(rest), p), pos[rest]])
-                                      for p, rest in enumerate(rests)])
-            _, first, quot = np.unique(key, return_index=True, return_inverse=True)
-            quotients = [self._quotient(tuple(self.order[p] for p in pos[j]))
-                         for j in first]
-            start = levels[-1].offset[-1] if levels else 0
+        # level 0 is B (x)_B C^nb: <b_j, b_k>_B = b_j* b_k, B acts on C^nb as
+        # itself and on B by left multiplication
+        q0 = self._quotient((), np.tensordot(base.adj, base.mult, axes=(0, 0)),
+                            base.mult.transpose(0, 2, 1), base.basis)  # rank <= width <= cap
+        pos = np.zeros((1, 0), dtype=np.int64)
+        levels = [_Level(pos, np.zeros(1, dtype=np.int64), np.array([0, q0.rank]), [q0])]
+        for m in range(1, self.max_level + 1):
+            below, start = levels[-1], int(levels[-1].offset[-1])
+            # each summand has rank >= 1, so a level whose sequences outnumber
+            # the room left is refused before they are listed
+            least = start + len(pos) * (len(self.order) - (m > 1))
+            self._refuse_above_cap(least, f"levels 0..{m} have at least {least} dimensions")
+            # prepend each index to the sequences it does not lead
+            rests = [np.flatnonzero(~self._led_by(pos, p)) for p in range(len(self.order))]
+            # a sequence's spec row sorts as (spec of its first index,
+            # quotient of the rest), and quotients are numbered in spec-row
+            # order, so the key orders like the rows
+            nq = len(below.quotients)
+            key = np.concatenate([spec[p] * nq + below.quot[rest]
+                                  for p, rest in enumerate(rests)])
+            pos = np.concatenate([np.column_stack([np.full(len(rest), p), pos[rest]])
+                                  for p, rest in enumerate(rests)])
+            keys, first, quot = np.unique(key, return_index=True, return_inverse=True)
+            quotients = [self._quotient(tuple(self.order[p] for p in pos[j]), data[k // nq].bip_e,
+                                        data[k // nq].left_b, below.quotients[k % nq].left)
+                         for k, j in zip(keys, first)]
             ranks = np.array([q.rank for q in quotients])[quot]
             offset = start + np.concatenate([[0], np.cumsum(ranks)])
+            dim = int(offset[-1])
+            self._refuse_above_cap(dim, f"levels 0..{m} have {dim} dimensions")
             levels.append(_Level(pos, quot, offset, quotients))
         return levels
 
@@ -395,23 +389,33 @@ class FockContext:
                      for j in range(len(lev.pos)))
 
     def label_of_coordinate(self, idx: int) -> FockBasisLabel:
-        """Dominant product label for a global quotient coordinate."""
+        """Dominant product label for a global quotient coordinate: down the
+        chain of representatives, the largest (first slot, coordinate of the
+        rest) entry of each level's representative, ending in level 0's
+        (b_j, u)."""
         if not 0 <= idx < self.total_dim:
             raise ConfigError(f"coordinate {idx} out of range")
         m = int(self.level_of(idx))
         s = self._summand(m, int(np.searchsorted(self._levels[m].offset, idx, "right")) - 1)
-        dims = [self.factors[i].e_dim for i in s.seq] if s.seq else [self.base.dim]
-        rep = np.abs(s.w[:, idx - s.offset])
-        *comps, b_slot = np.unravel_index(int(np.argmax(rep)), dims + [self.base.ambient_dim])
-        return FockBasisLabel(m, s.seq, tuple(map(int, comps)), int(b_slot))
+        coord, comps = idx - s.offset, []
+        for t in range(m + 1):
+            w = self.summand(s.seq[t:]).w
+            rest = self.summand(s.seq[t + 1:]).rank if t < m else self.base.ambient_dim
+            comp, coord = np.unravel_index(int(np.argmax(np.abs(w[:, coord]))),
+                                           (len(w) // rest, rest))
+            comps.append(int(comp))
+        return FockBasisLabel(m, s.seq, tuple(comps), int(coord))
 
     def summary(self) -> dict:
-        levels = []
+        """Dimensions per level and summand; a summand's ``product_dim`` is
+        that of its product space E_{i_1}deg (x) ... (x) E_{i_m}deg (x) C^nb,
+        B (x) C^nb at level 0, of which its quotient keeps ``rank``."""
+        levels, nb = [], self.base.ambient_dim
         for m, lev in enumerate(self._levels):
-            entries = [
-                {"sequence": list(s.seq), "product_dim": s.prod_dim, "rank": s.rank}
-                for s in (self._summand(m, j) for j in range(len(lev.pos)))
-            ]
+            entries = [{"sequence": list(s.seq), "product_dim": nb * math.prod(
+                            [self.factors[i].e_dim for i in s.seq] or [self.base.dim]),
+                        "rank": s.rank}
+                       for s in (self._summand(m, j) for j in range(len(lev.pos)))]
             levels.append({"level": m, "dim": sum(e["rank"] for e in entries),
                            "summands": entries})
         return {
@@ -423,20 +427,19 @@ class FockContext:
 
     # -- operator assembly ---------------------------------------------------
 
-    def _template(self, parts, slots) -> _Template:
+    def _template(self, parts, terms: int, blocks) -> _Template:
         """Template of parts (target level, target rows, source level, source
-        rows): term j acts on the first tensor slot of source quotient sq by
-        slots(sq)[j]. The blocks are computed once per source quotient, which
+        rows) with the given number of terms: blocks(tq, sq) stacks the
+        (terms, tq.rank, sq.rank) blocks from source quotient sq to target
+        quotient tq. The blocks are computed once per source quotient, which
         fixes the target one, and placed at every summand pair (tgt_rows[j],
         src_rows[j]) that uses it; positions where every term is 0 are not stored."""
-        terms, empty = len(slots(self._levels[0].quotients[0])), np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
         coo = [(np.zeros((terms, 0), dtype=complex), empty, empty)]
         for tgt, tgt_rows, src, src_rows in parts:
             for q in np.flatnonzero(np.bincount(src.quot[src_rows])):
                 sel = src.quot[src_rows] == q
-                tq, sq = tgt.quotients[tgt.quot[tgt_rows[sel][0]]], src.quotients[q]
-                blk = np.stack([tq.cmap @ np.kron(a, np.eye(sq.prod_dim // a.shape[1])) @ sq.w
-                                for a in slots(sq)])
+                blk = blocks(tgt.quotients[tgt.quot[tgt_rows[sel][0]]], src.quotients[q])
                 r, c = np.nonzero((np.abs(blk) > 0.0).any(axis=0))
                 coo.append((np.tile(blk[:, r, c], np.count_nonzero(sel)),
                             (tgt.offset[tgt_rows[sel]][:, None] + r).reshape(-1),
@@ -462,15 +465,16 @@ class FockContext:
         """Creation operators of the E-deg basis vectors e_s of factor k, s < e."""
 
         def build():
-            fk, pk = self.factors[k], self._pos[k]
-            e_cols = np.eye(fk.e_dim, dtype=complex)[:, :, None]
-            ymats = fk.right_b.transpose(2, 1, 0)  # ymats[s][:, j] = right_b[j] e_s
+            e, pk = self.factors[k].e_dim, self._pos[k]
             # a level lists the index at position p prepended to each sequence
             # of the level below not led by p, in order, for p = 0, 1, ...
             parts = [(tgt, np.flatnonzero(self._led_by(tgt.pos, pk)),
                       src, np.flatnonzero(~self._led_by(src.pos, pk)))
                      for src, tgt in zip(self._levels, self._levels[1:])]
-            return self._template(parts, lambda sq: e_cols if sq.seq else ymats)
+            # the target quotient's rest is the source one: e_s (x) h sits at
+            # the coordinates (s, h) of its width
+            return self._template(parts, e, lambda tq, sq: tq.cmap.reshape(
+                tq.rank, e, sq.rank).transpose(1, 0, 2))
 
         return self._structure(("creation", k), build)
 
@@ -478,24 +482,27 @@ class FockContext:
         """Adjoints of the creation operators of factor k, term for term."""
         return self._structure(("annihilation", k), lambda: self._creation_template(k).adjoint())
 
-    def _first_slot_template(self, led, slots) -> _Template:
-        """Block-diagonal on the summands led(pos) selects; level 0's first slot is B."""
+    def _first_slot_template(self, led, terms: int, blocks) -> _Template:
+        """Block-diagonal on the summands led(pos) selects."""
         return self._template([(lev, rows, lev, rows) for lev in self._levels
-                               for rows in [np.flatnonzero(led(lev.pos))]], slots)
+                               for rows in [np.flatnonzero(led(lev.pos))]], terms, blocks)
 
     def _diagonal_template(self, k: int) -> _Template:
-        """First-slot matrix units e_s e_t* on summands led by factor k, s-major."""
+        """First-slot matrix units e_s e_t* on summands led by factor k, s-major:
+        cmap's columns of slot s times w's rows of slot t."""
         e = self.factors[k].e_dim
+
+        def units(_, q: Summand) -> np.ndarray:
+            cmap3 = q.cmap.reshape(q.rank, e, -1).transpose(1, 0, 2)[:, None]
+            return (cmap3 @ q.w.reshape(e, -1, q.rank)).reshape(e * e, q.rank, q.rank)
+
         return self._structure(("diagonal", k), lambda: self._first_slot_template(
-            lambda pos: self._led_by(pos, self._pos[k]),
-            lambda q: np.eye(e * e, dtype=complex).reshape(e * e, e, e)))
+            lambda pos: self._led_by(pos, self._pos[k]), e * e, units))
 
     def _leftb_template(self) -> _Template:
         """Left actions of the basis elements b_j of B on every summand."""
-        lmats = self.base.mult.transpose(0, 2, 1)  # lmats[j][k', k] = coords of b_j b_k
         return self._structure(("leftb",), lambda: self._first_slot_template(
-            lambda pos: np.ones(len(pos), dtype=bool),
-            lambda q: self.factors[q.seq[0]].left_b if q.seq else lmats))
+            lambda pos: np.ones(len(pos), dtype=bool), self.base.dim, lambda _, q: q.left))
 
     def _letter(self, k: int) -> "_Letter":
         """Factor k's letter templates on the union of their patterns."""
@@ -639,9 +646,10 @@ class FockContext:
     def vacuum_expectation(self, x: FockOperator) -> np.ndarray:
         """B-coordinates of the compression of x to the unit at level zero;
         level zero is the first block of coordinates, and only it enters."""
-        s0 = self._levels[0].quotients[0]
-        base = self.base
-        u = s0.cmap @ np.kron(base.unit_coords.reshape(-1, 1), np.eye(base.ambient_dim))
+        s0, base = self._levels[0].quotients[0], self.base
+        # column u: the coordinates of 1 (x) u in B (x)_B C^nb
+        u = np.tensordot(s0.cmap.reshape(s0.rank, base.dim, base.ambient_dim),
+                         base.unit_coords, axes=(1, 0))
         f = u.conj().T @ (x.matrix[:s0.rank, :s0.rank] @ u)
         return base.expand(np.asarray(f))
 

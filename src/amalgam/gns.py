@@ -53,13 +53,6 @@ class GnsModule:
         """Matrix on the carrier of left multiplication by a."""
         return np.tensordot(as_complex(a_coords), self.left_action_basis, axes=(0, 0))
 
-    def right_action(self, b_coords) -> np.ndarray:
-        """Matrix on the carrier of the right action of b in B: column j is
-        hat(x_j b) for the representative x_j of carrier vector j."""
-        full = self.source.sub_to_full(b_coords)
-        prods = np.tensordot(self.source.algebra.mult, full, axes=(1, 0))  # a_l b
-        return self.hat_matrix @ (prods.T @ self.carrier_basis)
-
 
 @dataclass(frozen=True)
 class ModuleVector:

@@ -125,27 +125,6 @@ def letter_norms(ctx: FockContext, w: Word) -> list[float]:
     return [ctx.factors[a.owner].spec.algebra.norm(a.coords) for a in w.letters]
 
 
-def block_decomposition(ctx: FockContext, w: Word, m: int, r: int) -> FockOperator:
-    """P_r w P_m written with creation, diagonal and annihilation factors only:
-    the chain of level difference m + n - r times P_m, and zero for r outside
-    [|m - n|, m + n], where n is the word length. Requires m + n <= M so
-    truncation cannot alter either side.
-    """
-    n = w.length
-    if m + n > ctx.max_level:
-        raise TruncationError(
-            f"m + n = {m + n} exceeds the truncation level {ctx.max_level}; "
-            "the identity is not exact there"
-        )
-    if not (0 <= m <= ctx.max_level and 0 <= r <= ctx.max_level):
-        raise TruncationError("block levels outside the context")
-    _check_letters(ctx, w)
-    if not abs(m - n) <= r <= m + n:
-        return ctx.zero()
-    chain = _chain(_ladder_factors(ctx, [w]), m + n - r)
-    return FockOperator(ctx, chain) @ ctx.level_projection(m)
-
-
 def _direct_sum(blocks, dim: int) -> CSR | None:
     """Block-diagonal CSR of the dim x dim blocks, None for an empty block, or
     None when every block is: the COO build of their entries, shifted along

@@ -7,7 +7,10 @@ from scipy import sparse
 
 import amalgam as am
 from amalgam.errors import TruncationError
-from amalgam.linalg import CSR, DEFAULT_SEED, restricted_sigma_max
+from amalgam.fock import FockOperator
+from amalgam.linalg import (CSR, DEFAULT_SEED, gram_quotient, hermitian_part,
+                            restricted_sigma_max)
+from amalgam.words import _chain, _check_letters, _ladder_factors
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +46,13 @@ def ctx_two3(two_point):
 def ctx_m2diag(m2_diag):
     """Matrix factors over their diagonal: degenerate tensor Grams."""
     return am.build_fock(am.diagonal_base(2), {1: m2_diag, 2: m2_diag}, 4)
+
+
+@pytest.fixture(scope="session")
+def ctx_m3diag():
+    """M_3 over its diagonal D_3, three copies truncated at level 3: a
+    nontrivial B whose interior tensor products drop rank at every level."""
+    return am.build_fock(am.diagonal_base(3), dict.fromkeys(range(3), am.diagonal_in_matn(3)), 3)
 
 
 @pytest.fixture()
@@ -131,6 +141,50 @@ def block_lower(ctx, x, spread, m, r, seed=DEFAULT_SEED) -> float:
     rs, re = ctx.level_range(r)
     sigma, _ = restricted_sigma_max(x.matrix[rs:re, start:end], seed=seed)
     return float(sigma)
+
+
+def block_decomposition(ctx, w, m, r) -> FockOperator:
+    """P_r w P_m written with creation, diagonal and annihilation factors only:
+    the chain of level difference m + n - r times P_m, and zero for r outside
+    [|m - n|, m + n], where n is the word length. Requires m + n <= M so
+    truncation cannot alter either side. The one-block reference for the
+    residuals of ``words.ladder_identity_residuals``.
+    """
+    n = w.length
+    if m + n > ctx.max_level:
+        raise TruncationError(
+            f"m + n = {m + n} exceeds the truncation level {ctx.max_level}; "
+            "the identity is not exact there"
+        )
+    if not (0 <= m <= ctx.max_level and 0 <= r <= ctx.max_level):
+        raise TruncationError("block levels outside the context")
+    _check_letters(ctx, w)
+    if not abs(m - n) <= r <= m + n:
+        return ctx.zero()
+    chain = _chain(_ladder_factors(ctx, [w]), m + n - r)
+    return FockOperator(ctx, chain) @ ctx.level_projection(m)
+
+
+def product_space_rank(ctx, seq) -> int:
+    """Rank of the Gram of a summand in product-space coordinates
+    E_{i_1}deg (x) ... (x) E_{i_m}deg (x) C^nb (B (x) C^nb at level 0), folded
+    slot by slot from the left: a reference for the ranks of the quotients,
+    which ``fock`` builds each on the quotient of the rest instead."""
+    base = ctx.base
+    if not seq:  # coords of b_j* b_k
+        r = np.tensordot(base.adj, base.mult, axes=(0, 0))
+    else:
+        r = ctx.factors[seq[0]].bip_e
+        for i in seq[1:]:
+            f = ctx.factors[i]
+            # kmat[s, t, d, c]: coordinate d of <e_s, b_c e_t>_B
+            kmat = np.einsum("sud,cut->stdc", f.bip_e, f.left_b)
+            r = np.einsum("stdc,pqc->psqtd", kmat, r)
+            p = r.shape[0] * r.shape[1]
+            r = r.reshape(p, p, base.dim)
+    g = np.einsum("pqd,dtu->ptqu", r, base.basis)
+    p = r.shape[0] * base.ambient_dim
+    return gram_quotient(hermitian_part(g.reshape(p, p)))[0].shape[1]
 
 
 def load_bench_tracer():

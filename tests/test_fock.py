@@ -1,31 +1,35 @@
 import itertools
 import sys
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import numpy as np
 import pytest
 
 import amalgam as am
-from amalgam.cli import _factor_context
+from amalgam.cli import FACTOR_CONFIGS, _factor_context
 from amalgam.errors import CapacityError, ConfigError, StructureError
 from amalgam.fock import DEFAULT_MAX_DIM, FockContext, build_fock
 from amalgam.gns import ModuleVector, inner_product, module_norm
 from amalgam.linalg import CSR, adjoint, as_complex, frobenius
 from amalgam.shift import shift_word
-from amalgam.words import Word, word_operator
-from conftest import (cyclic, dense, load_bench_tracer, pulled_back, random_centered,
-                      spectral_norm)
+from amalgam.words import Word, norm_lower, word_operator
+from conftest import (cyclic, dense, load_bench_tracer, product_space_rank, pulled_back,
+                      random_centered, spectral_norm)
 
 
 def lambda_direct(ctx, i, a_coords):
     """Letter representation built directly from the defining case split.
 
-    Independent of the production path (which assembles creation, diagonal
-    and annihilation parts): this one applies, per summand, the action on the
-    unit (B-part plus hat-part) and the two tensor cases, prepend versus
-    first-slot absorption.
+    Independent of the production path (which folds creation, diagonal,
+    annihilation and left-B templates): this one applies, per summand, the
+    action on the unit (B-part plus hat-part) and the two tensor cases,
+    prepend versus first-slot absorption. A summand of level m >= 1 has the
+    width (e_s, coordinate of the summand of the rest), level 0 the width
+    (b_j, u): prepending maps a source quotient straight into the target
+    width, and annihilation lands in the summand of the rest through B's left
+    action on it.
     """
     base = ctx.base
     fi = ctx.factors[i]
@@ -45,26 +49,28 @@ def lambda_direct(ctx, i, a_coords):
                 phi_mat[:, j] = spec.apply(prod)
                 centered = prod - spec.sub_to_full(spec.apply(prod))
                 e_mat[:, j], _ = fi.hat_split(centered)
-            blocks.append(((src, src), np.kron(phi_mat, np.eye(nb))))
+            blocks.append(((src, src), src.cmap @ np.kron(phi_mat, np.eye(nb)) @ src.w))
             if ctx.max_level >= 1:
+                # (a b_j)deg (x) (1 (x) u), with 1 (x) u in level-0 coordinates
+                ones = src.cmap @ np.kron(base.unit_coords.reshape(-1, 1), np.eye(nb))
                 tgt = ctx.summand((i,))
-                blocks.append(((tgt, src), np.kron(e_mat, np.eye(nb))))
+                blocks.append(((tgt, src), tgt.cmap @ np.kron(e_mat, ones) @ src.w))
         elif seq[0] != i:
             centered = a_coords - spec.sub_to_full(spec.apply(a_coords))
             h, _ = fi.hat_split(centered)
             if len(seq) < ctx.max_level:
                 tgt = ctx.summand((i,) + seq)
                 blocks.append(
-                    ((tgt, src), np.kron(h.reshape(-1, 1), np.eye(src.prod_dim)))
+                    ((tgt, src), tgt.cmap @ np.kron(h.reshape(-1, 1), np.eye(src.rank)))
                 )
             f1 = ctx.factors[seq[0]]
             lb = np.tensordot(spec.apply(a_coords), f1.left_b, axes=(0, 0))
-            rest = src.prod_dim // f1.e_dim
-            blocks.append(((src, src), np.kron(lb, np.eye(rest))))
+            rest = len(src.w) // f1.e_dim
+            blocks.append(((src, src), src.cmap @ np.kron(lb, np.eye(rest)) @ src.w))
         else:
             rho = fi.rho_slot(a_coords)
-            rest = src.prod_dim // fi.e_dim
-            blocks.append(((src, src), np.kron(rho, np.eye(rest))))
+            rest = len(src.w) // fi.e_dim
+            blocks.append(((src, src), src.cmap @ np.kron(rho, np.eye(rest)) @ src.w))
             hat_astar = fi.mod.hat(spec.algebra.adjoint_coords(a_coords))
             ann = np.empty((db, fi.e_dim), dtype=complex)
             for j1 in range(fi.e_dim):
@@ -74,21 +80,12 @@ def lambda_direct(ctx, i, a_coords):
                     fi.e_basis[:, j1],
                     fi.mod.bip_full,
                 )
-            if len(seq) == 1:
-                tgt = ctx.summand(())
-                blocks.append(((tgt, src), np.kron(ann, np.eye(nb))))
-            else:
-                f2 = ctx.factors[seq[1]]
-                tgt = ctx.summand(seq[1:])
-                rest2 = src.prod_dim // (fi.e_dim * f2.e_dim)
-                c = np.zeros((f2.e_dim, fi.e_dim * f2.e_dim), dtype=complex)
-                for j1 in range(fi.e_dim):
-                    lb = np.tensordot(ann[:, j1], f2.left_b, axes=(0, 0))
-                    c[:, j1 * f2.e_dim:(j1 + 1) * f2.e_dim] = lb
-                blocks.append(((tgt, src), np.kron(c, np.eye(rest2))))
+            # e_t (x) h -> <hat a*, e_t>_B h, h in the summand of the rest
+            tgt = ctx.summand(seq[1:])
+            lands = np.einsum("dt,dab->atb", ann, tgt.left).reshape(tgt.rank, -1)
+            blocks.append(((tgt, src), lands @ src.w))
     out = np.zeros((ctx.total_dim, ctx.total_dim), dtype=complex)
-    for (tgt, src), t in blocks:
-        blk = tgt.cmap @ t @ src.w
+    for (tgt, src), blk in blocks:
         out[tgt.offset:tgt.offset + tgt.rank,
             src.offset:src.offset + src.rank] += blk
     return out
@@ -161,14 +158,30 @@ def test_one_gram_per_level(config, monkeypatch):
     assert [s.seq for s in ctx.summands()] == [seq for level in listed for seq in level]
 
 
-@pytest.mark.parametrize("name", ["different", "equal"])
-def test_mixed_specs(name, rng, monkeypatch):
-    # two different factors; three factors, two of them equal but distinct objects
+def _mixed_factors(name):
+    """Two different factors; or three factors, two of them equal but distinct
+    objects."""
     uniform = am.function_algebra_with_state(2)
     if name == "different":
-        factors = {0: uniform, 1: am.function_algebra_with_state(2, weights=[0.9, 0.1])}
-    else:
-        factors = {0: uniform, 1: am.function_algebra_with_state(2), 2: uniform}
+        return {0: uniform, 1: am.function_algebra_with_state(2, weights=[0.9, 0.1])}
+    return {0: uniform, 1: am.function_algebra_with_state(2), 2: uniform}
+
+
+def _skew_base_context(max_level):
+    """M_2 over D_2, with B in the basis (1, v), v = p + i(1 - p), where
+    v* = (1 - i) 1 + i v: B's adjoint table is not symmetric."""
+    p = np.diag([1.0, 0.0])
+    base = am.star_algebra([np.eye(2), p + 1j * (np.eye(2) - p)])
+    m2 = am.diagonal_in_matn(2).algebra
+    diag_part = np.stack([base.expand(np.diag(np.diag(m))) for m in m2.basis], axis=1)
+    spec = am.AlgebraWithExpectation(m2, base, diag_part)
+    return build_fock(base, {1: spec, 2: spec}, max_level)
+
+
+@pytest.mark.parametrize("name", ["different", "equal"])
+def test_mixed_specs(name, rng, monkeypatch):
+    factors = _mixed_factors(name)
+    uniform = factors[0]
     max_level = 4
     ctx = build_fock(am.scalar_base(), factors, max_level)
     # one quotient per distinct sequence of spec objects in each level
@@ -187,6 +200,28 @@ def test_mixed_specs(name, rng, monkeypatch):
         assert frobenius(pulled_back(ctx, y, cyclic(ctx, 1)) - word_operator(ctx, w).matrix) < 1e-12
 
 
+@pytest.mark.parametrize("name", [*FACTOR_CONFIGS, "m3-diag", "mixed-different",
+                                  "mixed-equal", "skew-base"])
+def test_quotient_ranks_equal_the_product_space_ranks(name, request):
+    # each quotient is built on the quotient of the rest of its sequence; the
+    # reference folds the whole product space. M_3/D_3 stops at level 3: its
+    # level-4 product-space Gram is 3,888 wide
+    if name == "m3-diag":
+        ctx = request.getfixturevalue("ctx_m3diag")
+    elif name == "skew-base":
+        ctx = _skew_base_context(4)
+    elif name.startswith("mixed-"):
+        ctx = build_fock(am.scalar_base(), _mixed_factors(name.removeprefix("mixed-")), 4)
+    else:
+        ctx = _factor_context(name, 4, DEFAULT_MAX_DIM)
+    want = {}  # one product-space Gram per sequence of factor data
+    for s in ctx.summands():
+        key = tuple(id(ctx.factors[i]) for i in s.seq)
+        if key not in want:
+            want[key] = product_space_rank(ctx, s.seq)
+        assert s.rank == want[key], s.seq
+
+
 def test_summand_lookup_refuses_non_summands(ctx_two2):
     for seq in [(1, 1), (3,), (1, 2, 1, 2, 1)]:
         with pytest.raises(ConfigError):
@@ -201,12 +236,14 @@ def test_rows_number_each_level_in_listing_order(config):
         np.testing.assert_array_equal(ctx._rows(lev.pos), np.arange(len(lev.pos)))
 
 
-def test_permutation_refuses_a_map_that_is_no_bijection(ctx_two3):
-    assert np.array_equal(ctx_two3.permutation(cyclic(ctx_two3, 0)), np.arange(ctx_two3.total_dim))
+@pytest.mark.parametrize("fixture", ["ctx_two3", "ctx_m3diag"])
+def test_permutation_refuses_a_map_that_is_no_bijection(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    assert np.array_equal(ctx.permutation(cyclic(ctx, 0)), np.arange(ctx.total_dim))
     for mapping in [{0: 1, 1: 1, 2: 2}, {0: 1, 1: 0}, {0: 1, 1: 2, 2: 3},
                     {0: 1, 1: 2, 2: 0, 3: 3}]:
         with pytest.raises(ConfigError, match="not a bijection"):
-            ctx_two3.permutation(mapping)
+            ctx.permutation(mapping)
 
 
 def test_permutation_refuses_a_map_that_changes_a_rank():
@@ -233,6 +270,40 @@ def test_capacity_cap():
     with pytest.raises(CapacityError) as err:
         build_fock(am.scalar_base(), {i: two for i in range(4)}, 6, max_dim=50)
     assert err.value.required is not None and err.value.required > 50
+
+
+def _m3diag_context(copies, max_level, **kw):
+    return build_fock(am.diagonal_base(3), dict.fromkeys(range(copies), am.diagonal_in_matn(3)),
+                      max_level, **kw)
+
+
+@pytest.mark.parametrize("config", ["two-point-3", "m2-diag", "m3-diag"])
+def test_capacity_refusal_is_exact(config):
+    # a context builds exactly when its dimension fits the cap
+    if config == "m3-diag":
+        build = partial(_m3diag_context, 4, 4)
+    else:
+        build = partial(_factor_context, config, 6)
+    total = build(max_dim=10**6).total_dim
+    assert build(max_dim=total).total_dim == total
+    with pytest.raises(CapacityError) as err:
+        build(max_dim=total - 1)
+    assert err.value.required == total
+
+
+def test_capacity_refusal_before_listing_or_forming():
+    # m2-diag at M=6: levels 0..5 hold 22 dimensions, and level 6 has two
+    # summands of rank 2. A cap of 23 refuses level 6 from its sequence count
+    # alone, at least one dimension each, before they are listed
+    with pytest.raises(CapacityError) as err:
+        _factor_context("m2-diag", 6, 23)
+    assert err.value.required == 24
+    # M_3/D_3 on two copies: levels 0..3 hold 87 dimensions; level 4's Gram
+    # is 6 * 24 = 144 wide, and a cap of 100 refuses it before it is formed
+    with pytest.raises(CapacityError, match="144 wide") as err:
+        _m3diag_context(2, 4, max_dim=100)
+    assert err.value.required == 144
+    assert _m3diag_context(2, 4, max_dim=183).total_dim == 183
 
 
 def test_single_factor_rejected(two_point):
@@ -427,7 +498,7 @@ def test_lambda_of_b_is_index_independent(ctx_m2diag, rng):
     assert (lam1 - lam2).frobenius() < 1e-10
 
 
-@pytest.mark.parametrize("fixture", ["ctx_two2", "ctx_two3", "ctx_m2diag"])
+@pytest.mark.parametrize("fixture", ["ctx_two2", "ctx_two3", "ctx_m2diag", "ctx_m3diag"])
 def test_lambda_matches_direct_formula(fixture, rng, request):
     # dual route: production assembly vs the defining two-case action
     ctx = request.getfixturevalue(fixture)
@@ -541,16 +612,11 @@ def test_vacuum_expectation_recovers_phi(ctx_m2diag, rng):
 
 
 def test_context_over_a_base_basis_that_is_not_self_adjoint(ctx_m2diag, rng):
-    # B = D_2 in the basis (1, v), v = p + i(1 - p), where v* = (1 - i) 1 + i v:
-    # B's adjoint table is not symmetric. M_2 over it is m2-diag in other
-    # coordinates of B, so the levels keep their dimensions.
-    p = np.diag([1.0, 0.0])
-    base = am.star_algebra([np.eye(2), p + 1j * (np.eye(2) - p)])
+    # M_2 over B = D_2 in a basis whose adjoint table is not symmetric is
+    # m2-diag in other coordinates of B, so the levels keep their dimensions
+    ctx = _skew_base_context(ctx_m2diag.max_level)
+    base, spec = ctx.base, ctx.factors[1].spec
     np.testing.assert_allclose(base.adj, [[1, 1 - 1j], [0, 1j]], atol=1e-12)
-    m2 = ctx_m2diag.factors[1].spec.algebra
-    diag_part = np.stack([base.expand(np.diag(np.diag(m))) for m in m2.basis], axis=1)
-    spec = am.AlgebraWithExpectation(m2, base, diag_part)
-    ctx = build_fock(base, {1: spec, 2: spec}, ctx_m2diag.max_level)
     assert [lev["dim"] for lev in ctx.summary()["levels"]] == [
         lev["dim"] for lev in ctx_m2diag.summary()["levels"]]
     np.testing.assert_allclose(ctx.vacuum_expectation(ctx.identity()), base.unit_coords,
@@ -635,6 +701,46 @@ def test_adjoint_is_conjugate_transpose(ctx_m2diag, rng):
     np.testing.assert_allclose(
         dense(psi.H), dense(psi).conj().T, atol=0
     )
+
+
+def test_m3diag_values_at_four_copies():
+    # M_3 over D_3, 4 copies at M=4 (6,219 dimensions). The values are those
+    # of commit dd9f3f2, which built every Gram in product-space coordinates
+    # (25 s and 1.1 GB for this context), for these same seeded letters,
+    # printed with repr
+    spec = am.diagonal_in_matn(3)
+    ctx = _m3diag_context(4, 4)
+    assert ctx.total_dim == 6219
+    seeded = np.random.default_rng(3)
+    w = Word(tuple(random_centered(spec, i, seeded) for i in (0, 1, 2)))
+    a = seeded.standard_normal(spec.algebra.dim) + 1j * seeded.standard_normal(spec.algebra.dim)
+    x = word_operator(ctx, w)
+    assert norm_lower(ctx, x, w.length).lower == pytest.approx(10.706756806705265, rel=1e-12)
+    np.testing.assert_allclose(
+        ctx.vacuum_expectation(ctx.represent(3, a)),
+        [-0.2148289111268558 + 0.7572210447581504j, 0.690124770162812 + 1.156401048432157j,
+         -0.9640996635412404 - 0.6092161379498706j], rtol=1e-12)
+    np.testing.assert_allclose(ctx.vacuum_expectation(x.H @ x),
+                               [14.945041661044282, 85.10975157213612, 33.54668135389027],
+                               rtol=1e-12)
+    # one level more: 37,323 dimensions, out of reach of the product space
+    assert _m3diag_context(4, 5, max_dim=37323).total_dim == 37323
+
+
+@pytest.mark.parametrize("fixture", ["ctx_two3", "ctx_m2diag", "ctx_m3diag"])
+def test_labels_follow_the_chain_of_representatives(fixture, request):
+    # a label names one component per E-deg slot, then B's, and the slot of
+    # C^nb; over matrix units each coordinate of a summand is its own path
+    ctx = request.getfixturevalue(fixture)
+    for s in ctx.summands():
+        labels = [ctx.label_of_coordinate(s.offset + c) for c in range(s.rank)]
+        assert len(set(labels)) == s.rank
+        dims = [ctx.factors[i].e_dim for i in s.seq] + [ctx.base.dim]
+        for label in labels:
+            assert (label.level, label.indices) == (len(s.seq), s.seq)
+            assert len(label.components) == len(dims)
+            assert all(0 <= c < d for c, d in zip(label.components, dims))
+            assert 0 <= label.b_slot < ctx.base.ambient_dim
 
 
 def test_summary_reports_total_dim(ctx_two2):

@@ -42,20 +42,16 @@ def skew_basis():
     a11_expectation, complex_state, skew_basis,
 ], ids=["two_point", "m2_diag", "a11", "complex_state", "skew_basis"])
 def test_actions_and_inner_products_of_hats_are_products(make, rng):
-    # oracles from ambient matrix products: left_action(a) hat(x) = hat(a x),
-    # right_action(b) hat(x) = hat(x b) and <hat x, hat y> = phi(x* y)
+    # oracles from ambient matrix products: left_action(a) hat(x) = hat(a x)
+    # and <hat x, hat y> = phi(x* y)
     spec = make()
-    mod, alg, db = build_gns(spec), spec.algebra, spec.subalgebra.dim
+    mod, alg = build_gns(spec), spec.algebra
     for _ in range(10):
         a, x, y = (rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
                    for _ in range(3))
-        b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
         ma, mx, my = alg.matrix(a), alg.matrix(x), alg.matrix(y)
-        mb = alg.matrix(spec.sub_to_full(b))
         np.testing.assert_allclose(mod.left_action(a) @ mod.hat(x),
                                    mod.hat(alg.expand(ma @ mx)), atol=1e-10)
-        np.testing.assert_allclose(mod.right_action(b) @ mod.hat(x),
-                                   mod.hat(alg.expand(mx @ mb)), atol=1e-10)
         hx, hy = ModuleVector(mod, mod.hat(x)), ModuleVector(mod, mod.hat(y))
         np.testing.assert_allclose(inner_product(mod, hx, hy),
                                    spec.apply(alg.expand(mx.conj().T @ my)), atol=1e-10)
@@ -161,20 +157,6 @@ def test_gram_is_hermitian(m2_diag, rng):
         lhs = mod.source.subalgebra.matrix(inner_product(mod, x, y))
         rhs = mod.source.subalgebra.matrix(inner_product(mod, y, x))
         np.testing.assert_allclose(lhs.conj().T, rhs, atol=1e-10)
-
-
-def test_right_action_compatibility(m2_diag, rng):
-    # <x, y b> = <x, y> b
-    mod = build_gns(m2_diag)
-    sub = mod.source.subalgebra
-    for _ in range(10):
-        x = ModuleVector(mod, rng.standard_normal(mod.carrier_dim))
-        y = ModuleVector(mod, rng.standard_normal(mod.carrier_dim))
-        b = rng.standard_normal(sub.dim) + 1j * rng.standard_normal(sub.dim)
-        yb = ModuleVector(mod, mod.right_action(b) @ y.coords)
-        lhs = sub.matrix(inner_product(mod, x, yb))
-        rhs = sub.matrix(inner_product(mod, x, y)) @ sub.matrix(b)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
 def test_module_norm_positive(two_point):

@@ -214,19 +214,23 @@ def test_vacuum_value_is_analytic_for_unit_letters():
         assert abs(norm_lower(ctx, op, ctx.max_level).lower - 1.0 / np.sqrt(n)) < 1e-12
 
 
-def test_shift_equivariance_at_matrix_level():
+@pytest.mark.parametrize("name", ["two-point", "m2-diag", "m3-diag"])
+def test_shift_equivariance_at_matrix_level(name, request):
     # on a window of copies of one factor, shifting a word by k is the cyclic
     # relabelling by k, array for array, while the shifted word stays inside
     rng = np.random.default_rng(3)
-    for ctx in (build_shift_context(TWO_POINT, BASE, range(0, 6), 4),
-                build_shift_context(am.diagonal_in_matn(2), am.diagonal_base(2),
-                                    range(0, 4), 3)):
-        for p in (1, 2, 3):
-            spec = ctx.factors[0].spec
-            w = Word(tuple(random_centered(spec, j % 2, rng) for j in range(p)))
-            for k in range(1, len(ctx.order) - max(w.indices)):
-                y = word_operator(ctx, shift_word(w, k))
-                assert_same_csr(pulled_back(ctx, y, cyclic(ctx, k)), word_operator(ctx, w).matrix)
+    if name == "two-point":
+        ctx = build_shift_context(TWO_POINT, BASE, range(0, 6), 4)
+    elif name == "m2-diag":
+        ctx = build_shift_context(am.diagonal_in_matn(2), am.diagonal_base(2), range(0, 4), 3)
+    else:
+        ctx = request.getfixturevalue("ctx_m3diag")
+    for p in (1, 2, 3):
+        spec = ctx.factors[0].spec
+        w = Word(tuple(random_centered(spec, j % 2, rng) for j in range(p)))
+        for k in range(1, len(ctx.order) - max(w.indices)):
+            y = word_operator(ctx, shift_word(w, k))
+            assert_same_csr(pulled_back(ctx, y, cyclic(ctx, k)), word_operator(ctx, w).matrix)
 
 
 @pytest.mark.parametrize("weights, far", [([0.2, 0.3, 0.5], False),

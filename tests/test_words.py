@@ -16,7 +16,6 @@ from amalgam.linalg import GRAM_LIMIT
 from amalgam.words import (
     Word,
     WordFamily,
-    block_decomposition,
     family_operator,
     haagerup_upper,
     ladder_identity_residuals,
@@ -26,7 +25,8 @@ from amalgam.words import (
     word_operator,
     worst_block_lower,
 )
-from conftest import block_lower, dense, random_centered, sign_letter, spectral_norm
+from conftest import (block_decomposition, block_lower, dense, random_centered, sign_letter,
+                      spectral_norm)
 
 
 def random_word(ctx, n, rng):
