@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, StructureError
-from .linalg import RANK_RTOL, as_complex, rank_from_spectrum
+from .linalg import DEFAULT_SEED, RANK_RTOL, as_complex, rank_from_spectrum
 
 POSITIVITY_SAMPLES = 200
 WITNESS_SAMPLES = 100
@@ -211,7 +211,7 @@ def _random_coords(rng, dim: int) -> np.ndarray:
 def validate_expectation(
     spec: AlgebraWithExpectation,
     tol: float = 1e-9,
-    seed: int = 0xC0FFEE,
+    seed: int = DEFAULT_SEED,
 ) -> ValidationReport:
     """Run all structural checks on a conditional expectation.
 

@@ -203,10 +203,10 @@ def _kind_fock_report(params, seed, max_dim):
 
     k = ctx.order[0]
     fk = ctx.factors[k]
-    y_carrier = fk.mod.e_basis @ (
+    y_carrier = fk.e_basis @ (
         rng.standard_normal(fk.e_dim) + 1j * rng.standard_normal(fk.e_dim)
     )
-    y = ModuleVector(fk.mod, y_carrier)
+    y = ModuleVector(fk, y_carrier)
     psi = ctx.creation(k, y)
     q_k = ctx.first_slot_projection(k)
     ident = ctx.identity()
@@ -215,9 +215,9 @@ def _kind_fock_report(params, seed, max_dim):
 
     # residuals are Frobenius uppers; psi_norm is a certified lower's distance
     residuals = {
-        "psi_star_psi": ((psi.H @ psi - ctx.left_b_action(inner_product(fk.mod, y, y))
+        "psi_star_psi": ((psi.H @ psi - ctx.left_b_action(inner_product(fk, y, y))
                           @ (ident - q_k)) @ below_top).frobenius(),
-        "psi_norm": abs(restricted_sigma_max(psi.matrix, seed)[0] - module_norm(fk.mod, y)),
+        "psi_norm": abs(restricted_sigma_max(psi.matrix, seed)[0] - module_norm(fk, y)),
         "psi_star_kills_vacuum": (psi.H @ ctx.level_projection(0)).frobenius(),
         "rho_unit": (ctx.diagonal_action(k, unit) - q_k).frobenius(),
         "lambda_unit": (ctx.represent(k, unit) - ident).frobenius(),

@@ -27,8 +27,12 @@ letter representation of each factor algebra, whose parts are left folds of
 their coefficients over templates: the operators of the basis coefficients
 (e_s, e_s e_t*, b_j), whose blocks are slices and contractions of the
 quotients' cmap, w and left, placed at every pair of summands by array
-arithmetic. A letter adds its four parts on the union of their templates,
-cached per factor, by the kernel of ``CSR.from_coo``, so it sorts nothing.
+arithmetic. A letter adds its four parts by the kernel of ``CSR.from_coo``
+on the union of their templates, so it sorts nothing: the union is one
+``CSR.from_coo`` of the template patterns, cached per factor, and each
+template's places in it are ``searchsorted`` on row-major keys. Each factor
+is its ``GnsModule``, whose ``bip_e`` and ``left_b`` are the Gram and left
+B-action the levels read.
 Any term that would raise above the truncation level maps to zero;
 identities involving creation at the top level therefore hold only below it.
 """
@@ -44,20 +48,10 @@ import numpy as np
 
 from .algebra import AlgebraWithExpectation, MatrixStarAlgebra
 from .errors import CapacityError, ConfigError, StructureError
-from .gns import GnsModule, ModuleVector, build_gns
-from .linalg import (
-    CSR,
-    _summed,
-    as_complex,
-    adjoint,
-    frobenius,
-    gram_quotient,
-    hermitian_part,
-    union_pattern,
-)
+from .gns import STRUCT_TOL, GnsModule, ModuleVector, build_gns
+from .linalg import CSR, _summed, as_complex, adjoint, frobenius, gram_quotient, hermitian_part
 
 DEFAULT_MAX_DIM = 20000
-STRUCT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,45 +107,6 @@ class FockOperator:
             raise StructureError("operators live on different Fock contexts")
 
 
-@dataclass
-class _FactorData:
-    spec: AlgebraWithExpectation
-    mod: GnsModule
-    e_basis: np.ndarray  # (d, e)
-    bip_e: np.ndarray  # (e, e, db)
-    left_b: np.ndarray  # (db, e, e)
-
-    @property
-    def e_dim(self) -> int:
-        return self.e_basis.shape[1]
-
-    def hat_split(self, a_coords) -> tuple[np.ndarray, float]:
-        """E-deg coordinates of hat(a) plus the norm of its B-summand part."""
-        h = self.mod.hat(a_coords)
-        e_part = self.e_basis.conj().T @ h
-        b_norm = float(np.linalg.norm(self.mod.b_summand.conj().T @ h))
-        return e_part, b_norm
-
-    def rho_slot(self, a_coords) -> np.ndarray:
-        """First-slot action x -> H(a x) compressed to the E-deg basis."""
-        return self.e_basis.conj().T @ self.mod.left_action(a_coords) @ self.e_basis
-
-
-def _factor_data(spec: AlgebraWithExpectation, base: MatrixStarAlgebra) -> _FactorData:
-    mod, db = build_gns(spec), base.dim
-    e_basis, e = mod.e_basis, mod.e_dim
-    bip_e = np.einsum("us,vt,uvd->std", e_basis.conj(), e_basis, mod.bip_full)
-    left_b = np.empty((db, e, e), dtype=complex)
-    for j in range(db):
-        full = spec.sub_to_full(np.eye(db)[j])
-        act = mod.left_action(full)
-        left_b[j] = e_basis.conj().T @ act @ e_basis
-        off = np.linalg.norm(mod.b_summand.conj().T @ act @ e_basis, 2)
-        if off > STRUCT_TOL * max(np.linalg.norm(act, 2), 1.0):
-            raise StructureError("left B-action does not preserve the unit splitting")
-    return _FactorData(spec, mod, e_basis, bip_e, left_b)
-
-
 def _check_same_subalgebra(base: MatrixStarAlgebra, spec: AlgebraWithExpectation, idx):
     """The factor's subalgebra must match the base B through the basis-aligned
     map: the same unit and the same structure constants."""
@@ -160,12 +115,11 @@ def _check_same_subalgebra(base: MatrixStarAlgebra, spec: AlgebraWithExpectation
         raise ConfigError(
             f"factor {idx}: subalgebra dimension {b.dim} != base dimension {base.dim}"
         )
-    tol = 1e-9
-    if np.linalg.norm(b.unit_coords - base.unit_coords) > tol:
+    if np.linalg.norm(b.unit_coords - base.unit_coords) > STRUCT_TOL:
         raise ConfigError(f"factor {idx}: subalgebra unit differs from the base")
     # the first basis element j whose adjoint, or a product b_j b_k, differs
-    bad_adj = np.linalg.norm(b.adj - base.adj, axis=0) > tol
-    bad = bad_adj | (np.linalg.norm(b.mult - base.mult, axis=2) > tol).any(axis=1)
+    bad_adj = np.linalg.norm(b.adj - base.adj, axis=0) > STRUCT_TOL
+    bad = bad_adj | (np.linalg.norm(b.mult - base.mult, axis=2) > STRUCT_TOL).any(axis=1)
     if bad.any():
         what = "adjoints" if bad_adj[np.argmax(bad)] else "products"
         raise ConfigError(f"factor {idx}: subalgebra {what} differ from the base")
@@ -175,23 +129,18 @@ class _Template(NamedTuple):
     """Structure operators theta_j on the canonical CSR pattern of the union of
     their entries: coef[j] holds theta_j's entries there, 0 where it has none."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    pattern: CSR  # its data 1, 2, ... record where each given entry went
     coef: np.ndarray  # (terms, nnz)
 
     @staticmethod
     def from_coo(rows, cols, coef, n: int) -> "_Template":
-        """Entries coef[:, i] at (rows[i], cols[i]), no position twice; the
-        CSR of the data 1, 2, ... records where each went."""
-        order = CSR.from_coo(rows, cols, np.arange(1, len(rows) + 1), (n, n))
-        return _Template(order.indptr, order.indices, coef[:, order.data - 1])
-
-    def rows(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        """Entries coef[:, i] at (rows[i], cols[i]), no position twice."""
+        pattern = CSR.from_coo(rows, cols, np.arange(1, len(rows) + 1), (n, n))
+        return _Template(pattern, coef[:, pattern.data - 1])
 
     def adjoint(self) -> "_Template":  # of the adjoints theta_j*
-        return _Template.from_coo(self.indices, self.rows(), self.coef.conj(),
-                                  len(self.indptr) - 1)
+        p = self.pattern
+        return _Template.from_coo(p.indices, p.rows, self.coef.conj(), p.shape[0])
 
 
 class _Letter(NamedTuple):
@@ -247,7 +196,7 @@ class _Level:
 class FockContext:
     """Immutable realization of the truncated Fock module. Build via build_fock."""
 
-    def __init__(self, base: MatrixStarAlgebra, factors: dict[int, _FactorData],
+    def __init__(self, base: MatrixStarAlgebra, factors: dict[int, GnsModule],
                  max_level: int, max_dim: int):
         self.base = base
         self.factors = factors
@@ -283,7 +232,7 @@ class FockContext:
 
     def _build_levels(self) -> list[_Level]:
         base, data = self.base, [self.factors[i] for i in self.order]
-        # spec[p]: the first position with the factor data of p; summands whose
+        # spec[p]: the first position with the module of p; summands whose
         # sequences agree in spec slot by slot share one quotient
         spec = np.array([[d is f for d in data].index(True) for f in data])
         # level 0 is B (x)_B C^nb: <b_j, b_k>_B = b_j* b_k, B acts on C^nb as
@@ -465,7 +414,7 @@ class FockContext:
         """Creation operators of the E-deg basis vectors e_s of factor k, s < e."""
 
         def build():
-            e, pk = self.factors[k].e_dim, self._pos[k]
+            e, pk = self._factor(k).e_dim, self._pos[k]
             # a level lists the index at position p prepended to each sequence
             # of the level below not led by p, in order, for p = 0, 1, ...
             parts = [(tgt, np.flatnonzero(self._led_by(tgt.pos, pk)),
@@ -490,7 +439,7 @@ class FockContext:
     def _diagonal_template(self, k: int) -> _Template:
         """First-slot matrix units e_s e_t* on summands led by factor k, s-major:
         cmap's columns of slot s times w's rows of slot t."""
-        e = self.factors[k].e_dim
+        e = self._factor(k).e_dim
 
         def units(_, q: Summand) -> np.ndarray:
             cmap3 = q.cmap.reshape(q.rank, e, -1).transpose(1, 0, 2)[:, None]
@@ -511,9 +460,13 @@ class FockContext:
             templates = (self._creation_template(k), self._diagonal_template(k),
                          self._annihilation_template(k), self._leftb_template())
             n = self.total_dim
-            rows, cols, slots = union_pattern([(t.rows(), t.indices) for t in templates], n)
-            pattern = CSR.from_coo(rows, cols, np.ones(cols.size), (n, n))
-            return _Letter(pattern.indptr, pattern.indices, tuple(slots))
+            rows, cols = (np.concatenate(a) for a in zip(*(
+                (t.pattern.rows, t.pattern.indices) for t in templates)))
+            union = CSR.from_coo(rows, cols, np.ones(cols.size), (n, n))
+            # a canonical CSR lists its entries in increasing row-major keys
+            keys = [p.rows * n + p.indices for p in (union, *(t.pattern for t in templates))]
+            return _Letter(union.indptr, union.indices,
+                           tuple(np.searchsorted(keys[0], key) for key in keys[1:]))
 
         return self._structure(("letter", k), build)
 
@@ -535,8 +488,8 @@ class FockContext:
         data = self._folded(template, coeffs)
         if data is None:
             return self.zero()
-        shape = (self.total_dim,) * 2
-        return FockOperator(self, CSR(data, template.indices, template.indptr, shape).pruned())
+        p = template.pattern
+        return FockOperator(self, CSR(data, p.indices, p.indptr, p.shape).pruned())
 
     # -- public operators ----------------------------------------------------
 
@@ -551,9 +504,13 @@ class FockContext:
         mask[: self.prefix_dim(m)] = 1.0
         return self._diag_operator(mask, f"P<={m}")
 
-    def first_slot_projection(self, k: int) -> FockOperator:
+    def _factor(self, k: int) -> GnsModule:
         if k not in self.factors:
             raise ConfigError(f"index {k} is not a factor of this context")
+        return self.factors[k]
+
+    def first_slot_projection(self, k: int) -> FockOperator:
+        self._factor(k)
         mask = np.concatenate([
             np.repeat(self._led_by(lev.pos, self._pos[k]), np.diff(lev.offset))
             for lev in self._levels
@@ -568,9 +525,9 @@ class FockContext:
 
     def e_coords(self, k: int, y) -> np.ndarray:
         """E-deg coordinates of y in factor k; rejects vectors leaning into B."""
-        fk = self.factors[k]
+        fk = self._factor(k)
         if isinstance(y, ModuleVector):
-            if y.module is not fk.mod:
+            if y.module is not fk:
                 raise StructureError("vector belongs to a different module")
             carrier = y.coords
         else:
@@ -578,7 +535,7 @@ class FockContext:
             if carrier.shape == (fk.e_dim,):
                 return carrier
         e_part = fk.e_basis.conj().T @ carrier
-        b_norm = np.linalg.norm(fk.mod.b_summand.conj().T @ carrier)
+        b_norm = np.linalg.norm(fk.b_summand.conj().T @ carrier)
         if b_norm > STRUCT_TOL * max(np.linalg.norm(carrier), 1.0):
             raise StructureError("creation vector has a component in the B-summand")
         return e_part
@@ -589,7 +546,7 @@ class FockContext:
 
     def diagonal_action(self, k: int, a_coords) -> FockOperator:
         """First-slot action x1 -> H_k(a x1) on tensors led by k, zero elsewhere."""
-        fk = self.factors[k]
+        fk = self._factor(k)
         if np.ndim(a_coords) != 1 or len(a_coords) != fk.spec.algebra.dim:
             raise StructureError(f"expected coordinates in the factor-{k} algebra")
         slot = fk.rho_slot(as_complex(a_coords))
@@ -606,7 +563,7 @@ class FockContext:
         hat(a0), first-slot diagonal action and annihilation by hat(a0*); the
         B-part phi(a) acts by left multiplication everywhere.
         """
-        fi = self.factors[i]
+        fi = self._factor(i)
         a_coords = as_complex(a_coords)
         b_part = fi.spec.apply(a_coords)
         a0 = a_coords - fi.spec.sub_to_full(b_part)
@@ -655,7 +612,7 @@ class FockContext:
 
 
 def build_fock(
-    base,
+    base: MatrixStarAlgebra,
     factors: dict[int, AlgebraWithExpectation],
     max_level: int,
     *,
@@ -663,24 +620,19 @@ def build_fock(
 ) -> FockContext:
     """Assemble the truncated Fock context for the given factor family.
 
-    ``base`` is the algebra playing the role of B in its own ambient matrices
-    (a MatrixStarAlgebra, or an AlgebraWithExpectation whose algebra is B).
-    Every factor must carry a subalgebra matching the base through the
-    basis-aligned identification.
+    ``base`` is the algebra B in its own ambient matrices. Every factor must
+    carry a subalgebra matching the base through the basis-aligned
+    identification; factors given one spec object share one GNS module.
     """
-    if isinstance(base, AlgebraWithExpectation):
-        base_alg = base.algebra
-    else:
-        base_alg = base
     if len(factors) < 2:
         raise ConfigError("an amalgamated free product needs at least two factors")
     if max_level < 0:
         raise ConfigError("the truncation level must be nonnegative")
-    by_spec: dict[int, _FactorData] = {}  # built once per spec object
+    by_spec: dict[int, GnsModule] = {}  # built once per spec object
     for idx in sorted(factors):
         if id(factors[idx]) not in by_spec:
-            _check_same_subalgebra(base_alg, factors[idx], idx)
-            by_spec[id(factors[idx])] = _factor_data(factors[idx], base_alg)
-    fd = {idx: by_spec[id(spec)] for idx, spec in factors.items()}
-    return FockContext(base_alg, fd, max_level, max_dim)
+            _check_same_subalgebra(base, factors[idx], idx)
+            by_spec[id(factors[idx])] = build_gns(factors[idx])
+    return FockContext(base, {idx: by_spec[id(spec)] for idx, spec in factors.items()},
+                       max_level, max_dim)
 

@@ -6,6 +6,10 @@ state "normalized trace on the ambient matrices of B"; completion is vacuous
 at finite dimension. The module splits as B (+) E_deg, where E_deg is the
 orthogonal complement of the image of B under the hat map. The Gram and every
 action are contractions of the multiplication table of A with the carrier.
+The module also keeps what a Fock module of interior tensor products of the
+E_deg reads of it (Lance, Hilbert C*-Modules, ch. 4): E_deg's B-valued Gram
+``bip_e`` and the left action ``left_b`` of B's basis on E_deg, which must
+preserve the unit splitting.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from .algebra import AlgebraWithExpectation
 from .errors import StructureError
 from .linalg import as_complex, gram_quotient, hermitian_part, orthonormal_columns
 
+STRUCT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GnsModule:
@@ -28,14 +34,16 @@ class GnsModule:
     representatives of those basis vectors in A-coordinates.
     """
 
-    source: AlgebraWithExpectation
+    spec: AlgebraWithExpectation
     carrier_basis: np.ndarray  # (dim A, d)
     hat_matrix: np.ndarray  # (d, dim A)
     scalar_gram: np.ndarray  # (dim A, dim A), audit copy
     b_summand: np.ndarray  # (d, db) orthonormal basis of the image of B
     e_basis: np.ndarray  # (d, e) orthonormal basis of E_deg
-    left_action_basis: np.ndarray = field(repr=False, default=None)  # (dim A, d, d)
-    bip_full: np.ndarray = field(repr=False, default=None)  # (d, d, db)
+    left_action_basis: np.ndarray = field(repr=False)  # (dim A, d, d)
+    bip_full: np.ndarray = field(repr=False)  # (d, d, db)
+    bip_e: np.ndarray = field(repr=False)  # (e, e, db): <e_s, e_t>_B
+    left_b: np.ndarray = field(repr=False)  # (db, e, e): b_j on E_deg
 
     @property
     def carrier_dim(self) -> int:
@@ -52,6 +60,15 @@ class GnsModule:
     def left_action(self, a_coords) -> np.ndarray:
         """Matrix on the carrier of left multiplication by a."""
         return np.tensordot(as_complex(a_coords), self.left_action_basis, axes=(0, 0))
+
+    def hat_split(self, a_coords) -> tuple[np.ndarray, float]:
+        """E-deg coordinates of hat(a) plus the norm of its B-summand part."""
+        h = self.hat(a_coords)
+        return self.e_basis.conj().T @ h, float(np.linalg.norm(self.b_summand.conj().T @ h))
+
+    def rho_slot(self, a_coords) -> np.ndarray:
+        """First-slot action x -> H(a x) compressed to the E-deg basis."""
+        return self.e_basis.conj().T @ self.left_action(a_coords) @ self.e_basis
 
 
 @dataclass(frozen=True)
@@ -87,9 +104,15 @@ def build_gns(spec: AlgebraWithExpectation) -> GnsModule:
         raise StructureError("unit splitting failed to span the carrier")
 
     bip = np.einsum("lu,mv,lmd->uvd", carrier.conj(), carrier, phi_bip)
+    bip_e = np.einsum("us,vt,uvd->std", e_basis.conj(), e_basis, bip)
+    # act[j] is the left action of b_j on the carrier; it must map E_deg into itself
+    act = np.tensordot(spec.inclusion.T, left, axes=(1, 0))
+    off = np.linalg.norm(b_summand.conj().T @ act @ e_basis, 2, axis=(1, 2))
+    if (off > STRUCT_TOL * np.maximum(np.linalg.norm(act, 2, axis=(1, 2)), 1.0)).any():
+        raise StructureError("left B-action does not preserve the unit splitting")
 
     return GnsModule(
-        source=spec,
+        spec=spec,
         carrier_basis=carrier,
         hat_matrix=hat_matrix,
         scalar_gram=gram,
@@ -97,6 +120,8 @@ def build_gns(spec: AlgebraWithExpectation) -> GnsModule:
         e_basis=e_basis,
         left_action_basis=left,
         bip_full=bip,
+        bip_e=bip_e,
+        left_b=e_basis.conj().T @ act @ e_basis,
     )
 
 
@@ -113,5 +138,5 @@ def inner_product(mod: GnsModule, x: ModuleVector, y: ModuleVector) -> np.ndarra
 def module_norm(mod: GnsModule, x: ModuleVector) -> float:
     """||x||_E = || <x, x> ||_B, the ambient operator norm of the B-valued square."""
     sq = inner_product(mod, x, x)
-    return float(np.sqrt(mod.source.subalgebra.norm(sq)))
+    return float(np.sqrt(mod.spec.subalgebra.norm(sq)))
 

@@ -22,7 +22,8 @@ Conventions used across the package:
 * sparse operators are ``CSR`` matrices, canonical by construction, whose
   kernels compute scipy.sparse's values entry for entry: every sum, product
   and transpose is built by ``CSR.from_coo``, which adds each entry's terms
-  to 0 in the order given;
+  to 0 in the order given, and is the one routine that groups entries by
+  position;
 * every upper bound on an operator norm, and so every residual checked
   against a tolerance, is the Frobenius norm from ``frobenius``.
 """
@@ -90,19 +91,6 @@ def _groups(rows: np.ndarray, cols: np.ndarray, ncols: int):
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return order, first
-
-
-def union_pattern(patterns, ncols: int):
-    """The union of entry patterns, each a pair (rows, cols) that holds no
-    position twice: its entries (rows, cols) in row-major order, and the
-    place of each pattern's entries among them."""
-    rows = np.concatenate([r for r, _ in patterns])
-    cols = np.concatenate([c for _, c in patterns])
-    order, first = _groups(rows, cols, ncols)
-    place = np.empty(order.size, dtype=np.intp)
-    place[order] = np.cumsum(first) - 1
-    keep = order[first]
-    return rows[keep], cols[keep], np.split(place, np.cumsum([len(c) for _, c in patterns])[:-1])
 
 
 def csr_sum(matrices: list["CSR"]) -> "CSR":

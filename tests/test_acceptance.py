@@ -171,7 +171,7 @@ def test_criterion_6_unit_identities(ctx_two2, ctx_m2diag):
         k = ctx.order[0]
         fk = ctx.factors[k]
         y = ModuleVector(
-            fk.mod,
+            fk,
             fk.e_basis @ (rng.standard_normal(fk.e_dim) + 1j * rng.standard_normal(fk.e_dim)),
         )
         psi = ctx.creation(k, y)
@@ -179,9 +179,9 @@ def test_criterion_6_unit_identities(ctx_two2, ctx_m2diag):
         ident = ctx.identity()
         below = ctx.level_projection_up_to(ctx.max_level - 1)
 
-        rhs = ctx.left_b_action(inner_product(fk.mod, y, y)) @ (ident - q)
+        rhs = ctx.left_b_action(inner_product(fk, y, y)) @ (ident - q)
         assert ((psi.H @ psi - rhs) @ below).frobenius() < 1e-9
-        assert abs(spectral_norm(psi) - module_norm(fk.mod, y)) < 1e-9
+        assert abs(spectral_norm(psi) - module_norm(fk, y)) < 1e-9
         assert (ctx.diagonal_action(k, fk.spec.algebra.unit_coords) - q).frobenius() < 1e-9
         assert (ctx.represent(k, fk.spec.algebra.unit_coords) - ident).frobenius() < 1e-9
         for m in range(ctx.max_level + 1):

@@ -71,14 +71,14 @@ def lambda_direct(ctx, i, a_coords):
             rho = fi.rho_slot(a_coords)
             rest = len(src.w) // fi.e_dim
             blocks.append(((src, src), src.cmap @ np.kron(rho, np.eye(rest)) @ src.w))
-            hat_astar = fi.mod.hat(spec.algebra.adjoint_coords(a_coords))
+            hat_astar = fi.hat(spec.algebra.adjoint_coords(a_coords))
             ann = np.empty((db, fi.e_dim), dtype=complex)
             for j1 in range(fi.e_dim):
                 ann[:, j1] = np.einsum(
                     "u,v,uvd->d",
                     np.conj(hat_astar),
                     fi.e_basis[:, j1],
-                    fi.mod.bip_full,
+                    fi.bip_full,
                 )
             # e_t (x) h -> <hat a*, e_t>_B h, h in the summand of the rest
             tgt = ctx.summand(seq[1:])
@@ -389,6 +389,22 @@ def test_unknown_first_index(ctx_two2):
         ctx_two2.first_slot_projection(99)
 
 
+@pytest.mark.parametrize("method", ["represent", "letter_parts", "creation", "diagonal_action",
+                                    "first_slot_projection", "e_coords"])
+def test_an_index_that_is_not_a_factor_is_refused(ctx_two2, method):
+    args = {"creation": [[1.0]], "e_coords": [[1.0]], "first_slot_projection": []}
+    with pytest.raises(ConfigError, match="index 9 is not a factor of this context"):
+        getattr(ctx_two2, method)(9, *args.get(method, [[1.0, -1.0]]))
+
+
+def test_one_spec_object_is_one_module(two_point):
+    other = am.function_algebra_with_state(2)
+    ctx = build_fock(am.scalar_base(), {0: two_point, 1: two_point, 2: other}, 1)
+    assert ctx.factors[0] is ctx.factors[1]
+    assert ctx.factors[2] is not ctx.factors[0]
+    assert ctx.factors[0].spec is two_point and ctx.factors[2].spec is other
+
+
 # ---------------------------------------------------------------------------
 # creation operators
 # ---------------------------------------------------------------------------
@@ -396,10 +412,10 @@ def test_unknown_first_index(ctx_two2):
 
 def _module_vector(ctx, k, rng):
     fk = ctx.factors[k]
-    coords = fk.mod.e_basis @ (
+    coords = fk.e_basis @ (
         rng.standard_normal(fk.e_dim) + 1j * rng.standard_normal(fk.e_dim)
     )
-    return ModuleVector(fk.mod, coords)
+    return ModuleVector(fk, coords)
 
 
 @pytest.mark.parametrize("fixture", ["ctx_two2", "ctx_m2diag"])
@@ -410,7 +426,7 @@ def test_psi_star_psi_identity(fixture, rng, request):
     psi = ctx.creation(k, y)
     q = ctx.first_slot_projection(k)
     below = ctx.level_projection_up_to(ctx.max_level - 1)
-    rhs = ctx.left_b_action(inner_product(ctx.factors[k].mod, y, y)) @ (
+    rhs = ctx.left_b_action(inner_product(ctx.factors[k], y, y)) @ (
         ctx.identity() - q
     )
     assert ((psi.H @ psi - rhs) @ below).frobenius() < 1e-9
@@ -420,7 +436,7 @@ def test_psi_star_psi_identity(fixture, rng, request):
 def test_psi_norm_equals_module_norm(fixture, rng, request):
     ctx = request.getfixturevalue(fixture)
     y = _module_vector(ctx, 2, rng)
-    assert abs(spectral_norm(ctx.creation(2, y)) - module_norm(ctx.factors[2].mod, y)) < 1e-9
+    assert abs(spectral_norm(ctx.creation(2, y)) - module_norm(ctx.factors[2], y)) < 1e-9
 
 
 def test_psi_is_offdiagonal_in_first_slot(ctx_m2diag, rng):
@@ -448,9 +464,9 @@ def test_psi_truncates_at_top(ctx_two2, rng):
 
 def test_creation_rejects_unit_component(ctx_two2):
     fk = ctx_two2.factors[1]
-    hat_one = fk.mod.hat(fk.spec.algebra.unit_coords)
+    hat_one = fk.hat(fk.spec.algebra.unit_coords)
     with pytest.raises(StructureError):
-        ctx_two2.creation(1, ModuleVector(fk.mod, hat_one))
+        ctx_two2.creation(1, ModuleVector(fk, hat_one))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +605,7 @@ def test_centered_lambda_on_vacuum_is_creation(ctx_two2, rng):
     p1 = ctx_two2.level_projection(1)
     fk = ctx_two2.factors[1]
     hat_e, _ = fk.hat_split(a.coords)
-    psi = ctx_two2.creation(1, ModuleVector(fk.mod, fk.e_basis @ hat_e))
+    psi = ctx_two2.creation(1, ModuleVector(fk, fk.e_basis @ hat_e))
     assert (lam @ p0 - p1 @ psi @ p0).frobenius() < 1e-10
 
 
@@ -692,7 +708,7 @@ def test_embedded_vector_norm_matches_module_norm(ctx_m2diag, rng):
     e_coords = fk.e_basis.conj().T @ y.coords
     embed = s1.cmap @ np.kron(e_coords.reshape(-1, 1), np.eye(ctx_m2diag.base.ambient_dim))
     sigma = np.linalg.svd(embed, compute_uv=False)[0]
-    assert abs(sigma - module_norm(fk.mod, y)) < 1e-10
+    assert abs(sigma - module_norm(fk, y)) < 1e-10
 
 
 def test_adjoint_is_conjugate_transpose(ctx_m2diag, rng):
@@ -874,6 +890,22 @@ def test_letter_templates(fixture, rng, request):
             got = ctx.creation(i, y).matrix
             assert_canonical(got)
             assert_same_csr(got, left_fold(ctx, zip(y, units_e)))
+
+
+@pytest.mark.parametrize("fixture", ["ctx_two3", "ctx_m2diag", "ctx_m3diag"])
+def test_letter_union_holds_each_template_at_its_slots(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    for k in ctx.order:
+        indptr, indices, slots = ctx._letter(k)
+        union = CSR(np.ones(len(indices)), indices, indptr, (ctx.total_dim,) * 2)
+        assert_canonical(union)
+        covered = np.zeros(union.nnz, dtype=bool)
+        for t, at in zip((ctx._creation_template(k), ctx._diagonal_template(k),
+                          ctx._annihilation_template(k), ctx._leftb_template()), slots):
+            np.testing.assert_array_equal(union.rows[at], t.pattern.rows)
+            np.testing.assert_array_equal(indices[at], t.pattern.indices)
+            covered[at] = True
+        assert covered.all()  # and nothing else
 
 
 def test_sparse_storage_kicks_in(two_point):

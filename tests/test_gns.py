@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import amalgam as am
+from amalgam.cli import FACTOR_CONFIGS
 from amalgam.errors import StructureError
 from amalgam.gns import ModuleVector, build_gns, inner_product, module_norm
 from amalgam.linalg import rank_from_spectrum
@@ -86,9 +87,9 @@ def test_a11_expectation_separates():
 def test_hat_kernel_matches_gram_nullspace():
     mod = build_gns(a11_expectation())
     evals = np.linalg.eigvalsh(mod.scalar_gram)
-    null_dim = mod.source.algebra.dim - rank_from_spectrum(np.clip(evals, 0, None))
+    null_dim = mod.spec.algebra.dim - rank_from_spectrum(np.clip(evals, 0, None))
     svals = np.linalg.svd(mod.hat_matrix, compute_uv=False)
-    assert mod.source.algebra.dim - rank_from_spectrum(svals) == null_dim
+    assert mod.spec.algebra.dim - rank_from_spectrum(svals) == null_dim
 
 
 def test_hat_preserves_inner_product(m2_trace, rng):
@@ -154,8 +155,8 @@ def test_gram_is_hermitian(m2_diag, rng):
     for _ in range(10):
         x = ModuleVector(mod, rng.standard_normal(mod.carrier_dim))
         y = ModuleVector(mod, rng.standard_normal(mod.carrier_dim))
-        lhs = mod.source.subalgebra.matrix(inner_product(mod, x, y))
-        rhs = mod.source.subalgebra.matrix(inner_product(mod, y, x))
+        lhs = mod.spec.subalgebra.matrix(inner_product(mod, x, y))
+        rhs = mod.spec.subalgebra.matrix(inner_product(mod, y, x))
         np.testing.assert_allclose(lhs.conj().T, rhs, atol=1e-10)
 
 
@@ -163,9 +164,20 @@ def test_module_norm_positive(two_point):
     mod = build_gns(two_point)
     v = ModuleVector(mod, np.ones(mod.carrier_dim))
     sq = inner_product(mod, v, v)
-    evals = np.linalg.eigvalsh(mod.source.subalgebra.matrix(sq))
+    evals = np.linalg.eigvalsh(mod.spec.subalgebra.matrix(sq))
     assert evals.min() >= -1e-12
     assert module_norm(mod, v) > 0
+
+
+@pytest.mark.parametrize("make", [*(f for _, f, _ in FACTOR_CONFIGS.values()),
+                                  partial(am.diagonal_in_matn, 3)],
+                         ids=[*FACTOR_CONFIGS, "m3-diag"])
+def test_left_b_is_the_slot_action_of_the_inclusion(make):
+    spec = make()
+    mod = build_gns(spec)
+    assert mod.left_b.shape == (spec.subalgebra.dim, mod.e_dim, mod.e_dim)
+    for j in range(spec.subalgebra.dim):
+        assert np.abs(mod.left_b[j] - mod.rho_slot(spec.inclusion[:, j])).max() <= 1e-14
 
 
 def test_mismatched_modules_rejected(two_point, m2_trace):

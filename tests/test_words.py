@@ -438,8 +438,8 @@ def test_mixed_support_annihilation(ctx_two2, rng):
     yb = fb.e_basis @ fb.hat_split(b.coords)[0]
     from amalgam.gns import ModuleVector
 
-    psi_a = ctx_two2.creation(1, ModuleVector(fa.mod, ya))
-    psi_b = ctx_two2.creation(2, ModuleVector(fb.mod, yb))
+    psi_a = ctx_two2.creation(1, ModuleVector(fa, ya))
+    psi_b = ctx_two2.creation(2, ModuleVector(fb, yb))
     assert (psi_a.H @ psi_b).frobenius() < 1e-12
 
 
